@@ -128,7 +128,6 @@ def _preset_1d(sigma, mu):
         "output_dir": "out",
         "bins": 100,
         "density_slices": [0, 10, 20],
-        "seed": 0,
     }
 
 
@@ -152,7 +151,6 @@ def _preset_2d(sigma, mu):
         "output_dir": "out",
         "bins": 50,
         "density_slices": [0, 10, 20],
-        "seed": 0,
     }
 
 
@@ -188,7 +186,6 @@ class ExperimentConfig:
     output_dir: str
     bins: int
     density_slices: tuple
-    seed: int
 
 
 def _expect(condition, path, message):
@@ -358,7 +355,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "config.density_slices", "must be a non-empty list of integers")
     _expect(all(0 <= i <= n_steps for i in slices), "config.density_slices",
             f"entries must lie in [0, {n_steps}]")
-    seed = _get_int(raw, "seed", "config", allow_missing=True, default=0)
 
     return ExperimentConfig(
         dimension=dimension,
@@ -377,7 +373,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         output_dir=output_dir,
         bins=bins,
         density_slices=tuple(slices),
-        seed=seed,
     )
 
 
@@ -438,25 +433,18 @@ def kernel_info(cfg: ExperimentConfig) -> dict:
     problem, measure = build_problem(cfg)
     kernel = problem.kernel
     a_squared = step_size_bound(measure, kernel.basis, problem.dt)
-    info = {
+    eigenvalues = kernel.eigenvalues()
+    return {
         "dimension": cfg.dimension,
         "basis_size": kernel.size,
-        "form": kernel.form,
         "epsilon": kernel.eps,
-        "min_eigenvalue": kernel.min_eigenvalue(),
+        "eigenvalues": eigenvalues.tolist(),
+        "min_eigenvalue": float(eigenvalues[0]),
         "a_squared": a_squared,
         "omega_lambda": cfg.solver.omega * cfg.solver.lam,
         "omega_lambda_limit": (1.0 / a_squared) if a_squared > 0 else None,
         "step_bound_ok": check_steps(cfg.solver, a_squared),
     }
-    if kernel.form == "diagonal":
-        info["eigenvalues"] = kernel.k_diag.tolist()
-    elif kernel.form == "block2x2":
-        info["blocks"] = [b.tolist() for b in kernel.k_blocks]
-        info["eigenvalues"] = kernel.eigenvalues().tolist()
-    else:
-        info["eigenvalues"] = kernel.eigenvalues().tolist()
-    return info
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -498,6 +486,13 @@ def run(cfg: ExperimentConfig) -> int:
         "step_bound_ok": check_steps(cfg.solver, a_squared),
     }
     write_metrics_json(os.path.join(cfg.output_dir, "metrics.json"), metrics)
+    if not result.converged:
+        print(
+            f"warning: stopped at max_iter = {cfg.solver.max_iter} before the "
+            f"step norms reached tol = {cfg.solver.tol:g}; the result is not "
+            "converged",
+            file=sys.stderr,
+        )
     print(
         f"solved in {result.iterations} iterations "
         f"(converged={result.converged}); artifacts in {cfg.output_dir}"

@@ -1,12 +1,11 @@
 """Spectral coefficient matrices of interaction kernels on the torus.
 
 A kernel K(x, y) expanded over the trigonometric basis is represented by
-its coefficient matrix together with the inverse used by the solver. Three
-storage forms are supported: ``diagonal`` (translation-invariant symmetric
-kernels, e.g. periodic Gaussians), ``block2x2`` (translation-invariant
-kernels with odd part, one scaled-rotation block per frequency), and
-``dense`` (general kernels obtained by quadrature, with optional eps*I
-regularization).
+its dense coefficient matrix K together with the inverse J = K^-1 used by
+the solver. Translation-invariant kernels (periodic Gaussians, profiles
+with odd part) fill K with a diagonal or 2x2-block pattern and get J in
+closed form; general kernels obtained by quadrature get J by a refined
+LAPACK inverse, with optional eps*I regularization.
 """
 
 from __future__ import annotations
@@ -49,128 +48,58 @@ class GaussianKernelSpec:
 class SpectralKernel:
     """Coefficient matrix and inverse of a kernel in a trigonometric basis.
 
-    Exactly one storage form is populated:
-      * diagonal: ``k_diag``/``j_diag`` of shape (size,)
-      * block2x2: ``k_blocks``/``j_blocks``, tuples of (1,1) or (2,2) arrays
-        covering consecutive basis positions
-      * dense: ``k_mat``/``j_mat`` of shape (size, size)
-    ``eps`` records the total identity shift actually applied.
+    ``k_mat`` and ``j_mat`` are dense (size, size) arrays with
+    ``j_mat = k_mat^-1``; ``eps`` records the total identity shift
+    applied to ``k_mat``.
     """
 
     basis: BasisSet
-    form: str
-    k_diag: np.ndarray | None = None
-    j_diag: np.ndarray | None = None
-    k_blocks: tuple | None = None
-    j_blocks: tuple | None = None
-    k_mat: np.ndarray | None = None
-    j_mat: np.ndarray | None = None
+    k_mat: np.ndarray
+    j_mat: np.ndarray
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.form == "diagonal":
-            if self.k_diag is None or self.j_diag is None:
-                raise ValueError("diagonal form requires k_diag and j_diag")
-            if self.k_diag.shape != (self.size,):
-                raise ValueError("diagonal data does not match basis size")
-        elif self.form == "block2x2":
-            if self.k_blocks is None or self.j_blocks is None:
-                raise ValueError("block form requires k_blocks and j_blocks")
-            if sum(b.shape[0] for b in self.k_blocks) != self.size:
-                raise ValueError("block sizes do not cover the basis")
-        elif self.form == "dense":
-            if self.k_mat is None or self.j_mat is None:
-                raise ValueError("dense form requires k_mat and j_mat")
-            if self.k_mat.shape != (self.size, self.size):
-                raise ValueError("dense data does not match basis size")
-        else:
-            raise ValueError(f"unknown form {self.form!r}")
+        for name in ("k_mat", "j_mat"):
+            mat = np.asarray(getattr(self, name), dtype=float)
+            if mat.shape != (self.size, self.size):
+                raise ValueError(
+                    f"{name} shape {mat.shape} does not match basis size {self.size}"
+                )
+            object.__setattr__(self, name, mat)
 
     @property
     def size(self) -> int:
         return self.basis.size
 
     def k_matrix(self) -> np.ndarray:
-        """Coefficient matrix as a dense (size, size) array."""
-        if self.form == "diagonal":
-            return np.diag(self.k_diag)
-        if self.form == "block2x2":
-            return _block_diag(self.k_blocks)
+        """Copy of the coefficient matrix."""
         return self.k_mat.copy()
 
     def j_matrix(self) -> np.ndarray:
-        """Inverse coefficient matrix as a dense (size, size) array."""
-        if self.form == "diagonal":
-            return np.diag(self.j_diag)
-        if self.form == "block2x2":
-            return _block_diag(self.j_blocks)
+        """Copy of the inverse coefficient matrix."""
         return self.j_mat.copy()
 
     def apply_k(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product K @ v; v may carry trailing axes."""
-        if self.form == "diagonal":
-            return self.k_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
-        if self.form == "block2x2":
-            return _apply_blocks(self.k_blocks, v)
         return np.tensordot(self.k_mat, v, axes=(1, 0))
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product J @ v; v may carry trailing axes."""
-        if self.form == "diagonal":
-            return self.j_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
-        if self.form == "block2x2":
-            return _apply_blocks(self.j_blocks, v)
         return np.tensordot(self.j_mat, v, axes=(1, 0))
+
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the symmetric part of K, ascending."""
+        return np.linalg.eigvalsh(0.5 * (self.k_mat + self.k_mat.T))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetric part of K."""
-        if self.form == "diagonal":
-            return float(np.min(self.k_diag))
-        if self.form == "block2x2":
-            return min(
-                float(np.min(np.linalg.eigvalsh(0.5 * (b + b.T))))
-                for b in self.k_blocks
-            )
-        sym = 0.5 * (self.k_mat + self.k_mat.T)
-        return float(np.min(np.linalg.eigvalsh(sym)))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the symmetric part; basis order for diagonal form."""
-        if self.form == "diagonal":
-            return self.k_diag.copy()
-        if self.form == "block2x2":
-            out = []
-            for b in self.k_blocks:
-                out.extend(np.linalg.eigvalsh(0.5 * (b + b.T)))
-            return np.asarray(out)
-        return np.linalg.eigvalsh(0.5 * (self.k_mat + self.k_mat.T))
+        return float(self.eigenvalues()[0])
 
 
-def _block_diag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    pos = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[pos : pos + m, pos : pos + m] = b
-        pos += m
-    return out
-
-
-def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(v, dtype=float))
-    pos = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[pos : pos + m] = np.tensordot(b, v[pos : pos + m], axes=(1, 0))
-        pos += m
-    return out
-
-
-def _diagonal_kernel(basis: BasisSet, k_diag: np.ndarray) -> SpectralKernel:
+def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
     # subnormal eigenvalues lose significand bits and their reciprocals
     # overflow; drop those frequencies like any degenerate term
-    keep = k_diag >= np.finfo(float).tiny
+    keep = eig >= np.finfo(float).tiny
     if not np.any(keep):
         raise ValueError("every eigenvalue underflowed; truncation too large")
     if not np.all(keep):
@@ -181,10 +110,8 @@ def _diagonal_kernel(basis: BasisSet, k_diag: np.ndarray) -> SpectralKernel:
                 idx for idx, kept in zip(basis.indices, keep) if kept
             ),
         )
-        k_diag = k_diag[keep]
-    return SpectralKernel(
-        basis=basis, form="diagonal", k_diag=k_diag, j_diag=1.0 / k_diag
-    )
+        eig = eig[keep]
+    return SpectralKernel(basis, np.diag(eig), np.diag(1.0 / eig))
 
 
 def gaussian_spectral_1d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
@@ -199,8 +126,8 @@ def gaussian_spectral_1d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
         raise ValueError(f"basis size must be positive, got {r}")
     b = basis_1d(r)
     n = np.array([k // 2 for k in b.indices], dtype=float)
-    k_diag = spec.mu * np.exp(-0.5 * (math.pi * spec.sigma * n) ** 2)
-    return _diagonal_kernel(b, k_diag)
+    eig = spec.mu * np.exp(-0.5 * (math.pi * spec.sigma * n) ** 2)
+    return _diagonal_kernel(b, eig)
 
 
 def gaussian_spectral_2d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
@@ -213,8 +140,8 @@ def gaussian_spectral_2d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
         raise ValueError("2d constructor requires a 2d kernel spec")
     b = basis_2d(r)
     n2 = np.array([(k // 2) ** 2 + (kp // 2) ** 2 for k, kp in b.indices], dtype=float)
-    k_diag = spec.mu**2 * np.exp(-0.5 * math.pi**2 * spec.sigma**2 * n2)
-    return _diagonal_kernel(b, k_diag)
+    eig = spec.mu**2 * np.exp(-0.5 * math.pi**2 * spec.sigma**2 * n2)
+    return _diagonal_kernel(b, eig)
 
 
 def _image_count(sigma: float) -> int:
@@ -326,9 +253,11 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
 
     ``eta_cos[n]`` and ``eta_sin[n]`` are the cosine/sine moments of the
     profile at integer frequency n (n = 0 is the mean; its sine moment must
-    vanish). Frequencies whose 2x2 block determinant falls below 1e-14 are
-    dropped from the basis. An even profile (all sine moments zero) yields
-    the diagonal form.
+    vanish). Frequency n > 0 contributes the scaled rotation block
+    [[c, s], [-s, c]] on its cosine/sine pair, and its inverse
+    [[c, -s], [s, c]] / (c^2 + s^2) to J; an even profile leaves K
+    diagonal. Frequencies whose block determinant falls below 1e-14 are
+    dropped from the basis.
     """
     c = np.asarray(eta_cos, dtype=float)
     s = np.asarray(eta_sin, dtype=float)
@@ -337,46 +266,30 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     if s[0] != 0.0:
         raise ValueError("sine moment at frequency 0 must be zero")
 
-    kept: list[int] = []  # kept frequencies, ascending
-    for n in range(c.size):
-        if c[n] ** 2 + s[n] ** 2 >= DEGENERATE_DET:
-            kept.append(n)
+    kept = [n for n in range(c.size) if c[n] ** 2 + s[n] ** 2 >= DEGENERATE_DET]
     if not kept:
         raise ValueError("all frequencies are degenerate; basis would be empty")
 
     indices: list[int] = []
     for n in kept:
-        if n == 0:
-            indices.append(1)
-        else:
-            indices.extend((2 * n, 2 * n + 1))
-    max_k = max(indices)
-    b = BasisSet(dimension=1, truncation=max_k, indices=tuple(indices))
+        indices.extend((1,) if n == 0 else (2 * n, 2 * n + 1))
+    b = BasisSet(dimension=1, truncation=max(indices), indices=tuple(indices))
 
-    if np.all(s == 0.0):
-        diag = []
-        for n in kept:
-            diag.extend([c[n]] if n == 0 else [c[n], c[n]])
-        k_diag = np.asarray(diag)
-        return SpectralKernel(
-            basis=b, form="diagonal", k_diag=k_diag, j_diag=1.0 / k_diag
-        )
-
-    k_blocks, j_blocks = [], []
+    k_mat = np.zeros((b.size, b.size))
+    j_mat = np.zeros((b.size, b.size))
+    pos = 0
     for n in kept:
         if n == 0:
-            k_blocks.append(np.array([[c[0]]]))
-            j_blocks.append(np.array([[1.0 / c[0]]]))
+            k_mat[0, 0], j_mat[0, 0] = c[0], 1.0 / c[0]
+            pos = 1
             continue
         det = c[n] ** 2 + s[n] ** 2
-        k_blocks.append(np.array([[c[n], s[n]], [-s[n], c[n]]]))
-        j_blocks.append(np.array([[c[n], -s[n]], [s[n], c[n]]]) / det)
-    return SpectralKernel(
-        basis=b,
-        form="block2x2",
-        k_blocks=tuple(k_blocks),
-        j_blocks=tuple(j_blocks),
-    )
+        k_mat[pos : pos + 2, pos : pos + 2] = [[c[n], s[n]], [-s[n], c[n]]]
+        j_mat[pos : pos + 2, pos : pos + 2] = (
+            np.array([[c[n], -s[n]], [s[n], c[n]]]) / det
+        )
+        pos += 2
+    return SpectralKernel(b, k_mat, j_mat)
 
 
 def _dense_inverse(k_mat: np.ndarray) -> np.ndarray:
@@ -388,7 +301,7 @@ def _dense_inverse(k_mat: np.ndarray) -> np.ndarray:
 def spectral_from_dense(
     coefficients: np.ndarray, basis: BasisSet, eps: float | None = None
 ) -> SpectralKernel:
-    """Dense-form kernel from a symmetric coefficient matrix.
+    """Kernel from a symmetric coefficient matrix, inverted numerically.
 
     With eps=None a shift of 1e-6 is applied automatically when the
     smallest eigenvalue drops below 1e-10; an explicit eps (including 0) is
@@ -419,9 +332,7 @@ def spectral_from_dense(
         j_mat = _dense_inverse(k_mat)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"coefficient matrix is singular: {exc}") from exc
-    return SpectralKernel(
-        basis=basis, form="dense", k_mat=k_mat, j_mat=j_mat, eps=float(eps)
-    )
+    return SpectralKernel(basis, k_mat, j_mat, eps=float(eps))
 
 
 def regularize(kernel: SpectralKernel, eps: float) -> SpectralKernel:
@@ -430,39 +341,7 @@ def regularize(kernel: SpectralKernel, eps: float) -> SpectralKernel:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     if eps == 0.0:
         return kernel
-    total = kernel.eps + eps
-    if kernel.form == "diagonal":
-        k_diag = kernel.k_diag + eps
-        return SpectralKernel(
-            basis=kernel.basis,
-            form="diagonal",
-            k_diag=k_diag,
-            j_diag=1.0 / k_diag,
-            eps=total,
-        )
-    if kernel.form == "block2x2":
-        k_blocks, j_blocks = [], []
-        for blk in kernel.k_blocks:
-            shifted = blk + eps * np.eye(blk.shape[0])
-            k_blocks.append(shifted)
-            if shifted.shape[0] == 1:
-                j_blocks.append(np.array([[1.0 / shifted[0, 0]]]))
-            else:
-                cc, ss = shifted[0, 0], shifted[0, 1]
-                det = cc * cc + ss * ss
-                j_blocks.append(np.array([[cc, -ss], [ss, cc]]) / det)
-        return SpectralKernel(
-            basis=kernel.basis,
-            form="block2x2",
-            k_blocks=tuple(k_blocks),
-            j_blocks=tuple(j_blocks),
-            eps=total,
-        )
     k_mat = kernel.k_mat + eps * np.eye(kernel.size)
     return SpectralKernel(
-        basis=kernel.basis,
-        form="dense",
-        k_mat=k_mat,
-        j_mat=_dense_inverse(k_mat),
-        eps=total,
+        kernel.basis, k_mat, _dense_inverse(k_mat), eps=kernel.eps + eps
     )

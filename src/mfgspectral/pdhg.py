@@ -1,8 +1,8 @@
 """Primal-dual hybrid gradient iteration on the discrete saddle problem.
 
 One iteration performs three steps: an exact proximal solve for the
-coefficient paths (independent across time slices, so the shifted-inverse
-operator is factored once and reused), one explicit gradient step for the
+coefficient paths (independent across time slices, so the shifted inverse is
+computed once and reused), one explicit gradient step for the
 particle trajectories (independent across particles, all right-hand sides
 evaluated at the previous iterate), and linear extrapolation of the
 trajectories. Stopping is on step-norm stagnation; the fixed-point
@@ -46,14 +46,16 @@ class SolverConfig:
     record_every: int = 50
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not self.tol >= 0.0:  # also rejects NaN; +inf stops at once
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be positive, got {self.record_every}")
 
@@ -125,39 +127,15 @@ def check_steps(config: SolverConfig, a_squared: float) -> bool:
 
 
 def prox_a_operator(kernel: SpectralKernel, lam_dt: float):
-    """Factor (lam_dt * J + Id)^{-1} once; returns a columnwise applier."""
+    """Invert (lam_dt * J + Id) once; returns a columnwise applier."""
     if lam_dt < 0:
         raise ValueError(f"lam_dt must be nonnegative, got {lam_dt}")
-    if kernel.form == "diagonal":
-        denom = 1.0 + lam_dt * kernel.j_diag
+    inverse = np.linalg.inv(lam_dt * kernel.j_mat + np.eye(kernel.size))
 
-        def apply_diag(rhs: np.ndarray) -> np.ndarray:
-            return rhs / denom[:, None]
-
-        return apply_diag
-    if kernel.form == "block2x2":
-        inverses = []
-        for blk in kernel.j_blocks:
-            shifted = lam_dt * blk + np.eye(blk.shape[0])
-            inverses.append(np.linalg.inv(shifted))
-
-        def apply_blocks(rhs: np.ndarray) -> np.ndarray:
-            out = np.empty_like(rhs)
-            pos = 0
-            for inv in inverses:
-                m = inv.shape[0]
-                out[pos : pos + m] = inv @ rhs[pos : pos + m]
-                pos += m
-            return out
-
-        return apply_blocks
-    shifted = lam_dt * kernel.j_mat + np.eye(kernel.size)
-    inverse = np.linalg.inv(shifted)
-
-    def apply_dense(rhs: np.ndarray) -> np.ndarray:
+    def apply(rhs: np.ndarray) -> np.ndarray:
         return inverse @ rhs
 
-    return apply_dense
+    return apply
 
 
 def step_a(

@@ -152,7 +152,7 @@ def test_criterion_5_kernel_cross_validation():
         lambda x, y: kernel_eval_direct(spec, x, y), analytic.basis, 512
     )
     elapsed = time.perf_counter() - t0
-    diag_gap = float(np.max(np.abs(np.diag(coeffs) - analytic.k_diag)))
+    diag_gap = float(np.max(np.abs(np.diag(coeffs) - np.diag(analytic.k_mat))))
     off = coeffs - np.diag(np.diag(coeffs))
     off_gap = float(np.max(np.abs(off)))
     ok = diag_gap < 1e-8 and off_gap < 1e-8 and elapsed < 5.0

@@ -36,7 +36,6 @@ def tiny_config(output_dir, **overrides):
         "output_dir": str(output_dir),
         "bins": 8,
         "density_slices": [0, 2, 4],
-        "seed": 0,
     }
     cfg.update(overrides)
     return cfg
@@ -106,6 +105,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config.density_slices"):
             validate_config(cfg)
 
+    def test_nan_tol_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["solve", path, "--tol", "nan"]) == 1
+        assert "config.solver" in capsys.readouterr().err
+
+    def test_legacy_seed_field_ignored(self, tmp_path):
+        cfg = validate_config(tiny_config(tmp_path / "out", seed=0))
+        assert not hasattr(cfg, "seed")
+
     def test_unknown_preset_exit_code(self, tmp_path, capsys):
         assert main(["solve", "no-such-preset"]) == 1
         assert "config error" in capsys.readouterr().err
@@ -135,8 +143,8 @@ class TestKernelInfo:
         info = kernel_info(cfg)
         assert info["basis_size"] == 8
         assert len(info["eigenvalues"]) == 8
-        assert info["eigenvalues"][0] == pytest.approx(0.5)
-        assert info["form"] == "diagonal"
+        # ascending; the constant mode carries the largest eigenvalue, mu
+        assert info["eigenvalues"][-1] == pytest.approx(0.5)
         assert info["step_bound_ok"] is True
         assert info["omega_lambda"] == pytest.approx(0.25)
 
@@ -160,6 +168,21 @@ class TestKernelInfo:
         )
         with pytest.warns(RuntimeWarning):
             build_kernel(validate_config(cfg))
+
+    @pytest.mark.parametrize("preset", ["paper-1d-c", "paper-2d-c"])
+    def test_gaussian_presets_not_shifted(self, preset):
+        # the smallest eigenvalues (~1e-22) sit below the automatic-shift
+        # trigger of dense kernels; the analytic Gaussian must keep them
+        cfg = validate_config(load_config_source(preset))
+        ker = build_kernel(cfg)
+        assert ker.eps == 0.0
+        freqs = np.reshape(ker.basis.indices, (ker.size, -1)) // 2
+        n2 = np.sum(freqs**2, axis=1).astype(float)
+        analytic = cfg.mu**cfg.dimension * np.exp(
+            -0.5 * (np.pi * cfg.sigma) ** 2 * n2
+        )
+        np.testing.assert_allclose(np.diag(ker.k_mat), analytic, rtol=1e-14)
+        assert np.min(np.diag(ker.k_mat)) < 1e-21
 
     def test_custom_matrix_auto_policy(self, tmp_path):
         entries = np.diag([1e-13, 1.0, 1.0]).tolist()
@@ -253,6 +276,15 @@ class TestRun:
         assert (out / "density_t3.csv").exists()
         assert not (out / "density_t0.csv").exists()
 
+    def test_max_iter_stop_warns(self, tmp_path, capsys):
+        out = tmp_path / "capped"
+        cfg = tiny_config(out)
+        cfg["solver"]["max_iter"] = 1
+        assert main(["solve", write_config(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert "warning: stopped at max_iter = 1" in captured.err
+
     def test_single_time_step_run(self, tmp_path):
         out = tmp_path / "one-step"
         cfg = tiny_config(out, N=1, density_slices=[0, 1])
@@ -261,12 +293,13 @@ class TestRun:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["straightness_max"] == 0.0
 
-    def test_tol_override_stops_early(self, tmp_path):
+    def test_tol_override_stops_early(self, tmp_path, capsys):
         out = tmp_path / "tol"
         path = write_config(tmp_path, tiny_config(tmp_path / "ignored2"))
         assert (
             main(["solve", path, "--output-dir", str(out), "--tol", "0.5"]) == 0
         )
+        assert "max_iter" not in capsys.readouterr().err
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["converged"] is True
         assert metrics["iterations"] < 60

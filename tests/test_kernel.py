@@ -24,38 +24,40 @@ def frobenius_identity_gap(kernel):
 class TestGaussianSpectral:
     def test_1d_entries(self):
         spec = GaussianKernelSpec(sigma=0.2, mu=0.5)
-        ker = gaussian_spectral_1d(spec, 3)
-        assert ker.k_diag[0] == pytest.approx(0.5, abs=0)
+        k = np.diag(gaussian_spectral_1d(spec, 3).k_mat)
+        assert k[0] == pytest.approx(0.5, abs=0)
         # mu * exp(-(0.2*pi)^2 / 2), frozen from direct evaluation
-        assert ker.k_diag[1] == pytest.approx(0.41043435870776995, rel=1e-14)
-        assert ker.k_diag[2] == ker.k_diag[1]
+        assert k[1] == pytest.approx(0.41043435870776995, rel=1e-14)
+        assert k[2] == k[1]
 
     def test_1d_inverse_and_form(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
-        assert ker.form == "diagonal"
-        np.testing.assert_allclose(ker.j_diag, 1.0 / ker.k_diag, rtol=1e-15)
+        k, j = np.diag(ker.k_mat), np.diag(ker.j_mat)
+        np.testing.assert_array_equal(ker.k_mat, np.diag(k))
+        np.testing.assert_array_equal(ker.j_mat, np.diag(j))
+        np.testing.assert_allclose(j, 1.0 / k, rtol=1e-15)
         assert frobenius_identity_gap(ker) < 1e-10
 
     def test_1d_monotone_decay(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.3, 1.2), 9)
-        assert np.all(np.diff(ker.k_diag) <= 1e-18)
+        assert np.all(np.diff(np.diag(ker.k_mat)) <= 1e-18)
 
     def test_2d_entries(self):
         ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.5, dimension=2), 8)
         assert ker.size == 28
-        assert ker.k_diag[0] == pytest.approx(0.25, abs=0)
+        assert ker.k_mat[0, 0] == pytest.approx(0.25, abs=0)
         ker1 = gaussian_spectral_2d(GaussianKernelSpec(1.0, 0.5, dimension=2), 8)
         pos = ker1.basis.position((1, 2))
         # mu^2 * exp(-pi^2/2), frozen from direct evaluation
-        assert ker1.k_diag[pos] == pytest.approx(0.001797970838956592, rel=1e-13)
+        assert ker1.k_mat[pos, pos] == pytest.approx(0.001797970838956592, rel=1e-13)
 
     def test_underflowed_frequencies_dropped(self):
         # at sigma=1, frequencies beyond ~26 underflow to exactly zero and
         # must leave the basis instead of producing infinite inverses
         ker = gaussian_spectral_1d(GaussianKernelSpec(1.0, 0.5), 60)
         assert ker.size < 60
-        assert np.all(ker.k_diag > 0)
-        assert np.all(np.isfinite(ker.j_diag))
+        assert np.all(np.diag(ker.k_mat) > 0)
+        assert np.all(np.isfinite(ker.j_mat))
         assert frobenius_identity_gap(ker) < 1e-10
         assert ker.basis.indices[0] == 1
 
@@ -109,7 +111,7 @@ class TestDirectEvaluation:
         ker = gaussian_spectral_1d(spec, 40)
         grid = np.arange(64) / 64.0
         vals = eval_all(ker.basis, grid)
-        approx = vals @ np.diag(ker.k_diag) @ vals.T
+        approx = vals @ ker.k_mat @ vals.T
         direct = kernel_eval_direct(spec, grid[:, None], grid[None, :])
         assert np.max(np.abs(approx - direct)) < 1e-8
 
@@ -140,7 +142,7 @@ class TestFourierCoefficients:
         coeffs = fourier_coefficients(
             lambda x, y: kernel_eval_direct(spec, x, y), ker.basis, 512
         )
-        diag_gap = np.max(np.abs(np.diag(coeffs) - ker.k_diag))
+        diag_gap = np.max(np.abs(np.diag(coeffs) - np.diag(ker.k_mat)))
         off = coeffs - np.diag(np.diag(coeffs))
         assert diag_gap < 1e-8
         assert np.max(np.abs(off)) < 1e-8
@@ -156,7 +158,7 @@ class TestFourierCoefficients:
         coeffs = fourier_coefficients(
             lambda x, y: kernel_eval_direct(spec, x, y), ker.basis, 16
         )
-        np.testing.assert_allclose(coeffs, np.diag(ker.k_diag), atol=1e-8)
+        np.testing.assert_allclose(coeffs, ker.k_mat, atol=1e-8)
 
 
 class TestFejerAverage:
@@ -199,7 +201,7 @@ class TestPsdCheck:
 
     def test_gaussian_diagonal(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
-        assert psd_check(ker.k_matrix()) == pytest.approx(np.min(ker.k_diag))
+        assert psd_check(ker.k_matrix()) == pytest.approx(np.min(np.diag(ker.k_mat)))
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -210,24 +212,29 @@ class TestPsdCheck:
 class TestTranslationInvariantBlocks:
     def test_even_profile_is_diagonal(self):
         ker = translation_invariant_blocks([1.0, 0.5, 0.25], [0.0, 0.0, 0.0])
-        assert ker.form == "diagonal"
-        np.testing.assert_allclose(ker.k_diag, [1.0, 0.5, 0.5, 0.25, 0.25])
+        np.testing.assert_array_equal(ker.k_mat, np.diag(np.diag(ker.k_mat)))
+        np.testing.assert_allclose(np.diag(ker.k_mat), [1.0, 0.5, 0.5, 0.25, 0.25])
         assert ker.basis.indices == (1, 2, 3, 4, 5)
 
     def test_block_inverse(self):
         ker = translation_invariant_blocks([1.0, 0.3], [0.0, 0.4])
-        assert ker.form == "block2x2"
-        blk = ker.k_blocks[1]
+        # nonzeros only inside the 1x1 and 2x2 diagonal blocks
+        outside = np.ones((3, 3), dtype=bool)
+        outside[0, 0] = False
+        outside[1:3, 1:3] = False
+        assert np.all(ker.k_mat[outside] == 0.0)
+        assert np.all(ker.j_mat[outside] == 0.0)
+        blk = ker.k_mat[1:3, 1:3]
         np.testing.assert_allclose(blk, [[0.3, 0.4], [-0.4, 0.3]])
         np.testing.assert_allclose(
-            ker.j_blocks[1], np.array([[0.3, -0.4], [0.4, 0.3]]) / 0.25
+            ker.j_mat[1:3, 1:3], np.array([[0.3, -0.4], [0.4, 0.3]]) / 0.25
         )
         assert frobenius_identity_gap(ker) < 1e-10
 
     def test_degenerate_frequency_dropped(self):
         ker = translation_invariant_blocks([1.0, 0.0, 0.5], [0.0, 0.0, 0.0])
         assert ker.basis.indices == (1, 4, 5)
-        np.testing.assert_allclose(ker.k_diag, [1.0, 0.5, 0.5])
+        np.testing.assert_allclose(np.diag(ker.k_mat), [1.0, 0.5, 0.5])
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -262,14 +269,14 @@ class TestRegularize:
     def test_diagonal_shift(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
         out = regularize(ker, 1e-3)
-        np.testing.assert_allclose(out.k_diag, ker.k_diag + 1e-3)
+        np.testing.assert_allclose(np.diag(out.k_mat), np.diag(ker.k_mat) + 1e-3)
         assert out.eps == pytest.approx(1e-3)
         assert frobenius_identity_gap(out) < 1e-10
 
     def test_block_shift(self):
         ker = translation_invariant_blocks([1.0, 0.3], [0.0, 0.4])
         out = regularize(ker, 0.5)
-        np.testing.assert_allclose(out.k_blocks[1], [[0.8, 0.4], [-0.4, 0.8]])
+        np.testing.assert_allclose(out.k_mat[1:3, 1:3], [[0.8, 0.4], [-0.4, 0.8]])
         assert frobenius_identity_gap(out) < 1e-10
 
     def test_dense_min_eigenvalue_shifted(self):

@@ -9,6 +9,7 @@ from mfgspectral.kernel import (
     GaussianKernelSpec,
     SpectralKernel,
     gaussian_spectral_1d,
+    gaussian_spectral_2d,
     spectral_from_dense,
     translation_invariant_blocks,
 )
@@ -137,22 +138,20 @@ class TestStepA:
         np.testing.assert_allclose(out, mu, rtol=1e-14)
 
     def test_scalar_arithmetic(self):
-        ker = SpectralKernel(
-            basis=basis_1d(1),
-            form="diagonal",
-            k_diag=np.array([0.5]),
-            j_diag=np.array([2.0]),
-        )
+        ker = SpectralKernel(basis_1d(1), k_mat=[[0.5]], j_mat=[[2.0]])
         prox = prox_a_operator(ker, 0.5)
         rhs = np.array([[1.0 + 0.5 * 3.0]])
         assert prox(rhs)[0, 0] == pytest.approx(1.25, abs=1e-15)
 
-    @pytest.mark.parametrize("form", ["diagonal", "block2x2", "dense"])
-    def test_proximal_optimality(self, form):
+    @pytest.mark.parametrize(
+        "builder",
+        ["gaussian_spectral_1d", "translation_invariant_blocks", "spectral_from_dense"],
+    )
+    def test_proximal_optimality(self, builder):
         rng = np.random.default_rng(17)
-        if form == "diagonal":
+        if builder == "gaussian_spectral_1d":
             ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6)
-        elif form == "block2x2":
+        elif builder == "translation_invariant_blocks":
             ker = translation_invariant_blocks(
                 [1.0, 0.3, 0.15], [0.0, 0.4, -0.07]
             )
@@ -169,6 +168,37 @@ class TestStepA:
         lhs = (lam * dt * ker.j_matrix() + np.eye(ker.size)) @ out
         rhs = a + lam * dt * q
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_gaussian_prox_matches_closed_form(self, dimension):
+        # the old diagonal applier: rhs / (1 + lam_dt / k)
+        spec = GaussianKernelSpec(0.2, 0.5, dimension=dimension)
+        build = gaussian_spectral_1d if dimension == 1 else gaussian_spectral_2d
+        ker = build(spec, 8)
+        lam_dt = 0.15
+        rhs = np.random.default_rng(19).normal(size=(ker.size, 5))
+        k = np.diag(ker.k_mat)
+        np.testing.assert_allclose(
+            prox_a_operator(ker, lam_dt)(rhs),
+            rhs / (1.0 + lam_dt / k)[:, None],
+            rtol=1e-14,
+        )
+
+    def test_block_prox_matches_closed_form(self):
+        # the old block applier: one 2x2 inverse per frequency
+        c, s = [1.0, 0.3, 0.15], [0.0, 0.4, -0.07]
+        ker = translation_invariant_blocks(c, s)
+        lam_dt = 0.4
+        rhs = np.random.default_rng(20).normal(size=(ker.size, 5))
+        expect = np.empty_like(rhs)
+        expect[0] = rhs[0] / (1.0 + lam_dt / c[0])
+        for n in (1, 2):
+            j_blk = np.array([[c[n], -s[n]], [s[n], c[n]]]) / (c[n] ** 2 + s[n] ** 2)
+            inv = np.linalg.inv(lam_dt * j_blk + np.eye(2))
+            expect[2 * n - 1 : 2 * n + 1] = inv @ rhs[2 * n - 1 : 2 * n + 1]
+        np.testing.assert_allclose(
+            prox_a_operator(ker, lam_dt)(rhs), expect, rtol=1e-14
+        )
 
     def test_time_slices_independent(self):
         rng = np.random.default_rng(18)
@@ -436,3 +466,22 @@ class TestSolverConfigValidation:
             SolverConfig(lam=1.0, omega=0.1, theta=1.5)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, omega=0.1, record_every=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": math.nan},
+            {"tol": -1e-8},
+            {"lam": math.inf},
+            {"lam": math.nan},
+            {"omega": math.inf},
+            {"omega": math.nan},
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"lam": 1.0, "omega": 0.1, **kwargs})
+
+    def test_zero_and_infinite_tol_allowed(self):
+        assert SolverConfig(lam=1.0, omega=0.1, tol=0.0).tol == 0.0
+        assert SolverConfig(lam=1.0, omega=0.1, tol=math.inf).tol == math.inf
