@@ -5,11 +5,15 @@ then sine/cosine pairs of increasing integer frequency,
 
     k = 1: 1,   k even: sqrt(2) sin(pi k x),   k odd > 1: sqrt(2) cos(pi (k-1) x),
 
-so the frequency of function k is ``k // 2`` full periods on [0, 1) and the
-family is orthonormal in L2 of the periodic unit interval. Two-dimensional
-functions are products of two one-dimensional ones, indexed by pairs
-(k, k') with k + k' <= r, listed in lexicographic order. Indices are
-1-based throughout.
+so the frequency of function k is ``k // 2`` full periods on [0, 1)
+(:attr:`BasisSet.frequencies`) and the family is orthonormal in L2 of the
+periodic unit interval. Two-dimensional functions are products of two
+one-dimensional ones, indexed by pairs (k, k') with k + k' <= r, listed in
+lexicographic order. Indices are 1-based throughout.
+
+Evaluation is the same in both dimensions: per axis, a table of the 1d
+functions (and one of their derivatives) at all point coordinates, and a
+product of one table row per axis for each value or gradient component.
 """
 
 from __future__ import annotations
@@ -73,11 +77,17 @@ class BasisSet:
             raise IndexError(f"index {index!r} not in basis") from None
 
     @cached_property
-    def _axis_indices(self) -> np.ndarray:
-        # (size, dimension) integer table of per-axis 1d sub-indices
-        if self.dimension == 1:
-            return np.asarray(self.indices, dtype=int).reshape(-1, 1)
-        return np.asarray(self.indices, dtype=int)
+    def _axis_rows(self) -> tuple:
+        # per axis: the table row k - 1 of each function, and the table size
+        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
+        return tuple((k - 1, int(k.max())) for k in ks.T)
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Read-only (size, dimension) array of per-axis frequencies k // 2."""
+        freqs = np.stack([(rows + 1) // 2 for rows, _ in self._axis_rows], axis=1)
+        freqs.setflags(write=False)
+        return freqs
 
 
 def basis_1d(r: int) -> BasisSet:
@@ -92,83 +102,35 @@ def basis_2d(r: int) -> BasisSet:
     return BasisSet(dimension=2, truncation=r, indices=tuple(tensor_indices(r)))
 
 
-def _eval_axis(k: int, t: np.ndarray) -> np.ndarray:
-    n = k // 2
-    if k == 1:
-        return np.ones_like(t)
-    if k % 2 == 0:
-        return SQRT2 * np.sin(TWO_PI * n * t)
-    return SQRT2 * np.cos(TWO_PI * n * t)
-
-
-def _grad_axis(k: int, t: np.ndarray) -> np.ndarray:
-    n = k // 2
-    if k == 1:
-        return np.zeros_like(t)
-    w = TWO_PI * n
-    if k % 2 == 0:
-        return SQRT2 * w * np.cos(w * t)
-    return -SQRT2 * w * np.sin(w * t)
-
-
-def _as_point(basis: BasisSet, x) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (basis.dimension,):
-        raise ValueError(
-            f"point must have {basis.dimension} coordinate(s), got shape {pt.shape}"
-        )
-    return pt
-
-
 def eval_basis(basis: BasisSet, index, x) -> float:
     """Value of one basis function at a single point (periodic in x)."""
-    basis.position(index)
-    pt = _as_point(basis, x)
-    if basis.dimension == 1:
-        return float(_eval_axis(index, pt[:1])[0])
-    k, kp = index
-    return float(_eval_axis(k, pt[:1])[0] * _eval_axis(kp, pt[1:])[0])
+    j = basis.position(index)
+    return float(eval_all(basis, [x])[0, j])  # as a one-point list, x must be one point
 
 
 def grad_basis(basis: BasisSet, index, x) -> np.ndarray:
     """Analytic gradient of one basis function at a single point."""
-    basis.position(index)
-    pt = _as_point(basis, x)
-    if basis.dimension == 1:
-        return np.array([float(_grad_axis(index, pt[:1])[0])])
-    k, kp = index
-    v0, v1 = _eval_axis(k, pt[:1])[0], _eval_axis(kp, pt[1:])[0]
-    g0, g1 = _grad_axis(k, pt[:1])[0], _grad_axis(kp, pt[1:])[0]
-    return np.array([float(g0 * v1), float(v0 * g1)])
-
-
-def _axis_lipschitz(k: int) -> float:
-    return SQRT2 * TWO_PI * (k // 2)
-
-
-def _axis_sup(k: int) -> float:
-    return 1.0 if k == 1 else SQRT2
+    j = basis.position(index)
+    return grad_all(basis, [x])[0, j]
 
 
 def lipschitz_bound(basis: BasisSet, index) -> float:
-    """Lipschitz constant of one basis function (Euclidean, on the torus lift).
-
-    One-dimensional functions get the exact constant 2*sqrt(2)*pi*(k//2).
-    Products combine factor constants L_i and sup-norms S_i through the
-    bound sqrt(L1^2 S2^2 + S1^2 L2^2), which dominates |grad| everywhere.
-    """
-    basis.position(index)
-    if basis.dimension == 1:
-        return _axis_lipschitz(index)
-    k, kp = index
-    return math.hypot(
-        _axis_lipschitz(k) * _axis_sup(kp), _axis_sup(k) * _axis_lipschitz(kp)
-    )
+    """Lipschitz constant of one basis function (Euclidean, on the torus lift)."""
+    return float(lipschitz_bounds(basis)[basis.position(index)])
 
 
 def lipschitz_bounds(basis: BasisSet) -> np.ndarray:
-    """Vector of Lipschitz constants in basis order."""
-    return np.array([lipschitz_bound(basis, idx) for idx in basis.indices])
+    """Vector of Lipschitz constants in basis order.
+
+    A product of factors with Lipschitz constants L_e and sup-norms S_e gets
+    sqrt(sum_i L_i^2 prod_{e != i} S_e^2), which dominates |grad|; in 1d
+    that is the exact constant L = 2*sqrt(2)*pi*(k//2).
+    """
+    freqs = basis.frequencies
+    lip, sup = SQRT2 * TWO_PI * freqs, np.where(freqs == 0, 1.0, SQRT2)
+    # factors[j, i, e]: factor e of gradient component i of function j
+    factors = np.where(np.eye(basis.dimension, dtype=bool), lip[:, None], sup[:, None])
+    return np.sqrt(np.sum(np.prod(factors, axis=2) ** 2, axis=1))
 
 
 def _as_points(basis: BasisSet, points) -> np.ndarray:
@@ -182,33 +144,69 @@ def _as_points(basis: BasisSet, points) -> np.ndarray:
     return pts
 
 
+def _axis_tables(t: np.ndarray, kmax: int, vals: bool = True, grads: bool = False):
+    """(kmax, n) tables of the 1d functions 1..kmax at coordinates t.
+
+    Row k - 1 holds function k: values, and derivatives, each None when not
+    requested. Each frequency costs at most one sin and one cos, shared.
+    The constant alone (kmax = 1) has the scalar tables 1 and 0.
+    """
+    if kmax == 1:
+        return 1.0, 0.0
+    w = TWO_PI * np.arange(1, kmax // 2 + 1)
+    arg = w[:, None] * t
+    odd = (kmax - 1) // 2  # frequencies whose cosine is in the table
+    # values take every sine and the odd cosines, derivatives the reverse
+    sin = np.sin(arg if vals else arg[:odd])
+    cos = np.cos(arg if grads else arg[:odd])
+    val_table = grad_table = None
+    if vals:
+        val_table = np.empty((kmax, t.size))
+        val_table[0] = 1.0
+        val_table[1::2] = SQRT2 * sin
+        val_table[2::2] = SQRT2 * cos[:odd]
+    if grads:
+        grad_table = np.empty((kmax, t.size))
+        grad_table[0] = 0.0
+        grad_table[1::2] = (SQRT2 * w)[:, None] * cos
+        grad_table[2::2] = (-SQRT2 * w[:odd])[:, None] * sin[:odd]
+    return val_table, grad_table
+
+
+_BLOCK = 1024  # points per block: small gathered temporaries fault in few pages
+
+
+def _fill_products(dest: np.ndarray, tables, basis: BasisSet) -> None:
+    # dest[j] = product over axes of each function's row of that axis' table
+    for start in range(0, dest.shape[1], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        factors = [
+            t if isinstance(t, float) else t[:, block][rows]
+            for t, (rows, _) in zip(tables, basis._axis_rows)
+        ]
+        dest[:, block] = math.prod(factors[1:], start=factors[0])
+
+
 def eval_all(basis: BasisSet, points) -> np.ndarray:
     """Values of every basis function at many points: shape (n, size)."""
     pts = _as_points(basis, points)
-    if basis.dimension == 1:
-        cols = [_eval_axis(k, pts[:, 0]) for k in basis.indices]
-        return np.column_stack(cols)
-    ax = basis._axis_indices
-    vals0 = {k: _eval_axis(k, pts[:, 0]) for k in np.unique(ax[:, 0])}
-    vals1 = {k: _eval_axis(k, pts[:, 1]) for k in np.unique(ax[:, 1])}
-    cols = [vals0[k] * vals1[kp] for k, kp in basis.indices]
-    return np.column_stack(cols)
+    vals = [_axis_tables(t, kmax)[0] for t, (_, kmax) in zip(pts.T, basis._axis_rows)]
+    out = np.empty((pts.shape[0], basis.size))
+    _fill_products(out.T, vals, basis)
+    return out
 
 
 def grad_all(basis: BasisSet, points) -> np.ndarray:
     """Gradients of every basis function at many points: shape (n, size, d)."""
     pts = _as_points(basis, points)
-    out = np.empty((pts.shape[0], basis.size, basis.dimension))
-    if basis.dimension == 1:
-        for j, k in enumerate(basis.indices):
-            out[:, j, 0] = _grad_axis(k, pts[:, 0])
-        return out
-    ax = basis._axis_indices
-    vals0 = {k: _eval_axis(k, pts[:, 0]) for k in np.unique(ax[:, 0])}
-    vals1 = {k: _eval_axis(k, pts[:, 1]) for k in np.unique(ax[:, 1])}
-    grads0 = {k: _grad_axis(k, pts[:, 0]) for k in np.unique(ax[:, 0])}
-    grads1 = {k: _grad_axis(k, pts[:, 1]) for k in np.unique(ax[:, 1])}
-    for j, (k, kp) in enumerate(basis.indices):
-        out[:, j, 0] = grads0[k] * vals1[kp]
-        out[:, j, 1] = vals0[k] * grads1[kp]
+    d = basis.dimension
+    # values enter only as factors of another axis' derivative
+    tables = [
+        _axis_tables(t, kmax, vals=d > 1, grads=True)
+        for t, (_, kmax) in zip(pts.T, basis._axis_rows)
+    ]
+    out = np.empty((pts.shape[0], basis.size, d))
+    for i in range(d):
+        factors = [grad if e == i else val for e, (val, grad) in enumerate(tables)]
+        _fill_products(out[:, :, i].T, factors, basis)
     return out

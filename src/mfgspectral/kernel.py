@@ -117,29 +117,26 @@ def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
 def gaussian_spectral_1d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
     """Diagonal coefficient matrix of the 1d periodic Gaussian.
 
-    Entry k equals mu * exp(-((pi * sigma * (k//2))**2) / 2); the sine and
-    cosine functions of one frequency share an eigenvalue.
+    Entry k equals mu * exp(-((pi * sigma * n)**2) / 2), n the frequency of
+    function k; the sine and cosine of one frequency share an eigenvalue.
     """
     if spec.dimension != 1:
         raise ValueError("1d constructor requires a 1d kernel spec")
-    if r < 1:
-        raise ValueError(f"basis size must be positive, got {r}")
     b = basis_1d(r)
-    n = np.array([k // 2 for k in b.indices], dtype=float)
-    eig = spec.mu * np.exp(-0.5 * (math.pi * spec.sigma * n) ** 2)
+    eig = spec.mu * np.exp(-0.5 * (math.pi * spec.sigma * b.frequencies[:, 0]) ** 2)
     return _diagonal_kernel(b, eig)
 
 
 def gaussian_spectral_2d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
     """Diagonal coefficient matrix of the 2d periodic Gaussian.
 
-    Entries follow mu^2 * exp(-pi^2 sigma^2 ((k//2)^2 + (k'//2)^2) / 2) over
-    the lexicographic tensor index list.
+    Entries follow mu^2 * exp(-pi^2 sigma^2 (n^2 + n'^2) / 2), with (n, n')
+    the per-axis frequencies, over the lexicographic tensor index list.
     """
     if spec.dimension != 2:
         raise ValueError("2d constructor requires a 2d kernel spec")
     b = basis_2d(r)
-    n2 = np.array([(k // 2) ** 2 + (kp // 2) ** 2 for k, kp in b.indices], dtype=float)
+    n2 = np.sum(b.frequencies**2, axis=1)
     eig = spec.mu**2 * np.exp(-0.5 * math.pi**2 * spec.sigma**2 * n2)
     return _diagonal_kernel(b, eig)
 
@@ -210,13 +207,6 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     return out / g**4
 
 
-def _fejer_weights(basis: BasisSet, r: int) -> np.ndarray:
-    freqs = basis._axis_indices // 2  # (size, dimension)
-    if np.any(freqs > r):
-        raise ValueError(f"basis contains frequencies above {r}")
-    return np.prod(1.0 - freqs / (r + 1.0), axis=1)
-
-
 def fejer_average(
     coefficients: np.ndarray, r: int, basis: BasisSet | None = None
 ) -> np.ndarray:
@@ -233,7 +223,9 @@ def fejer_average(
         basis = basis_1d(c.shape[0])
     if basis.size != c.shape[0]:
         raise ValueError("coefficient matrix does not match basis size")
-    w = _fejer_weights(basis, r)
+    if np.any(basis.frequencies > r):
+        raise ValueError(f"basis contains frequencies above {r}")
+    w = np.prod(1.0 - basis.frequencies / (r + 1.0), axis=1)
     return w[:, None] * c * w[None, :]
 
 

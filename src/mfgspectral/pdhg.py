@@ -27,8 +27,9 @@ from .problem import (
     DiscreteMeasure,
     DivergenceError,
     MFGProblem,
+    _saddle_value,
     moment_vector,
-    saddle_value,
+    saddle_value,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -207,7 +208,11 @@ def fixed_point_residual(
     measure: DiscreteMeasure,
 ) -> float:
     """Sup-norm of a - K p(x); vanishes at an equilibrium."""
-    p = moment_vector(x, measure, kernel.basis)
+    return _residual(a, moment_vector(x, measure, kernel.basis), kernel)
+
+
+def _residual(a: np.ndarray, p: np.ndarray, kernel: SpectralKernel) -> float:
+    # fixed_point_residual given the basis moments p of x
     return float(np.max(np.abs(a - kernel.apply_k(p))))
 
 
@@ -241,10 +246,11 @@ def solve(
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
     def emit(a_step, x_step):
+        p = moment_vector(state.x, measure, problem.basis)  # shared by both values
         diag.record(
             state.iteration,
-            saddle_value(state.a, state.x, problem, measure),
-            fixed_point_residual(state.a, state.x, problem.kernel, measure),
+            _saddle_value(state.a, state.x, p, problem, measure),
+            _residual(state.a, p, problem.kernel),
             a_step,
             x_step,
         )

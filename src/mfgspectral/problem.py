@@ -158,13 +158,17 @@ def saddle_value(
             f"{problem.num_steps}), got {a.shape}"
         )
     _check_trajectories(x, measure, problem.num_steps)
+    return _saddle_value(a, x, moment_vector(x, measure, basis), problem, measure)
+
+
+def _saddle_value(a, x, p, problem: MFGProblem, measure: DiscreteMeasure) -> float:
+    # saddle_value of checked inputs, given the basis moments p of x
     dt = problem.dt
     quad = 0.5 * dt * float(np.sum(a * problem.kernel.apply_j(a)))
     diffs = x[:, 1:, :] - x[:, :-1, :]
     kinetic = float(
         np.sum(measure.weights * np.sum(diffs**2, axis=(1, 2))) / (2.0 * dt)
     )
-    p = moment_vector(x, measure, basis)
     coupling = dt * float(np.sum(a * p))
     terminal = float(np.dot(measure.weights, problem.terminal_cost(x[:, -1, :])))
     return quad - kinetic - coupling - terminal

@@ -19,6 +19,31 @@ from mfgspectral.basis import (
 SQRT2 = math.sqrt(2.0)
 
 
+def closed_form(idx, pts):
+    """Values and gradients of one basis function, written out per axis.
+
+    Axis factor k is 1, sqrt(2) sin(2 pi n t) (k even) or sqrt(2) cos(2 pi n t)
+    (k odd > 1) with n = k // 2; returns (n_points,) values and
+    (n_points, d) gradients of the product over axes.
+    """
+    ks = np.atleast_1d(idx)
+    vals, ders = [], []
+    for k, t in zip(ks, pts.T):
+        w = 2.0 * np.pi * (k // 2)
+        if k == 1:
+            vals.append(np.ones_like(t))
+            ders.append(np.zeros_like(t))
+        elif k % 2 == 0:
+            vals.append(SQRT2 * np.sin(w * t))
+            ders.append(SQRT2 * w * np.cos(w * t))
+        else:
+            vals.append(SQRT2 * np.cos(w * t))
+            ders.append(-SQRT2 * w * np.sin(w * t))
+    grad = [np.prod([ders[e] if e == i else vals[e] for e in range(len(ks))], axis=0)
+            for i in range(len(ks))]
+    return np.prod(vals, axis=0), np.stack(grad, axis=-1)
+
+
 def test_eval_constant():
     b = basis_1d(3)
     assert eval_basis(b, 1, 0.37) == 1.0
@@ -76,6 +101,19 @@ def test_invalid_index_raises():
         eval_basis(b2, (2, 2), (0.1, 0.2))
 
 
+def test_point_shape_checked():
+    with pytest.raises(ValueError):
+        eval_basis(basis_1d(3), 2, [0.1, 0.2])
+    with pytest.raises(ValueError):
+        eval_basis(basis_2d(3), (1, 1), 0.5)
+    with pytest.raises(ValueError):
+        eval_basis(basis_2d(3), (1, 1), [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        grad_basis(basis_2d(3), (1, 1), [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        grad_basis(basis_1d(3), 2, [[0.1]])
+
+
 def test_periodicity():
     rng = np.random.default_rng(0)
     b = basis_1d(8)
@@ -127,7 +165,9 @@ def test_gradient_matches_finite_differences_2d():
             for axis in range(2):
                 e = np.zeros(2)
                 e[axis] = h
-                fd = (eval_basis(b, idx, p + e) - eval_basis(b, idx, p - e)) / (2 * h)
+                plus = closed_form(idx, (p + e)[None, :])[0][0]
+                minus = closed_form(idx, (p - e)[None, :])[0][0]
+                fd = (plus - minus) / (2 * h)
                 scale = max(abs(fd), 1e-3)
                 assert abs(g[j, axis] - fd) / scale < 1e-6
 
@@ -171,7 +211,55 @@ def test_eval_all_matches_pointwise():
     mat = eval_all(b, pts)
     for i, p in enumerate(pts):
         for j, idx in enumerate(b.indices):
-            assert mat[i, j] == pytest.approx(eval_basis(b, idx, p), abs=1e-13)
+            expect = closed_form(idx, p[None, :])[0][0]
+            assert mat[i, j] == pytest.approx(expect, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "b, count",
+    [
+        (basis_1d(1), 11),  # the constant alone: no frequency at all
+        (basis_2d(2), 11),  # only (1, 1)
+        (basis_1d(4), 11),  # top function a sine whose cosine is absent
+        (basis_1d(5), 11),
+        (BasisSet(dimension=1, truncation=5, indices=(1, 4, 5)), 11),
+        (BasisSet(dimension=2, truncation=5, indices=((3, 1), (1, 1), (2, 3), (1, 4))),
+         11),
+        (basis_2d(5), 2500),  # more points than one evaluation block
+    ],
+    ids=["1d-r1", "2d-r2", "1d-r4", "1d-r5", "1d-subset", "2d-subset", "2d-r5-many"],
+)
+def test_eval_and_grad_all_match_closed_form(b, count):
+    pts = np.random.default_rng(7).uniform(-1, 2, size=(count, b.dimension))
+    vals, grads = eval_all(b, pts), grad_all(b, pts)
+    assert vals.shape == (count, b.size) and grads.shape == (count, b.size, b.dimension)
+    for j, idx in enumerate(b.indices):
+        expect_vals, expect_grads = closed_form(idx, pts)
+        np.testing.assert_allclose(vals[:, j], expect_vals, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grads[:, j], expect_grads, rtol=0, atol=1e-12)
+
+
+def test_lipschitz_bounds_match_product_formula():
+    def lip(k):
+        return SQRT2 * 2.0 * math.pi * (k // 2)
+
+    def sup(k):
+        return 1.0 if k == 1 else SQRT2
+
+    b2 = basis_2d(6)
+    expect = [math.hypot(lip(k) * sup(kp), sup(k) * lip(kp)) for k, kp in b2.indices]
+    np.testing.assert_allclose(lipschitz_bounds(b2), expect, rtol=1e-14, atol=0)
+    b1 = basis_1d(9)
+    assert lipschitz_bounds(b1).tolist() == [lip(k) for k in b1.indices]
+
+
+def test_frequencies_are_half_indices():
+    b1 = basis_1d(6)
+    assert b1.frequencies.tolist() == [[k // 2] for k in b1.indices]
+    b2 = BasisSet(dimension=2, truncation=6, indices=((1, 1), (4, 1), (2, 5)))
+    assert b2.frequencies.tolist() == [[k // 2, kp // 2] for k, kp in b2.indices]
+    with pytest.raises(ValueError):
+        b2.frequencies[0, 0] = 3
 
 
 def test_lipschitz_bounds_vector():
