@@ -11,9 +11,18 @@ periodic unit interval. Two-dimensional functions are products of two
 one-dimensional ones, indexed by pairs (k, k') with k + k' <= r, listed in
 lexicographic order. Indices are 1-based throughout.
 
-Evaluation is the same in both dimensions: per axis, a table of the 1d
-functions (and one of their derivatives) at all point coordinates, and a
-product of one table row per axis for each value or gradient component.
+Evaluation is the same in both dimensions. Per axis, one table holds the
+1d functions at every coordinate; it costs one sin and one cos per
+coordinate, since higher frequencies follow by the angle-addition
+recurrence, and the derivative of each function is a multiple of another
+row of it. :func:`eval_all` and :func:`grad_all` multiply one table row
+per axis for each value or gradient component at each point. The solver's
+contractions, :func:`moments` (weights against values) and
+:func:`field_gradient` (coefficients against gradients), work slice by
+slice on the per-axis tables instead, so they never form an (n, size) or
+(n, size, d) array: in 2d a slice's moments are T1 diag(w) T2^T and its
+gradient field is T1' A T2 and T1 A T2', with A the coefficients laid out
+over the per-axis table rows.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ class BasisSet:
     ``indices`` holds integers k for dimension 1 and pairs (k, k') for
     dimension 2. The standard constructors :func:`basis_1d` and
     :func:`basis_2d` build the full families; a subset of indices is legal
-    (used when degenerate kernel frequencies are dropped).
+    (used when degenerate kernel frequencies are dropped). Indices must be
+    distinct, and each per-axis index must lie in 1..truncation.
     """
 
     dimension: int
@@ -57,9 +67,12 @@ class BasisSet:
         for idx in self.indices:
             ks = (idx,) if self.dimension == 1 else tuple(idx)
             if len(ks) != self.dimension or any(
-                not isinstance(k, (int, np.integer)) or k < 1 for k in ks
+                not isinstance(k, (int, np.integer)) or not 1 <= k <= self.truncation
+                for k in ks
             ):
                 raise ValueError(f"invalid basis index {idx!r}")
+        if len(set(self.indices)) != self.size:
+            raise ValueError("basis indices must be distinct")
 
     @property
     def size(self) -> int:
@@ -77,17 +90,31 @@ class BasisSet:
             raise IndexError(f"index {index!r} not in basis") from None
 
     @cached_property
-    def _axis_rows(self) -> tuple:
-        # per axis: the table row k - 1 of each function, and the table size
-        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
-        return tuple((k - 1, int(k.max())) for k in ks.T)
-
-    @cached_property
     def frequencies(self) -> np.ndarray:
         """Read-only (size, dimension) array of per-axis frequencies k // 2."""
-        freqs = np.stack([(rows + 1) // 2 for rows, _ in self._axis_rows], axis=1)
+        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
+        freqs = ks // 2
         freqs.setflags(write=False)
         return freqs
+
+    @cached_property
+    def _axis_rows(self) -> tuple:
+        # per axis: each function's table row k - 1, and the row and factor of
+        # its derivative: (sqrt(2) sin wt)' is w times the cosine one row down,
+        # (sqrt(2) cos wt)' is -w times the sine one row up, the constant's is 0
+        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
+        axes = []
+        for k in ks.T:
+            sine = k % 2 == 0
+            deriv_rows = np.where(sine, k, np.maximum(k - 2, 0))
+            factors = TWO_PI * np.where(sine, k // 2, -(k // 2))
+            axes.append((k - 1, deriv_rows, factors))
+        return tuple(axes)
+
+    @cached_property
+    def _table_tops(self) -> tuple:
+        # per axis: the highest frequency, so tables hold rows 0..2 * top
+        return tuple(int(top) for top in self.frequencies.max(axis=0))
 
 
 def basis_1d(r: int) -> BasisSet:
@@ -144,69 +171,124 @@ def _as_points(basis: BasisSet, points) -> np.ndarray:
     return pts
 
 
-def _axis_tables(t: np.ndarray, kmax: int, vals: bool = True, grads: bool = False):
-    """(kmax, n) tables of the 1d functions 1..kmax at coordinates t.
+def _axis_tables(t: np.ndarray, top: int) -> np.ndarray:
+    """Table of the 1d functions 1..2*top+1 at coordinates t.
 
-    Row k - 1 holds function k: values, and derivatives, each None when not
-    requested. Each frequency costs at most one sin and one cos, shared.
-    The constant alone (kmax = 1) has the scalar tables 1 and 0.
+    Shape (2*top+1, *t.shape); row k - 1 holds function k, so rows 2m - 1
+    and 2m are sqrt(2) sin and sqrt(2) cos of frequency m. Only one sin and
+    one cos per coordinate are evaluated, on the argument reduced (exactly)
+    to one period; frequency m follows from frequency m - 1 by angle
+    addition, sin m th = sin (m-1) th cos th + cos (m-1) th sin th, and
+    cos m th = cos (m-1) th cos th - sin (m-1) th sin th.
     """
-    if kmax == 1:
-        return 1.0, 0.0
-    w = TWO_PI * np.arange(1, kmax // 2 + 1)
-    arg = w[:, None] * t
-    odd = (kmax - 1) // 2  # frequencies whose cosine is in the table
-    # values take every sine and the odd cosines, derivatives the reverse
-    sin = np.sin(arg if vals else arg[:odd])
-    cos = np.cos(arg if grads else arg[:odd])
-    val_table = grad_table = None
-    if vals:
-        val_table = np.empty((kmax, t.size))
-        val_table[0] = 1.0
-        val_table[1::2] = SQRT2 * sin
-        val_table[2::2] = SQRT2 * cos[:odd]
-    if grads:
-        grad_table = np.empty((kmax, t.size))
-        grad_table[0] = 0.0
-        grad_table[1::2] = (SQRT2 * w)[:, None] * cos
-        grad_table[2::2] = (-SQRT2 * w[:odd])[:, None] * sin[:odd]
-    return val_table, grad_table
+    table = np.empty((2 * top + 1,) + t.shape)
+    table[0] = 1.0
+    if top:
+        t = np.ascontiguousarray(t)  # so each table row is written in order
+        theta = TWO_PI * (t - np.rint(t))
+        sin, cos = np.sin(theta), np.cos(theta)
+        table[1] = SQRT2 * sin
+        table[2] = SQRT2 * cos
+        for m in range(2, top + 1):
+            s, c = table[2 * m - 3], table[2 * m - 2]
+            table[2 * m - 1] = s * cos + c * sin
+            table[2 * m] = c * cos - s * sin
+    return table
 
 
 _BLOCK = 1024  # points per block: small gathered temporaries fault in few pages
 
 
-def _fill_products(dest: np.ndarray, tables, basis: BasisSet) -> None:
-    # dest[j] = product over axes of each function's row of that axis' table
+def _fill_products(dest: np.ndarray, tables, rows) -> None:
+    # dest[j] = product over axes e of tables[e][rows[e][j]]
     for start in range(0, dest.shape[1], _BLOCK):
         block = slice(start, start + _BLOCK)
-        factors = [
-            t if isinstance(t, float) else t[:, block][rows]
-            for t, (rows, _) in zip(tables, basis._axis_rows)
-        ]
+        factors = [t[:, block][r] for t, r in zip(tables, rows)]
         dest[:, block] = math.prod(factors[1:], start=factors[0])
+
+
+def _point_tables(basis: BasisSet, points) -> list:
+    pts = _as_points(basis, points)
+    return [_axis_tables(t, top) for t, top in zip(pts.T, basis._table_tops)]
 
 
 def eval_all(basis: BasisSet, points) -> np.ndarray:
     """Values of every basis function at many points: shape (n, size)."""
-    pts = _as_points(basis, points)
-    vals = [_axis_tables(t, kmax)[0] for t, (_, kmax) in zip(pts.T, basis._axis_rows)]
-    out = np.empty((pts.shape[0], basis.size))
-    _fill_products(out.T, vals, basis)
+    tables = _point_tables(basis, points)
+    out = np.empty((tables[0].shape[1], basis.size))
+    _fill_products(out.T, tables, [rows for rows, _, _ in basis._axis_rows])
     return out
+
+
+def _derivative_rows(basis: BasisSet, axis: int):
+    # the derivative along ``axis`` of each function is factors[j] times the
+    # product over axes e of table row rows[e][j]
+    rows = [r for r, _, _ in basis._axis_rows]
+    _, rows[axis], factors = basis._axis_rows[axis]
+    return rows, factors
 
 
 def grad_all(basis: BasisSet, points) -> np.ndarray:
     """Gradients of every basis function at many points: shape (n, size, d)."""
-    pts = _as_points(basis, points)
-    d = basis.dimension
-    # values enter only as factors of another axis' derivative
-    tables = [
-        _axis_tables(t, kmax, vals=d > 1, grads=True)
-        for t, (_, kmax) in zip(pts.T, basis._axis_rows)
-    ]
-    out = np.empty((pts.shape[0], basis.size, d))
-    for i in range(d):
-        factors = [grad if e == i else val for e, (val, grad) in enumerate(tables)]
-        _fill_products(out[:, :, i].T, factors, basis)
+    tables = _point_tables(basis, points)
+    out = np.empty((tables[0].shape[1], basis.size, basis.dimension))
+    for i in range(basis.dimension):
+        rows, factors = _derivative_rows(basis, i)
+        _fill_products(out[:, :, i].T, tables, rows)
+        out[:, :, i] *= factors
     return out
+
+
+def _slice_tables(basis: BasisSet, points) -> list:
+    # per axis, the table at the coordinates points[:, i, axis], as (N, 2*top+1, Q)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != basis.dimension:
+        raise ValueError(
+            f"points must have shape (Q, N, {basis.dimension}), got {pts.shape}"
+        )
+    return [
+        _axis_tables(pts[:, :, e].T, top).transpose(1, 0, 2)
+        for e, top in enumerate(basis._table_tops)
+    ]
+
+
+def moments(basis: BasisSet, points, weights) -> np.ndarray:
+    """Weighted basis moments of each slice of a point cloud: shape (size, N).
+
+    ``points`` has shape (Q, N, d) and ``weights`` shape (Q,); entry (k, i)
+    is sum_a weights[a] phi_k(points[a, i]). In 2d the moments of slice i
+    are T1 diag(w) T2^T, with T1 and T2 the per-axis tables of that slice,
+    read at each function's pair of table rows.
+    """
+    tables = _slice_tables(basis, points)
+    w = np.asarray(weights, dtype=float)
+    if basis.dimension == 1:
+        per_slice = tables[0] @ w  # (N, rows1)
+    else:
+        per_slice = (tables[0] * w) @ tables[1].transpose(0, 2, 1)  # (N, rows1, rows2)
+    return per_slice[(slice(None), *(rows for rows, _, _ in basis._axis_rows))].T
+
+
+def field_gradient(basis: BasisSet, points, coeffs) -> np.ndarray:
+    """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
+
+    ``points`` has shape (Q, N, d) and ``coeffs`` shape (size, N). The
+    derivative of each function along axis e is a constant times a product
+    of table rows, so for component e the slice's coefficients, times those
+    constants, are scattered into a zero array A indexed by the per-axis
+    table rows. In 2d the components are then sum_k T1[k] (A T2)[k] and
+    sum_l T2[l] (A^T T1)[l]; in 1d, sum_k T1[k] A[k].
+    """
+    tables = _slice_tables(basis, points)
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.empty((basis.dimension, coeffs.shape[1], tables[0].shape[2]))
+    for e in range(basis.dimension):
+        rows, factors = _derivative_rows(basis, e)
+        scattered = np.zeros((coeffs.shape[1], *(t.shape[1] for t in tables)))
+        scattered[(slice(None), *rows)] = (factors[:, None] * coeffs).T
+        if basis.dimension == 1:
+            partial = scattered[:, :, None]
+        else:  # contract the other axis first: (N, rows_e, Q)
+            partial = np.moveaxis(scattered, 1 + e, 1) @ tables[1 - e]
+        np.add.reduce(tables[e] * partial, axis=1, out=out[e])
+    return out.transpose(2, 1, 0)

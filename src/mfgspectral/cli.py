@@ -7,7 +7,9 @@ experiment configurations. A config argument is either the name of a
 built-in preset or a path to a JSON file with the same structure. Runs
 are deterministic: identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 configuration error, 2 solver divergence.
+Exit codes: 0 success, 1 configuration error, 2 solver divergence. The
+``status`` field of ``metrics.json`` reads ``converged``, ``max_iter`` or,
+after a divergence, ``diverged``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import basis_1d, basis_2d, eval_all, grad_all
+from .basis import (
+    basis_1d,
+    basis_2d,
+    eval_all,
+    field_gradient,
+    grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+)
 from .kernel import (
     GaussianKernelSpec,
     SpectralKernel,
@@ -243,7 +251,9 @@ def _function_from_coefficients(coeffs, dimension, path):
         return eval_all(b, p) @ vec
 
     def gradient(p):
-        return np.einsum("nkd,k->nd", grad_all(b, p), vec)
+        # each point is its own one-point slice
+        pts = np.asarray(p, dtype=float)[:, None, :]
+        return field_gradient(b, pts, vec[:, None])[:, 0]
 
     return value, gradient
 
@@ -458,7 +468,21 @@ def run(cfg: ExperimentConfig) -> int:
         )
     os.makedirs(cfg.output_dir, exist_ok=True)
     diagnostics_path = os.path.join(cfg.output_dir, "diagnostics.jsonl")
-    result = solve(problem, measure, cfg.solver, diagnostics_path=diagnostics_path)
+    metrics_path = os.path.join(cfg.output_dir, "metrics.json")
+    try:
+        result = solve(problem, measure, cfg.solver, diagnostics_path=diagnostics_path)
+    except DivergenceError as exc:
+        recorded = exc.diagnostics is not None and exc.diagnostics.iterations
+        metrics = {
+            "status": "diverged",
+            "iterations": exc.iteration,
+            "converged": False,
+            "last_record": exc.diagnostics.last_record() if recorded else None,
+            "a_squared": a_squared,
+            "step_bound_ok": check_steps(cfg.solver, a_squared),
+        }
+        write_metrics_json(metrics_path, metrics)
+        raise
 
     write_trajectories_csv(os.path.join(cfg.output_dir, "trajectories.csv"), result.x)
     for i in cfg.density_slices:
@@ -474,6 +498,7 @@ def run(cfg: ExperimentConfig) -> int:
     except ValueError:
         defect = None
     metrics = {
+        "status": "converged" if result.converged else "max_iter",
         "iterations": result.iterations,
         "converged": result.converged,
         "fixed_point_residual": fixed_point_residual(
@@ -485,7 +510,7 @@ def run(cfg: ExperimentConfig) -> int:
         "a_squared": a_squared,
         "step_bound_ok": check_steps(cfg.solver, a_squared),
     }
-    write_metrics_json(os.path.join(cfg.output_dir, "metrics.json"), metrics)
+    write_metrics_json(metrics_path, metrics)
     if not result.converged:
         print(
             f"warning: stopped at max_iter = {cfg.solver.max_iter} before the "

@@ -5,9 +5,13 @@ coefficient paths (independent across time slices, so the shifted inverse is
 computed once and reused), one explicit gradient step for the
 particle trajectories (independent across particles, all right-hand sides
 evaluated at the previous iterate), and linear extrapolation of the
-trajectories. Stopping is on step-norm stagnation; the fixed-point
-residual is tracked as a diagnostic because the coupling is not bilinear
-and carries no convergence guarantee.
+trajectories. Both basis contractions, the moments in the coefficient step
+and the coupling gradient in the trajectory step, go slice by slice through
+per-axis tables (:func:`~mfgspectral.basis.moments`,
+:func:`~mfgspectral.basis.field_gradient`), never through a table of every
+basis function at every particle position. Stopping is on step-norm
+stagnation; the fixed-point residual is tracked as a diagnostic because the
+coupling is not bilinear and carries no convergence guarantee.
 
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
@@ -21,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, grad_all, lipschitz_bounds
+from .basis import (
+    BasisSet,
+    field_gradient,
+    grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+    lipschitz_bounds,
+)
 from .kernel import SpectralKernel
 from .problem import (
     DiscreteMeasure,
@@ -170,6 +179,8 @@ def step_x(
 
     Every right-hand-side trajectory term is evaluated at the incoming
     iterate; particle rows are mutually independent. Slice 0 stays pinned.
+    The coupling term is the gradient of the field sum_k a_new[k, i] phi_k
+    at each particle, from :func:`~mfgspectral.basis.field_gradient`.
     """
     dt = problem.dt
     c = measure.weights[:, None, None]
@@ -178,11 +189,7 @@ def step_x(
     neighbor = x[:, 1:, :] - x[:, :-1, :]
     neighbor[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
 
-    q, n = inner.shape[0], inner.shape[1]
-    grads = grad_all(problem.basis, inner.reshape(q * n, -1)).reshape(
-        q, n, problem.basis.size, problem.dimension
-    )
-    coupling = np.einsum("qikd,ki->qid", grads, a_new)
+    coupling = field_gradient(problem.basis, inner, a_new)
 
     update = (omega / dt) * c * neighbor + omega * dt * c * coupling
     update[:, -1, :] += omega * measure.weights[:, None] * problem.terminal_grad(

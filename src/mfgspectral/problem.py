@@ -16,7 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSet, eval_all, grad_all
+from .basis import (
+    BasisSet,
+    eval_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+    field_gradient,
+    grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+    moments,
+)
 from .kernel import SpectralKernel
 
 
@@ -133,12 +139,10 @@ def moment_vector(
 ) -> np.ndarray:
     """Weighted basis moments of the moving particles: shape (size, N).
 
-    Entry (k, i) is sum_alpha c_alpha phi_k(x_alpha at slice i+1).
+    Entry (k, i) is sum_alpha c_alpha phi_k(x_alpha at slice i+1), contracted
+    slice by slice against per-axis tables (:func:`~mfgspectral.basis.moments`).
     """
-    q, n_plus_1 = x.shape[0], x.shape[1]
-    pts = x[:, 1:, :].reshape(q * (n_plus_1 - 1), x.shape[2])
-    vals = eval_all(basis, pts).reshape(q, n_plus_1 - 1, basis.size)
-    return np.einsum("a,aik->ki", measure.weights, vals)
+    return moments(basis, x[:, 1:], measure.weights)
 
 
 def saddle_value(
@@ -178,8 +182,8 @@ def trajectory_action(path: np.ndarray, a: np.ndarray, problem: MFGProblem) -> f
     """Discrete action of one trajectory: kinetic + coupling + terminal."""
     diffs = path[1:] - path[:-1]
     kinetic = float(np.sum(diffs**2)) / (2.0 * problem.dt)
-    vals = eval_all(problem.basis, path[1:])  # (N, size)
-    running = problem.dt * float(np.sum(vals * a.T))
+    p = moments(problem.basis, path[None, 1:], [1.0])  # (size, N)
+    running = problem.dt * float(np.sum(a * p))
     terminal = float(problem.terminal_cost(path[-1:, :])[0])
     return kinetic + running + terminal
 
@@ -190,8 +194,7 @@ def _action_gradient(path: np.ndarray, a: np.ndarray, problem: MFGProblem):
     grad = np.zeros((n, problem.dimension))
     grad += (path[1:] - path[:-1]) / dt
     grad[:-1] -= (path[2:] - path[1:-1]) / dt
-    basis_grads = grad_all(problem.basis, path[1:])  # (N, size, d)
-    grad += dt * np.einsum("ikd,ki->id", basis_grads, a)
+    grad += dt * field_gradient(problem.basis, path[None, 1:], a)[0]
     grad[-1] += problem.terminal_grad(path[-1:, :])[0]
     return grad
 

@@ -9,10 +9,12 @@ from mfgspectral.basis import (
     basis_2d,
     eval_all,
     eval_basis,
+    field_gradient,
     grad_all,
     grad_basis,
     lipschitz_bound,
     lipschitz_bounds,
+    moments,
     tensor_indices,
 )
 
@@ -99,6 +101,11 @@ def test_invalid_index_raises():
     b2 = basis_2d(3)
     with pytest.raises(IndexError):
         eval_basis(b2, (2, 2), (0.1, 0.2))
+    # a basis may not list a per-axis index above its truncation
+    with pytest.raises(ValueError, match="invalid basis index 8"):
+        BasisSet(dimension=1, truncation=1, indices=(1, 8))
+    with pytest.raises(ValueError, match=r"invalid basis index \(1, 7\)"):
+        BasisSet(dimension=2, truncation=6, indices=((1, 1), (1, 7)))
 
 
 def test_point_shape_checked():
@@ -226,8 +233,10 @@ def test_eval_all_matches_pointwise():
         (BasisSet(dimension=2, truncation=5, indices=((3, 1), (1, 1), (2, 3), (1, 4))),
          11),
         (basis_2d(5), 2500),  # more points than one evaluation block
+        (basis_1d(16), 2500),  # frequency 8: the angle-addition recurrence is deepest
     ],
-    ids=["1d-r1", "2d-r2", "1d-r4", "1d-r5", "1d-subset", "2d-subset", "2d-r5-many"],
+    ids=["1d-r1", "2d-r2", "1d-r4", "1d-r5", "1d-subset", "2d-subset", "2d-r5-many",
+         "1d-r16-many"],
 )
 def test_eval_and_grad_all_match_closed_form(b, count):
     pts = np.random.default_rng(7).uniform(-1, 2, size=(count, b.dimension))
@@ -237,6 +246,49 @@ def test_eval_and_grad_all_match_closed_form(b, count):
         expect_vals, expect_grads = closed_form(idx, pts)
         np.testing.assert_allclose(vals[:, j], expect_vals, rtol=0, atol=1e-13)
         np.testing.assert_allclose(grads[:, j], expect_grads, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "b, q, n",
+    [
+        (basis_1d(1), 11, 3),
+        (basis_2d(2), 11, 3),
+        (basis_1d(4), 11, 3),
+        (basis_1d(5), 11, 3),
+        (BasisSet(dimension=1, truncation=5, indices=(1, 4, 5)), 11, 3),
+        (BasisSet(dimension=2, truncation=5, indices=((3, 1), (1, 1), (2, 3), (1, 4))),
+         11, 3),
+        (basis_2d(5), 125, 20),
+        (basis_2d(8), 400, 20),  # the paper-2d shapes
+    ],
+    ids=["1d-r1", "2d-r2", "1d-r4", "1d-r5", "1d-subset", "2d-subset", "2d-r5-many",
+         "2d-r8-paper"],
+)
+def test_slice_contractions_match_point_tables(b, q, n):
+    # the contractions written out with the full (Q*N, size[, d]) tables
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1, 2, size=(q, n, b.dimension))
+    weights = rng.uniform(size=q)
+    weights /= weights.sum()  # a particle measure
+    coeffs = rng.normal(size=(b.size, n))
+    flat = pts.reshape(q * n, b.dimension)
+    vals = eval_all(b, flat).reshape(q, n, b.size)
+    grads = grad_all(b, flat).reshape(q, n, b.size, b.dimension)
+    np.testing.assert_allclose(
+        moments(b, pts, weights), np.einsum("a,aik->ki", weights, vals),
+        rtol=0, atol=1e-13,
+    )
+    np.testing.assert_allclose(
+        field_gradient(b, pts, coeffs), np.einsum("qikd,ki->qid", grads, coeffs),
+        rtol=0, atol=1e-12,
+    )
+
+
+def test_slice_contractions_check_point_shape():
+    with pytest.raises(ValueError):
+        moments(basis_2d(3), np.zeros((4, 2, 1)), np.ones(4))
+    with pytest.raises(ValueError):
+        field_gradient(basis_1d(3), np.zeros((4, 2)), np.zeros((3, 2)))
 
 
 def test_lipschitz_bounds_match_product_formula():
@@ -285,3 +337,5 @@ def test_basisset_validation():
         BasisSet(dimension=1, truncation=2, indices=())
     with pytest.raises(ValueError):
         BasisSet(dimension=1, truncation=2, indices=(0,))
+    with pytest.raises(ValueError, match="distinct"):
+        BasisSet(dimension=1, truncation=3, indices=(1, 2, 2))

@@ -7,11 +7,14 @@ from mfgspectral.cli import (
     PRESETS,
     ConfigError,
     build_kernel,
+    build_problem,
     kernel_info,
     load_config_source,
     main,
     validate_config,
 )
+from mfgspectral.pdhg import solve
+from mfgspectral.problem import DivergenceError
 
 ARTIFACTS = ["trajectories.csv", "diagnostics.jsonl", "metrics.json"]
 
@@ -205,6 +208,7 @@ class TestRun:
             assert (out / name).exists(), name
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["iterations"] == 60
+        assert metrics["status"] == "max_iter" and metrics["converged"] is False
         assert np.isfinite(metrics["fixed_point_residual"])
         assert np.isfinite(metrics["final_saddle_value"])
 
@@ -251,6 +255,24 @@ class TestRun:
         assert "diverged" in capsys.readouterr().err
         # partial diagnostics were streamed before the failure
         assert (out / "diagnostics.jsonl").exists()
+        assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
+
+    def test_divergence_writes_metrics(self, tmp_path, capsys):
+        # paper-1d-a passes the step check at omega = 1 but diverges
+        cfg = load_config_source("paper-1d-a")
+        cfg["solver"].update(omega=1.0, record_every=10)
+        cfg["output_dir"] = str(tmp_path / "diverged")
+        problem, measure = build_problem(validate_config(cfg))
+        with pytest.raises(DivergenceError) as caught:
+            solve(problem, measure, validate_config(cfg).solver)
+        assert main(["solve", write_config(tmp_path, cfg)]) == 2
+        assert "diverged" in capsys.readouterr().err
+        metrics = json.loads((tmp_path / "diverged" / "metrics.json").read_text())
+        assert metrics["status"] == "diverged" and metrics["converged"] is False
+        assert metrics["iterations"] == caught.value.iteration
+        last = metrics["last_record"]
+        assert last["iteration"] == caught.value.iteration // 10 * 10
+        assert last == caught.value.diagnostics.last_record()
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "flags"
@@ -301,7 +323,7 @@ class TestRun:
         )
         assert "max_iter" not in capsys.readouterr().err
         metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["converged"] is True
+        assert metrics["converged"] is True and metrics["status"] == "converged"
         assert metrics["iterations"] < 60
 
     def test_symmetry_defect_none_for_asymmetric_setup(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,24 +283,55 @@ class TestStepX:
                 scale = max(abs(expect), 1e-8)
                 assert abs(update[alpha, i, 0] - expect) / scale < 1e-5
 
-    def test_particles_independent(self):
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_particles_independent(self, dimension):
         rng = np.random.default_rng(20)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
-        U = lambda p: np.cos(2 * np.pi * p[:, 0])
-        gradU = lambda p: (-2 * np.pi * np.sin(2 * np.pi * p[:, 0]))[:, None]
+        if dimension == 1:
+            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+            grid = 6
+        else:  # the paper-2d basis; 144 particles
+            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
+            grid = 12
+        U = lambda p: np.sum(np.cos(2 * np.pi * p), axis=1)
+        gradU = lambda p: -2 * np.pi * np.sin(2 * np.pi * p)
         prob = make_problem(ker, U=U, gradU=gradU, N=3)
         m = discretize_measure(
-            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 6, 1
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, grid, dimension
         )
+        q = m.count
         x = stationary(m, 3)
-        x[:, 1:, :] += rng.normal(scale=0.1, size=(6, 3, 1))
-        a = rng.normal(size=(3, 3))
+        x[:, 1:, :] += rng.normal(scale=0.1, size=(q, 3, dimension))
+        a = rng.normal(size=(ker.size, 3))
         out = step_x(x, a, prob, m, omega=0.02)
 
-        perm = rng.permutation(6)
+        perm = rng.permutation(q)
         m_perm = DiscreteMeasure(points=m.points[perm], weights=m.weights[perm])
         out_perm = step_x(x[perm], a, prob, m_perm, omega=0.02)
         np.testing.assert_array_equal(out_perm, out[perm])
+
+
+def test_coupling_terms_build_no_basis_tensors():
+    # paper-2d shapes: Q = 400 particles, N = 20 slices, 28 functions, d = 2
+    ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
+    prob = make_problem(ker, N=20)
+    m = discretize_measure(lambda p: np.ones(p.shape[0]), 20, 2)
+    rng = np.random.default_rng(23)
+    x = stationary(m, 20)
+    x[:, 1:, :] += rng.normal(scale=0.1, size=(400, 20, 2))
+    a = rng.normal(size=(ker.size, 20))
+    step_x(x, a, prob, m, omega=0.1)  # fill the basis' cached index maps
+    tracemalloc.start()
+    try:
+        step_x(x, a, prob, m, omega=0.1)
+        step_x_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        moment_vector(x, m, ker.basis)
+        moments_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below the (Q*N, size, d) gradient and (Q*N, size) value tables alone
+    assert step_x_peak < 400 * 20 * ker.size * 2 * 8
+    assert moments_peak < 400 * 20 * ker.size * 8
 
 
 class TestStepZ:
