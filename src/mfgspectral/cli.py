@@ -210,7 +210,8 @@ def _get_number(section, key, path, positive=False, allow_missing=False, default
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{path}.{key}", "must be a number")
     if positive:
-        _expect(value > 0, f"{path}.{key}", "must be positive")
+        _expect(math.isfinite(value) and value > 0, f"{path}.{key}",
+                "must be positive and finite")
     return float(value)
 
 
@@ -315,7 +316,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     eps = None
     if "eps" in kernel_section:
         eps = _get_number(kernel_section, "eps", "config.kernel")
-        _expect(eps >= 0, "config.kernel.eps", "must be nonnegative")
+        _expect(math.isfinite(eps) and eps >= 0, "config.kernel.eps",
+                "must be finite and nonnegative")
     if ktype == "gaussian":
         sigma = _get_number(kernel_section, "sigma", "config.kernel", positive=True)
         mu = _get_number(kernel_section, "mu", "config.kernel", positive=True)
@@ -330,6 +332,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         size = basis_1d(r).size if dimension == 1 else basis_2d(r).size
         _expect(matrix.shape == (size, size), "config.kernel.matrix",
                 f"must be {size}x{size} for r={r} in dimension {dimension}")
+        _expect(np.all(np.isfinite(matrix)), "config.kernel.matrix",
+                "entries must be finite")
 
     solver_section = raw.get("solver")
     _expect(isinstance(solver_section, dict), "config.solver", "must be an object")

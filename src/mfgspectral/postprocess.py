@@ -2,8 +2,11 @@
 
 Density snapshots are mass-preserving histograms on the wrapped torus;
 trajectory metrics (straightness, mirror-symmetry defect) work on the
-unwrapped coordinates. CSV/JSON writers use fixed column order and
-17-significant-digit floats so identical runs produce identical bytes.
+unwrapped coordinates. The symmetry defect compares each particle with
+the reflection of its partner under x -> 1 - x: the particle at its
+mirror grid point when the two weights agree, else the particle itself.
+CSV/JSON writers use fixed column order and 17-significant-digit floats
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class DensitySnapshot:
 
     time_index: int
     bins: int
-    values: np.ndarray  # (B,) for d=1, (B, B) for d=2
+    values: np.ndarray  # (bins,) * d
 
     @property
     def dimension(self) -> int:
@@ -43,15 +46,13 @@ def density_histogram(
     """Weighted histogram of the wrapped particle positions at one slice."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
+    if not 0 <= time_index < x.shape[1]:
+        raise ValueError(f"time_index {time_index} is outside 0..{x.shape[1] - 1}")
     pos = np.mod(x[:, time_index, :], 1.0)
     idx = np.minimum((pos * bins).astype(np.int64), bins - 1)
     d = pos.shape[1]
-    if d == 1:
-        values = np.zeros(bins)
-        np.add.at(values, idx[:, 0], measure.weights)
-    else:
-        values = np.zeros((bins, bins))
-        np.add.at(values, (idx[:, 0], idx[:, 1]), measure.weights)
+    values = np.zeros((bins,) * d)
+    np.add.at(values, tuple(idx.T), measure.weights)
     values *= float(bins) ** d  # divide by bin volume
     return DensitySnapshot(time_index=time_index, bins=bins, values=values)
 
@@ -72,93 +73,62 @@ def straightness_metric(x: np.ndarray):
     return per_particle, float(per_particle.max())
 
 
-def _wrapped_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # pairwise torus distance, (len(p), len(q))
-    delta = np.abs(p[:, None, :] - q[None, :, :]) % 1.0
+def _wrapped_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # torus distance over the last axis, broadcasting the others
+    delta = np.abs(p - q) % 1.0
     delta = np.minimum(delta, 1.0 - delta)
-    return np.sqrt(np.sum(delta**2, axis=2))
-
-
-def _matching_distance(points: np.ndarray, weights: np.ndarray) -> float:
-    """Greedy weight-aware matching of a particle set to its reflection."""
-    reflected = np.mod(1.0 - points, 1.0)
-    dist = _wrapped_distances(points, reflected)
-    w_tol = GRID_MATCH_TOL * max(float(weights.max()), 1.0)
-    admissible = np.abs(weights[:, None] - weights[None, :]) <= w_tol
-
-    order = np.argsort(dist, axis=None, kind="stable")
-    n = points.shape[0]
-    used_left = np.zeros(n, dtype=bool)
-    used_right = np.zeros(n, dtype=bool)
-    matched = 0
-    worst = 0.0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if used_left[i] or used_right[j] or not admissible[i, j]:
-            continue
-        used_left[i] = used_right[j] = True
-        worst = max(worst, float(dist[i, j]))
-        matched += 1
-        if matched == n:
-            return worst
-    raise ValueError("weights admit no full matching with the reflected set")
+    return np.sqrt(np.sum(delta**2, axis=-1))
 
 
 def symmetry_defect(x: np.ndarray, measure: DiscreteMeasure) -> float:
-    """Worst-slice matching distance to the mirror image under x -> 1 - x.
+    """Worst torus distance of a particle to its partner's mirror image.
 
-    Requires the particle grid itself to be mirror-symmetric (true for the
-    interior grids produced by discretize_measure).
+    Particle i's partner is the particle j at the grid point 1 - points[i]
+    (mod 1) if the weights agree within GRID_MATCH_TOL, else i itself; the
+    defect is the maximum over i and slices t of the distance from x[i, t]
+    to 1 - x[j, t]. Needs a mirror-symmetric grid (true for the interior
+    grids of discretize_measure) and one trajectory per particle.
     """
-    grid_dist = _wrapped_distances(
-        measure.points, np.mod(1.0 - measure.points, 1.0)
-    )
-    if np.any(grid_dist.min(axis=1) > GRID_MATCH_TOL):
+    if x.shape[0] != measure.count:
+        raise ValueError(f"x has {x.shape[0]} particles, the measure {measure.count}")
+    points, weights = measure.points, measure.weights
+    grid_dist = _wrapped_distance(points[:, None], np.mod(1.0 - points, 1.0))
+    own, mirror = np.arange(measure.count), grid_dist.argmin(axis=1)
+    if np.any(grid_dist[own, mirror] > GRID_MATCH_TOL):
         raise ValueError("particle grid is not symmetric under x -> 1 - x")
-    worst = 0.0
-    for i in range(x.shape[1]):
-        worst = max(
-            worst, _matching_distance(np.mod(x[:, i, :], 1.0), measure.weights)
-        )
-    return worst
+    w_tol = GRID_MATCH_TOL * max(float(weights.max()), 1.0)
+    partner = np.where(np.abs(weights - weights[mirror]) <= w_tol, mirror, own)
+    pos = np.mod(x, 1.0)
+    return float(_wrapped_distance(pos, np.mod(1.0 - pos[partner], 1.0)).max())
 
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _write_csv(path, header: str, rows: np.ndarray) -> None:
+    lines = [header] + [",".join(map(format_float, row)) for row in rows.tolist()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trajectories_csv(path, x: np.ndarray) -> None:
     """Time-major rows of unwrapped coordinates; particle ids are 1-based."""
     q, n_plus_1, d = x.shape
-    n = n_plus_1 - 1
+    t = np.repeat(np.arange(n_plus_1) / (n_plus_1 - 1), q)
+    particle = np.tile(np.arange(1, q + 1), n_plus_1)
+    rows = np.column_stack([t, particle, x.transpose(1, 0, 2).reshape(-1, d)])
     header = "t,particle," + ",".join(f"x{j + 1}" for j in range(d))
-    lines = [header]
-    for i in range(n_plus_1):
-        t = format_float(i / n)
-        for alpha in range(q):
-            coords = ",".join(format_float(v) for v in x[alpha, i])
-            lines.append(f"{t},{alpha + 1},{coords}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header, rows)
 
 
 def write_density_csv(path, snapshot: DensitySnapshot) -> None:
-    centers = snapshot.bin_centers()
-    lines = []
-    if snapshot.dimension == 1:
-        lines.append("bin_center,density")
-        for c, v in zip(centers, snapshot.values):
-            lines.append(f"{format_float(c)},{format_float(v)}")
-    else:
-        lines.append("x1_center,x2_center,density")
-        for i, ci in enumerate(centers):
-            for j, cj in enumerate(centers):
-                lines.append(
-                    f"{format_float(ci)},{format_float(cj)},"
-                    f"{format_float(snapshot.values[i, j])}"
-                )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Rows of bin centres and density, first axis slowest (``ij`` order)."""
+    d = snapshot.dimension
+    centers = np.meshgrid(*[snapshot.bin_centers()] * d, indexing="ij")
+    rows = np.stack([*centers, snapshot.values], axis=-1).reshape(-1, d + 1)
+    header = "bin_center,density" if d == 1 else "x1_center,x2_center,density"
+    _write_csv(path, header, rows)
 
 
 def write_metrics_json(path, metrics: dict) -> None:

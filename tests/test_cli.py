@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mfgspectral.basis import basis_1d
 from mfgspectral.cli import (
     PRESETS,
     ConfigError,
@@ -133,6 +134,38 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="config.kernel.matrix"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("sigma", "Infinity"),
+            ("sigma", "NaN"),
+            ("mu", "Infinity"),
+            ("mu", "1e309"),
+            ("eps", "Infinity"),
+            ("matrix", "NaN"),
+            ("matrix", "-Infinity"),
+        ],
+    )
+    def test_non_finite_kernel_input(self, tmp_path, capsys, field, literal):
+        # Python's json reads these literals as floats; each must be a
+        # config error naming the field, not a solve or a divergence
+        cfg = tiny_config(tmp_path / "out")
+        if field == "matrix":
+            matrix = np.eye(basis_1d(cfg["r"]).size).tolist()
+            matrix[0][0] = "LITERAL"
+            cfg["kernel"] = {"type": "custom-coefficients", "matrix": matrix}
+        else:
+            cfg["kernel"][field] = "LITERAL"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
+        assert main(["solve", str(path)]) == 1
+        assert f"config error: config.kernel.{field}:" in capsys.readouterr().err
+
+    def test_infinite_tol_still_valid(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["solver"]["tol"] = float("inf")
+        assert validate_config(cfg).solver.tol == float("inf")
 
     def test_mismatched_preset_dimension(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", M={"preset": "paper-2d"})

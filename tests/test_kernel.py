@@ -71,6 +71,14 @@ class TestGaussianSpectral:
         with pytest.raises(ValueError):
             gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5, dimension=2), 4)
 
+    @pytest.mark.parametrize(
+        "sigma, mu",
+        [(np.nan, 0.5), (np.inf, 0.5), (0.2, np.nan), (0.2, np.inf), (np.nan, np.inf)],
+    )
+    def test_non_finite_parameters(self, sigma, mu):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianKernelSpec(sigma=sigma, mu=mu)
+
 
 class TestDirectEvaluation:
     def test_peak_value(self):

@@ -3,7 +3,6 @@ import pytest
 
 from mfgspectral.postprocess import (
     DensitySnapshot,
-    _matching_distance,
     density_histogram,
     straightness_metric,
     symmetry_defect,
@@ -82,6 +81,13 @@ class TestDensityHistogram:
         with pytest.raises(ValueError):
             density_histogram(x, m, 0, 1)
 
+    @pytest.mark.parametrize("time_index", [-1, 3])
+    def test_time_index_out_of_range(self, time_index):
+        m = measure_from([0.5], [1.0])
+        x = np.full((1, 3, 1), 0.5)
+        with pytest.raises(ValueError, match="time_index"):
+            density_histogram(x, m, time_index, 4)
+
 
 class TestStraightness:
     def test_linear_trajectory(self):
@@ -132,11 +138,6 @@ class TestSymmetryDefect:
         x = np.full((1, 3, 1), 0.5)
         assert symmetry_defect(x, m) == 0.0
 
-    def test_two_particle_matching_distance(self):
-        pts = np.array([[0.3], [0.6]])
-        w = np.array([0.5, 0.5])
-        assert _matching_distance(pts, w) == pytest.approx(0.1, abs=1e-12)
-
     def test_defect_from_slices(self):
         # symmetric grid {1/3, 2/3}; slice 1 moves to {0.3, 0.6}
         m = measure_from([1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5])
@@ -151,6 +152,36 @@ class TestSymmetryDefect:
         with pytest.raises(ValueError):
             symmetry_defect(x, m)
 
+    def test_2d_partner_is_point_reflection(self):
+        # weights symmetric under (a, b) -> (1 - a, 1 - b) but not uniform
+        m = discretize_measure(
+            lambda p: 1.0 + 0.5 * np.cos(2 * np.pi * (p[:, 0] + p[:, 1])), 3, 2
+        )
+        assert np.ptp(m.weights) > 0.1
+        x = np.repeat(m.points[:, None, :], 3, axis=1)
+        # odd drift: v(1 - p) = -v(p), so every slice stays symmetric
+        drift = 0.05 * np.sin(2 * np.pi * (m.points[:, 0] + m.points[:, 1]))
+        x[:, 1:, :] += drift[:, None, None]
+        assert symmetry_defect(x, m) < 1e-12
+        # particle 0 sits at (1/4, 1/4); its partner (3/4, 3/4) stays put
+        x[0, 1, :] += [0.03, -0.04]
+        assert symmetry_defect(x, m) == pytest.approx(0.05, abs=1e-12)
+
+    def test_set_symmetric_slice_without_partner_symmetry(self):
+        # the slice {0.4, 0.2, 0.6, 0.8} equals its reflection as a set, but
+        # particle 0 (grid 0.2) sits at 0.4 while its partner (grid 0.8) sits
+        # at 0.8, whose reflection is 0.2
+        m = measure_from([0.2, 0.4, 0.6, 0.8], [0.25] * 4)
+        x = np.repeat(m.points[:, None, :], 2, axis=1)
+        x[:, 1, 0] = [0.4, 0.2, 0.6, 0.8]
+        assert symmetry_defect(x, m) == pytest.approx(0.2, abs=1e-12)
+
+    def test_particle_count_mismatch_rejected(self):
+        m = measure_from([1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5])
+        x = np.full((3, 2, 1), 0.5)
+        with pytest.raises(ValueError, match="particles"):
+            symmetry_defect(x, m)
+
     def test_asymmetric_weights_show_up_as_defect(self):
         # point set is mirror symmetric but the weights are not: each
         # particle can only match its own reflection, at distance 1/3
@@ -161,14 +192,22 @@ class TestSymmetryDefect:
 
 class TestWriters:
     def test_trajectories_csv(self, tmp_path):
-        x = np.array([[[0.1], [0.2], [0.3]], [[0.5], [0.5], [0.5]]])
+        # two particles, two steps in 2d: time-major, 1-based ids, 17 digits
+        x = np.array([
+            [[0.1, 0.9], [0.2, 1.25], [-0.5, 1.5]],
+            [[0.5, 0.5], [0.5, 0.75], [0.5, 1.0]],
+        ])
         path = tmp_path / "traj.csv"
         write_trajectories_csv(path, x)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,particle,x1"
-        assert len(lines) == 1 + 3 * 2
-        assert lines[1].startswith("0,1,")
-        assert lines[2].startswith("0,2,")
+        assert path.read_text() == (
+            "t,particle,x1,x2\n"
+            "0,1,0.10000000000000001,0.90000000000000002\n"
+            "0,2,0.5,0.5\n"
+            "0.5,1,0.20000000000000001,1.25\n"
+            "0.5,2,0.5,0.75\n"
+            "1,1,-0.5,1.5\n"
+            "1,2,0.5,1\n"
+        )
 
     def test_density_csv_1d(self, tmp_path):
         snap = DensitySnapshot(time_index=0, bins=2, values=np.array([0.6, 1.4]))
@@ -184,9 +223,14 @@ class TestWriters:
         )
         path = tmp_path / "density2d.csv"
         write_density_csv(path, snap)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1_center,x2_center,density"
-        assert len(lines) == 5
+        # x1 varies slowest: row i of the array is the bin x1 = centers[i]
+        assert path.read_text() == (
+            "x1_center,x2_center,density\n"
+            "0.25,0.25,0\n"
+            "0.25,0.75,1\n"
+            "0.75,0.25,2\n"
+            "0.75,0.75,3\n"
+        )
 
     def test_metrics_json_round_trip(self, tmp_path):
         import json
