@@ -125,7 +125,7 @@ def _preset_1d(sigma, mu):
         "Q": 50,
         "solver": {
             "lambda": 3.0,
-            "omega": 1.0 / 12.0,
+            "omega": 0.5,
             "theta": 1.0,
             "max_iter": 20000,
             "tol": 1e-8,
@@ -148,7 +148,7 @@ def _preset_2d(sigma, mu):
         "Q": 20,
         "solver": {
             "lambda": 1.0,
-            "omega": 1.0 / 12.0,
+            "omega": 0.5,
             "theta": 1.0,
             "max_iter": 50000,
             "tol": 1e-5,
@@ -243,6 +243,7 @@ def _function_from_coefficients(coeffs, dimension, path):
         path, "must be a non-empty list of numbers",
     )
     vec = np.asarray(coeffs, dtype=float)
+    _expect(np.all(np.isfinite(vec)), path, "entries must be finite")
     if dimension == 1:
         b = basis_1d(len(vec))
     else:

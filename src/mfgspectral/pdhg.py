@@ -2,12 +2,15 @@
 
 One iteration performs three steps: an exact proximal solve for the
 coefficient paths (independent across time slices, so the shifted inverse is
-computed once and reused), one explicit gradient step for the
-particle trajectories (independent across particles, all right-hand sides
-evaluated at the previous iterate), and linear extrapolation of the
-trajectories. Both basis contractions, the moments in the coefficient step
-and the coupling gradient in the trajectory step, go slice by slice through
-per-axis tables (:func:`~mfgspectral.basis.moments`,
+computed once and reused), one preconditioned proximal step for the particle
+trajectories, and linear extrapolation of the trajectories. The trajectory
+step gives particle alpha the step tau_alpha = omega / (Q c_alpha) (diagonal
+preconditioning), takes the kinetic term implicitly and the coupling and
+terminal terms at the incoming iterate; since tau_alpha c_alpha = omega / Q
+for every particle, all particles and axes share one N x N kinetic inverse,
+also computed once per solve. Both basis contractions, the moments in the
+coefficient step and the coupling gradient in the trajectory step, go slice
+by slice through per-axis tables (:func:`~mfgspectral.basis.moments`,
 :func:`~mfgspectral.basis.field_gradient`), never through a table of every
 basis function at every particle position. Stopping is on step-norm
 stagnation; the fixed-point residual is tracked as a diagnostic because the
@@ -49,7 +52,7 @@ class SolverConfig:
     """Step sizes and stopping policy for the saddle-point iteration."""
 
     lam: float  # proximal step for the coefficient paths
-    omega: float  # gradient step for the trajectories
+    omega: float  # trajectory step of a particle of average weight 1/Q
     theta: float = 1.0  # extrapolation weight in [0, 1]
     max_iter: int = 20000
     tol: float = 1e-8
@@ -120,9 +123,14 @@ class SolverResult:
 def step_size_bound(
     measure: DiscreteMeasure, basis: BasisSet, dt: float
 ) -> float:
-    """Squared operator bound of the coupling map, dt^2 * sum Lip^2 * sum c^2."""
+    """Squared bound of the preconditioned coupling map, dt^2 * sum Lip^2 / Q.
+
+    The coupling operator's bound dt^2 * sum Lip^2 * sum_alpha c_alpha^2
+    tau_alpha / omega, with the trajectory steps tau_alpha = omega / (Q
+    c_alpha) and weights summing to 1, is dt^2 * sum Lip^2 / Q.
+    """
     lips = lipschitz_bounds(basis)
-    return float(dt**2 * np.sum(lips**2) * np.sum(measure.weights**2))
+    return float(dt**2 * np.sum(lips**2) / measure.count)
 
 
 def check_steps(config: SolverConfig, a_squared: float) -> bool:
@@ -168,36 +176,64 @@ def step_a(
     return prox(a + lam * dt * q)
 
 
+def prox_x_operator(num_steps: int, dt: float, step: float):
+    """Invert (Id + (step / dt) L) once; returns grad -> step * inverse @ grad.
+
+    L is the N x N Laplacian of the kinetic term over slices 1..N, with
+    slice 0 pinned and a free end at slice N. The applier takes (Q, N, d)
+    arrays and multiplies every particle's path on every axis by the scaled
+    inverse as one (N, N) x (N, Q d) matrix product.
+    """
+    lap = 2.0 * np.eye(num_steps) - np.eye(num_steps, k=1) - np.eye(num_steps, k=-1)
+    lap[-1, -1] = 1.0
+    inverse = step * np.linalg.inv(np.eye(num_steps) + (step / dt) * lap)
+
+    def apply(grad: np.ndarray) -> np.ndarray:
+        q, n, d = grad.shape
+        columns = grad.transpose(1, 0, 2).reshape(n, q * d)
+        return (inverse @ columns).reshape(n, q, d).transpose(1, 0, 2)
+
+    return apply
+
+
 def step_x(
     x: np.ndarray,
     a_new: np.ndarray,
     problem: MFGProblem,
     measure: DiscreteMeasure,
     omega: float,
+    prox=None,
 ) -> np.ndarray:
-    """One weighted gradient-descent step on the trajectory objective.
+    """Preconditioned proximal step on the trajectory objective.
 
-    Every right-hand-side trajectory term is evaluated at the incoming
-    iterate; particle rows are mutually independent. Slice 0 stays pinned.
-    The coupling term is the gradient of the field sum_k a_new[k, i] phi_k
-    at each particle, from :func:`~mfgspectral.basis.field_gradient`.
+    Particle alpha takes the step tau_alpha = omega / (Q c_alpha), with the
+    kinetic term implicit and the coupling and terminal terms evaluated at
+    the incoming iterate, so that per unit weight the new paths satisfy
+
+        (Q / omega) (x - x_new) = L x_new / dt + grad(coupling + terminal)(x),
+
+    L x_new taking the pinned slice 0 as its left neighbor. It is computed
+    as x - (omega / Q) P grad A(x), with grad A the unweighted action
+    gradient and P = (Id + omega / (Q dt) L)^-1 shared by all particles, so
+    an unforced stationary path stays bit-exact; ``prox`` applies
+    (omega / Q) P, as built by ``prox_x_operator(N, dt, omega / Q)`` when
+    not given. Slice 0 stays pinned. The coupling term
+    is the gradient of the field sum_k a_new[k, i] phi_k at each particle,
+    from :func:`~mfgspectral.basis.field_gradient`.
     """
     dt = problem.dt
-    c = measure.weights[:, None, None]
+    if prox is None:
+        prox = prox_x_operator(problem.num_steps, dt, omega / measure.count)
     inner = x[:, 1:, :]  # slices 1..N
 
-    neighbor = x[:, 1:, :] - x[:, :-1, :]
-    neighbor[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
-
-    coupling = field_gradient(problem.basis, inner, a_new)
-
-    update = (omega / dt) * c * neighbor + omega * dt * c * coupling
-    update[:, -1, :] += omega * measure.weights[:, None] * problem.terminal_grad(
-        x[:, -1, :]
-    )
+    grad = inner - x[:, :-1, :]
+    grad[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
+    grad /= dt
+    grad += dt * field_gradient(problem.basis, inner, a_new)
+    grad[:, -1, :] += problem.terminal_grad(x[:, -1, :])
 
     x_new = x.copy()
-    x_new[:, 1:, :] = inner - update
+    x_new[:, 1:, :] = inner - prox(grad)
     return x_new
 
 
@@ -249,7 +285,8 @@ def solve(
         z=np.repeat(measure.points[:, None, :], n + 1, axis=1),
     )
     diag = Diagnostics()
-    prox = prox_a_operator(problem.kernel, config.lam * problem.dt)
+    prox_a = prox_a_operator(problem.kernel, config.lam * problem.dt)
+    prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
     def emit(a_step, x_step):
@@ -274,9 +311,11 @@ def solve(
                 measure,
                 problem.dt,
                 config.lam,
-                prox=prox,
+                prox=prox_a,
             )
-            x_new = step_x(state.x, a_new, problem, measure, config.omega)
+            x_new = step_x(
+                state.x, a_new, problem, measure, config.omega, prox=prox_x
+            )
             z_new = step_z(x_new, state.x, config.theta)
 
             a_step = float(np.max(np.abs(a_new - state.a)))

@@ -3,7 +3,7 @@
 Each criterion prints one `[acceptance] ... PASS/FAIL` line (run with
 `pytest -s tests/test_acceptance.py` to see them while passing) and
 asserts its stated tolerance. Long runs are shared through module-scoped
-fixtures; the full suite takes a couple of minutes, dominated by the 2d
+fixtures; the full suite takes about half a minute, dominated by the 2d
 experiment.
 """
 
@@ -178,6 +178,10 @@ def test_criterion_6_fejer_psd_preservation():
 
 
 def test_criterion_7_gradient_oracle():
+    # the trajectory step is a preconditioned proximal step: per unit weight
+    # it satisfies (Q / omega)(x - x_new) = L x_new / dt + grad(coupling +
+    # terminal)(x), the kinetic gradient taken at the new iterate and the
+    # rest at the old one; both gradients are checked by central differences
     rng = np.random.default_rng(101)
     raw = load_config_source("paper-1d-a")
     cfg = validate_config(raw)
@@ -185,9 +189,10 @@ def test_criterion_7_gradient_oracle():
     omega = cfg.solver.omega
     h = 1e-6
 
-    def particle_objective(path, a, alpha):
-        # the terms of the x-objective that involve particle alpha; the
-        # rest cancels exactly in the central difference
+    def particle_terms(path, a, alpha):
+        # the terms of the x-objective that involve particle alpha, divided
+        # by its weight c_alpha: (kinetic, coupling + terminal); the rest
+        # cancels exactly in the central difference
         c = float(measure.weights[alpha])
         diffs = path[1:] - path[:-1]
         kinetic = c * float(np.sum(diffs**2)) / (2 * problem.dt)
@@ -201,29 +206,34 @@ def test_criterion_7_gradient_oracle():
                 vals = math.sqrt(2.0) * np.cos(math.pi * (k - 1) * path[1:, 0])
             coupling += problem.dt * c * float(np.dot(a[j], vals))
         terminal = c * float(problem.terminal_cost(path[-1:, :])[0])
-        return kinetic + coupling + terminal
+        return kinetic / c, (coupling + terminal) / c
+
+    def central_difference(path, a, alpha, i, part):
+        bumped = path.copy()
+        bumped[i, 0] += h
+        f_plus = particle_terms(bumped, a, alpha)[part]
+        bumped[i, 0] -= 2 * h
+        f_minus = particle_terms(bumped, a, alpha)[part]
+        return (f_plus - f_minus) / (2 * h)
 
     # per-coordinate denominators drown in finite-difference roundoff, so
-    # the relative error of the direction is measured per state against
-    # the sup-norm of the sampled expected direction
+    # the relative error of the identity is measured per state against the
+    # sup-norm of its sampled right-hand side
     worst = 0.0
     stationary = np.repeat(measure.points[:, None, :], problem.num_steps + 1, axis=1)
     for _ in range(50):
         x = stationary.copy()
         x[:, 1:, :] += rng.normal(scale=0.15, size=(measure.count, problem.num_steps, 1))
         a = rng.normal(scale=0.4, size=(problem.basis.size, problem.num_steps))
-        update = step_x(x, a, problem, measure, omega) - x
+        x_new = step_x(x, a, problem, measure, omega)
         gaps, scale = [], 0.0
-        for _ in range(10):  # spot-check random coordinates of the direction
+        for _ in range(10):  # spot-check random coordinates of the identity
             alpha = int(rng.integers(0, measure.count))
             i = int(rng.integers(1, problem.num_steps + 1))
-            bumped = x[alpha].copy()
-            bumped[i, 0] += h
-            f_plus = particle_objective(bumped, a, alpha)
-            bumped[i, 0] -= 2 * h
-            f_minus = particle_objective(bumped, a, alpha)
-            expect = -omega * (f_plus - f_minus) / (2 * h)
-            gaps.append(abs(update[alpha, i, 0] - expect))
+            lhs = measure.count / omega * (x[alpha, i, 0] - x_new[alpha, i, 0])
+            expect = central_difference(x_new[alpha], a, alpha, i, 0)
+            expect += central_difference(x[alpha], a, alpha, i, 1)
+            gaps.append(abs(lhs - expect))
             scale = max(scale, abs(expect))
         worst = max(worst, max(gaps) / max(scale, 1e-12))
     ok = worst < 1e-5

@@ -61,12 +61,12 @@ class TestPresets:
     def test_parameter_table(self):
         # golden values for the built-in experiment presets
         table = {
-            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 1.0 / 12.0, 1.0),
-            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 1.0 / 12.0, 1.0),
-            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 1.0 / 12.0, 1.0),
-            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 1.0 / 12.0, 1.0),
-            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 1.0 / 12.0, 1.0),
-            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 1.0 / 12.0, 1.0),
+            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0),
+            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0),
+            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0),
+            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 0.5, 1.0),
+            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0),
+            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0),
         }
         assert set(PRESETS) == set(table)
         for name, (d, sigma, mu, r, n, q, lam, omega, theta) in table.items():
@@ -162,6 +162,16 @@ class TestValidation:
         assert main(["solve", str(path)]) == 1
         assert f"config error: config.kernel.{field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e309"])
+    @pytest.mark.parametrize("field", ["M", "U"])
+    def test_non_finite_coefficients(self, tmp_path, capsys, field, literal):
+        cfg = tiny_config(tmp_path / "out")
+        cfg[field] = {"coefficients": [1.0, "LITERAL", 0.5]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
+        assert main(["solve", str(path)]) == 1
+        assert f"config error: config.{field}.coefficients:" in capsys.readouterr().err
+
     def test_infinite_tol_still_valid(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
         cfg["solver"]["tol"] = float("inf")
@@ -182,7 +192,7 @@ class TestKernelInfo:
         # ascending; the constant mode carries the largest eigenvalue, mu
         assert info["eigenvalues"][-1] == pytest.approx(0.5)
         assert info["step_bound_ok"] is True
-        assert info["omega_lambda"] == pytest.approx(0.25)
+        assert info["omega_lambda"] == pytest.approx(1.5)
 
     def test_gaussian_2d(self):
         cfg = validate_config(load_config_source("paper-2d-b"))
@@ -280,8 +290,9 @@ class TestRun:
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "diverge"
-        cfg = tiny_config(out)
-        cfg["solver"]["omega"] = 1e5
+        # the implicit kinetic step is stable at any omega; a huge terminal
+        # cost is what blows up
+        cfg = tiny_config(out, U={"coefficients": [0.0, 1e6]})
         cfg["solver"]["max_iter"] = 500
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == 2
@@ -291,10 +302,10 @@ class TestRun:
         assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
 
     def test_divergence_writes_metrics(self, tmp_path, capsys):
-        # paper-1d-a passes the step check at omega = 1 but diverges
-        cfg = load_config_source("paper-1d-a")
-        cfg["solver"].update(omega=1.0, record_every=10)
-        cfg["output_dir"] = str(tmp_path / "diverged")
+        # passes the step check; the huge terminal cost diverges after
+        # several recorded iterations
+        cfg = tiny_config(tmp_path / "diverged", U={"coefficients": [0.0, 1e6]})
+        cfg["solver"].update(max_iter=500, record_every=10)
         problem, measure = build_problem(validate_config(cfg))
         with pytest.raises(DivergenceError) as caught:
             solve(problem, measure, validate_config(cfg).solver)

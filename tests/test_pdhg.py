@@ -102,6 +102,13 @@ class TestStepSizeBound:
         assert step_size_bound(m50, b, 0.1) == pytest.approx(
             step_size_bound(m1, b, 0.1) / 50.0, rel=1e-12
         )
+        # the preconditioned bound counts particles, not their weights
+        skewed = discretize_measure(
+            lambda p: 1.0 / 6.0 + 5.0 / 3.0 * np.sin(np.pi * p[:, 0]) ** 2, 50, 1
+        )
+        assert step_size_bound(skewed, b, 0.1) == pytest.approx(
+            step_size_bound(m1, b, 0.1) / 50.0, rel=1e-12
+        )
 
 
 class TestCheckSteps:
@@ -235,24 +242,35 @@ class TestStepX:
         x1 = 0.45
         grad_phi1 = 0.0
         grad_phi2 = math.sqrt(2) * 2 * math.pi * math.cos(2 * math.pi * x1)
-        expect = (
-            x1
-            - (omega / dt) * (x1 - 0.3)
-            - omega * float(gradU(np.array([[x1]]))[0, 0])
-            - omega * dt * (0.2 * grad_phi1 + (-0.1) * grad_phi2)
+        grad = (
+            (x1 - 0.3) / dt
+            + float(gradU(np.array([[x1]]))[0, 0])
+            + dt * (0.2 * grad_phi1 + (-0.1) * grad_phi2)
         )
+        # N = 1 and Q = 1: L = [[1]], so the kinetic inverse is 1 / (1 + omega / dt)
+        expect = x1 - omega / (1.0 + omega / dt) * grad
         assert out[0, 1, 0] == pytest.approx(expect, abs=1e-15)
         assert out[0, 0, 0] == 0.3
 
-    def test_interior_equilibrium_row_unchanged(self):
+    def test_interior_equilibrium_row_follows_kinetic_solve(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 1)
         m = DiscreteMeasure(points=np.array([[0.4]]), weights=np.array([1.0]))
         prob = make_problem(ker, N=3)
         x = np.array([[[0.4], [0.6], [0.6], [0.6]]])
-        out = step_x(x, np.zeros((1, 3)), prob, m, omega=0.1)
-        # slice 2 has equal neighbors; slices 1 keeps pulling toward the pin
-        assert out[0, 2, 0] == pytest.approx(0.6, abs=1e-15)
-        assert out[0, 1, 0] != pytest.approx(0.6, abs=1e-6)
+        omega, dt = 0.1, 1.0 / 3.0
+        out = step_x(x, np.zeros((1, 3)), prob, m, omega=omega)
+        # slice 2 has equal neighbors, so its own gradient vanishes; it moves
+        # only through the kinetic inverse, by its (2, 1) entry times the
+        # pull on slice 1: for M = Id + s L with s = omega / (Q dt),
+        # inv(M)[1, 0] = s (1 + s) / det M
+        s = omega / dt
+        det = (1 + 2 * s) * ((1 + 2 * s) * (1 + s) - s**2) - s**2 * (1 + s)
+        pull = (0.6 - 0.4) / dt
+        assert out[0, 2, 0] == pytest.approx(
+            0.6 - omega * s * (1 + s) / det * pull, abs=1e-15
+        )
+        # slice 1 keeps pulling toward the pin
+        assert out[0, 1, 0] < 0.6 - 1e-6
 
     def test_update_is_negative_scaled_gradient(self):
         rng = np.random.default_rng(19)
@@ -271,17 +289,44 @@ class TestStepX:
         x[:, 1:, :] += rng.normal(scale=0.2, size=(5, 4, 1))
         a = rng.normal(scale=0.5, size=(4, 4))
         update = step_x(x, a, prob, m, omega) - x
+        # the update is -P (omega / Q) grad A_alpha, grad A_alpha the gradient
+        # of particle alpha's terms per unit weight, P the kinetic inverse
+        lap = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+        lap[-1, -1] = 1.0
+        precond = np.linalg.inv(np.eye(4) + omega / (5 * prob.dt) * lap)
         for alpha in range(5):
+            fd = np.empty(4)
             for i in range(1, 5):
                 bumped = x.copy()
                 bumped[alpha, i, 0] += h
                 f_plus = x_objective(bumped, a, prob, m)
                 bumped[alpha, i, 0] -= 2 * h
                 f_minus = x_objective(bumped, a, prob, m)
-                fd = (f_plus - f_minus) / (2 * h)
-                expect = -omega * fd
-                scale = max(abs(expect), 1e-8)
-                assert abs(update[alpha, i, 0] - expect) / scale < 1e-5
+                fd[i - 1] = (f_plus - f_minus) / (2 * h) / m.weights[alpha]
+            expect = -(omega / 5) * precond @ fd
+            for i in range(1, 5):
+                scale = max(abs(expect[i - 1]), 1e-8)
+                assert abs(update[alpha, i, 0] - expect[i - 1]) / scale < 1e-5
+
+    def test_equal_paths_step_equally_across_weights(self):
+        # the step per unit weight is the same for every particle, so a
+        # heavy and a light particle on the same path move identically
+        rng = np.random.default_rng(24)
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
+        gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
+            :, None
+        ]
+        prob = make_problem(ker, U=U, gradU=gradU, N=4)
+        m = DiscreteMeasure(
+            points=np.array([[0.3], [0.3]]), weights=np.array([100.0, 1.0]) / 101.0
+        )
+        x = stationary(m, 4)
+        x[:, 1:, :] += rng.normal(scale=0.2, size=(1, 4, 1))
+        a = rng.normal(scale=0.5, size=(4, 4))
+        out = step_x(x, a, prob, m, omega=0.5)
+        assert not np.array_equal(out[0], x[0])
+        np.testing.assert_array_equal(out[0], out[1])
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_particles_independent(self, dimension):
@@ -407,12 +452,14 @@ class TestSolve:
 
     def test_divergence_raises_with_diagnostics(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
-        U = lambda p: np.sin(2 * np.pi * p[:, 0])
-        gradU = lambda p: (2 * np.pi * np.cos(2 * np.pi * p[:, 0]))[:, None]
+        # anti-confining terminal cost: the last slice is pushed outward
+        # every iteration, whatever the step size
+        U = lambda p: -5.0 * p[:, 0] ** 2
+        gradU = lambda p: -10.0 * p
         prob = make_problem(ker, U=U, gradU=gradU, N=5)
         m = uniform_measure(4)
         cfg = SolverConfig(
-            lam=3.0, omega=5000.0, max_iter=5000, tol=1e-12, record_every=1
+            lam=3.0, omega=1.0 / 12.0, max_iter=5000, tol=1e-12, record_every=1
         )
         with pytest.raises(DivergenceError) as err:
             solve(prob, m, cfg)
