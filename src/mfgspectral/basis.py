@@ -22,7 +22,9 @@ contractions, :func:`moments` (weights against values) and
 slice on the per-axis tables instead, so they never form an (n, size) or
 (n, size, d) array: in 2d a slice's moments are T1 diag(w) T2^T and its
 gradient field is T1' A T2 and T1 A T2', with A the coefficients laid out
-over the per-axis table rows.
+over the per-axis table rows. Both are methods of one :class:`SliceTables`
+object, which a caller that needs several contractions at the same points
+builds once and can rebuild in place at new points.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def _as_points(basis: BasisSet, points) -> np.ndarray:
     return pts
 
 
-def _axis_tables(t: np.ndarray, top: int) -> np.ndarray:
+def _axis_tables(t: np.ndarray, top: int, out: np.ndarray | None = None) -> np.ndarray:
     """Table of the 1d functions 1..2*top+1 at coordinates t.
 
     Shape (2*top+1, *t.shape); row k - 1 holds function k, so rows 2m - 1
@@ -179,20 +181,27 @@ def _axis_tables(t: np.ndarray, top: int) -> np.ndarray:
     one cos per coordinate are evaluated, on the argument reduced (exactly)
     to one period; frequency m follows from frequency m - 1 by angle
     addition, sin m th = sin (m-1) th cos th + cos (m-1) th sin th, and
-    cos m th = cos (m-1) th cos th - sin (m-1) th sin th.
+    cos m th = cos (m-1) th cos th - sin (m-1) th sin th. The rows are
+    computed in place, into ``out`` when given, each written in order.
     """
-    table = np.empty((2 * top + 1,) + t.shape)
+    table = np.empty((2 * top + 1,) + t.shape) if out is None else out
     table[0] = 1.0
     if top:
-        t = np.ascontiguousarray(t)  # so each table row is written in order
-        theta = TWO_PI * (t - np.rint(t))
-        sin, cos = np.sin(theta), np.cos(theta)
-        table[1] = SQRT2 * sin
-        table[2] = SQRT2 * cos
+        theta = np.rint(t, out=np.empty(t.shape))  # in order, even if t is not
+        np.subtract(t, theta, out=theta)
+        theta *= TWO_PI
+        sin, cos = np.sin(theta), np.cos(theta, out=theta)
+        np.multiply(sin, SQRT2, out=table[1])
+        np.multiply(cos, SQRT2, out=table[2])
+        scratch = np.empty_like(sin)
         for m in range(2, top + 1):
             s, c = table[2 * m - 3], table[2 * m - 2]
-            table[2 * m - 1] = s * cos + c * sin
-            table[2 * m] = c * cos - s * sin
+            np.multiply(c, sin, out=scratch)
+            np.multiply(s, cos, out=table[2 * m - 1])
+            table[2 * m - 1] += scratch
+            np.multiply(s, sin, out=scratch)
+            np.multiply(c, cos, out=table[2 * m])
+            table[2 * m] -= scratch
     return table
 
 
@@ -239,56 +248,103 @@ def grad_all(basis: BasisSet, points) -> np.ndarray:
     return out
 
 
-def _slice_tables(basis: BasisSet, points) -> list:
-    # per axis, the table at the coordinates points[:, i, axis], as (N, 2*top+1, Q)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[2] != basis.dimension:
-        raise ValueError(
-            f"points must have shape (Q, N, {basis.dimension}), got {pts.shape}"
-        )
-    return [
-        _axis_tables(pts[:, :, e].T, top).transpose(1, 0, 2)
-        for e, top in enumerate(basis._table_tops)
-    ]
+class SliceTables:
+    """Per-axis tables of a basis at every slice of a (Q, N, d) point cloud.
+
+    Axis e holds the table at the coordinates points[:, i, e] of every slice
+    i, laid out as (2*top+1, N, Q) so that each row is written in order and
+    read as (N, 2*top+1, Q) by the slice contractions. :meth:`rebuild`
+    refills the same buffers for new points of the same shape, so one
+    object serves a whole iteration: the coupling gradient at the current
+    points and the moments that feed the next coefficient step. The
+    contractions write their (N, 2*top+1, Q) intermediates into scratch
+    arrays kept with the tables, made on first use.
+    """
+
+    def __init__(self, basis: BasisSet, points):
+        self.basis = basis
+        self._buffers = []
+        self.rebuild(points)
+
+    def _scratch(self, axis: int) -> np.ndarray:
+        # an uninitialized array shaped like the table of ``axis``
+        if axis not in self._scratches:
+            self._scratches[axis] = np.empty(self.tables[axis].shape)
+        return self._scratches[axis]
+
+    def rebuild(self, points) -> None:
+        """Tabulate at new points, in place when their shape is unchanged."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 3 or pts.shape[2] != self.basis.dimension:
+            raise ValueError(
+                f"points must have shape (Q, N, {self.basis.dimension}), "
+                f"got {pts.shape}"
+            )
+        tops = self.basis._table_tops
+        shape = pts.shape[1::-1]  # (N, Q)
+        if not self._buffers or self._buffers[0].shape[1:] != shape:
+            self._buffers = [np.empty((2 * top + 1, *shape)) for top in tops]
+            self._scratches = {}
+        for e, (buffer, top) in enumerate(zip(self._buffers, tops)):
+            _axis_tables(pts[:, :, e].T, top, out=buffer)
+        self.tables = [buffer.transpose(1, 0, 2) for buffer in self._buffers]
+
+    def moments(self, weights) -> np.ndarray:
+        """Weighted basis moments of each slice: shape (size, N).
+
+        Entry (k, i) is sum_a weights[a] phi_k(points[a, i]). In 2d the
+        moments of slice i are T1 diag(w) T2^T, with T1 and T2 the per-axis
+        tables of that slice, read at each function's pair of table rows.
+        """
+        tables, w = self.tables, np.asarray(weights, dtype=float)
+        if self.basis.dimension == 1:
+            per_slice = tables[0] @ w  # (N, rows1)
+        else:
+            weighted = np.multiply(tables[0], w, out=self._scratch(0))
+            per_slice = weighted @ tables[1].transpose(0, 2, 1)  # (N, rows1, rows2)
+        rows = (rows for rows, _, _ in self.basis._axis_rows)
+        return per_slice[(slice(None), *rows)].T
+
+    def field_gradient(self, coeffs) -> np.ndarray:
+        """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
+
+        The derivative of each function along axis e is a constant times a
+        product of table rows, so for component e the slice's coefficients,
+        times those constants, are scattered into a zero array A indexed by
+        the per-axis table rows. In 2d the components are then
+        sum_k T1[k] (A T2)[k] and sum_l T2[l] (A^T T1)[l]; in 1d,
+        sum_k T1[k] A[k].
+        """
+        tables, basis = self.tables, self.basis
+        coeffs = np.asarray(coeffs, dtype=float)
+        out = np.empty((basis.dimension, coeffs.shape[1], tables[0].shape[2]))
+        for e in range(basis.dimension):
+            rows, factors = _derivative_rows(basis, e)
+            scattered = np.zeros((coeffs.shape[1], *(t.shape[1] for t in tables)))
+            scattered[(slice(None), *rows)] = (factors[:, None] * coeffs).T
+            terms = self._scratch(e)  # (N, rows_e, Q)
+            if basis.dimension == 1:
+                np.multiply(tables[0], scattered[:, :, None], out=terms)
+            else:  # contract the other axis first
+                np.matmul(np.moveaxis(scattered, 1 + e, 1), tables[1 - e], out=terms)
+                terms *= tables[e]
+            np.add.reduce(terms, axis=1, out=out[e])
+        return out.transpose(2, 1, 0)
 
 
 def moments(basis: BasisSet, points, weights) -> np.ndarray:
     """Weighted basis moments of each slice of a point cloud: shape (size, N).
 
-    ``points`` has shape (Q, N, d) and ``weights`` shape (Q,); entry (k, i)
-    is sum_a weights[a] phi_k(points[a, i]). In 2d the moments of slice i
-    are T1 diag(w) T2^T, with T1 and T2 the per-axis tables of that slice,
-    read at each function's pair of table rows.
+    ``points`` has shape (Q, N, d) and ``weights`` shape (Q,); see
+    :meth:`SliceTables.moments`.
     """
-    tables = _slice_tables(basis, points)
-    w = np.asarray(weights, dtype=float)
-    if basis.dimension == 1:
-        per_slice = tables[0] @ w  # (N, rows1)
-    else:
-        per_slice = (tables[0] * w) @ tables[1].transpose(0, 2, 1)  # (N, rows1, rows2)
-    return per_slice[(slice(None), *(rows for rows, _, _ in basis._axis_rows))].T
+    return SliceTables(basis, points).moments(weights)
 
 
 def field_gradient(basis: BasisSet, points, coeffs) -> np.ndarray:
     """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
 
-    ``points`` has shape (Q, N, d) and ``coeffs`` shape (size, N). The
-    derivative of each function along axis e is a constant times a product
-    of table rows, so for component e the slice's coefficients, times those
-    constants, are scattered into a zero array A indexed by the per-axis
-    table rows. In 2d the components are then sum_k T1[k] (A T2)[k] and
-    sum_l T2[l] (A^T T1)[l]; in 1d, sum_k T1[k] A[k].
+    ``points`` has shape (Q, N, d) and ``coeffs`` shape (size, N); see
+    :meth:`SliceTables.field_gradient`.
     """
-    tables = _slice_tables(basis, points)
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.empty((basis.dimension, coeffs.shape[1], tables[0].shape[2]))
-    for e in range(basis.dimension):
-        rows, factors = _derivative_rows(basis, e)
-        scattered = np.zeros((coeffs.shape[1], *(t.shape[1] for t in tables)))
-        scattered[(slice(None), *rows)] = (factors[:, None] * coeffs).T
-        if basis.dimension == 1:
-            partial = scattered[:, :, None]
-        else:  # contract the other axis first: (N, rows_e, Q)
-            partial = np.moveaxis(scattered, 1 + e, 1) @ tables[1 - e]
-        np.add.reduce(tables[e] * partial, axis=1, out=out[e])
-    return out.transpose(2, 1, 0)
+    return SliceTables(basis, points).field_gradient(coeffs)

@@ -3,18 +3,25 @@
 One iteration performs three steps: an exact proximal solve for the
 coefficient paths (independent across time slices, so the shifted inverse is
 computed once and reused), one preconditioned proximal step for the particle
-trajectories, and linear extrapolation of the trajectories. The trajectory
-step gives particle alpha the step tau_alpha = omega / (Q c_alpha) (diagonal
-preconditioning), takes the kinetic term implicitly and the coupling and
-terminal terms at the incoming iterate; since tau_alpha c_alpha = omega / Q
-for every particle, all particles and axes share one N x N kinetic inverse,
-also computed once per solve. Both basis contractions, the moments in the
-coefficient step and the coupling gradient in the trajectory step, go slice
-by slice through per-axis tables (:func:`~mfgspectral.basis.moments`,
-:func:`~mfgspectral.basis.field_gradient`), never through a table of every
-basis function at every particle position. Stopping is on step-norm
-stagnation; the fixed-point residual is tracked as a diagnostic because the
-coupling is not bilinear and carries no convergence guarantee.
+trajectories, and linear extrapolation of the trajectories' basis moments.
+The trajectory step gives particle alpha the step tau_alpha = omega / (Q
+c_alpha) (diagonal preconditioning), takes the kinetic term implicitly and
+the coupling and terminal terms at the incoming iterate; since tau_alpha
+c_alpha = omega / Q for every particle, all particles and axes share one
+N x N kinetic inverse, also computed once per solve.
+
+The trajectories enter the coefficient step only through their moments
+p(x), on which the coupling a . p is linear, so the extrapolation
+q = p(x_new) + theta (p(x_new) - p(x)) is taken on the moments (for a
+linear p it equals the moments of the extrapolated trajectories). Then
+every basis contraction of an iteration reads one set of per-axis tables
+(:class:`~mfgspectral.basis.SliceTables`) at the current trajectories,
+rebuilt in place once per iteration: the coupling gradient of the
+trajectory step, the moments p(x_new) for the next coefficient step, and
+the recorded diagnostics. No table of every basis function at every
+particle position is ever formed. Stopping is on step-norm stagnation;
+the fixed-point residual is tracked as a diagnostic because the coupling
+is not bilinear and carries no convergence guarantee.
 
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
@@ -30,7 +37,7 @@ import numpy as np
 
 from .basis import (
     BasisSet,
-    field_gradient,
+    SliceTables,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
     lipschitz_bounds,
 )
@@ -53,7 +60,7 @@ class SolverConfig:
 
     lam: float  # proximal step for the coefficient paths
     omega: float  # trajectory step of a particle of average weight 1/Q
-    theta: float = 1.0  # extrapolation weight in [0, 1]
+    theta: float = 1.0  # moment extrapolation weight in [0, 1]
     max_iter: int = 20000
     tol: float = 1e-8
     record_every: int = 50
@@ -75,11 +82,10 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Loop-carried iterates: coefficients, trajectories, extrapolation."""
+    """Loop-carried iterates: coefficients and trajectories."""
 
     a: np.ndarray  # (size, N)
     x: np.ndarray  # (Q, N+1, d), slice 0 pinned to the particle grid
-    z: np.ndarray  # (Q, N+1, d)
     iteration: int = 0
 
 
@@ -114,7 +120,6 @@ class Diagnostics:
 class SolverResult:
     a: np.ndarray
     x: np.ndarray
-    z: np.ndarray
     iterations: int
     converged: bool
     diagnostics: Diagnostics
@@ -158,9 +163,8 @@ def prox_a_operator(kernel: SpectralKernel, lam_dt: float):
 
 def step_a(
     a: np.ndarray,
-    z: np.ndarray,
+    q: np.ndarray,
     kernel: SpectralKernel,
-    measure: DiscreteMeasure,
     dt: float,
     lam: float,
     prox=None,
@@ -168,11 +172,11 @@ def step_a(
     """Exact proximal update of the coefficient paths, per time slice.
 
     Solves (lam*dt*J + Id) a_new = a + lam*dt*q columnwise, with q the
-    basis moments of the extrapolated trajectories.
+    (size, N) extrapolated basis moments of the trajectories (see
+    :func:`step_z`).
     """
     if prox is None:
         prox = prox_a_operator(kernel, lam * dt)
-    q = moment_vector(z, measure, kernel.basis)
     return prox(a + lam * dt * q)
 
 
@@ -203,6 +207,7 @@ def step_x(
     measure: DiscreteMeasure,
     omega: float,
     prox=None,
+    tables=None,
 ) -> np.ndarray:
     """Preconditioned proximal step on the trajectory objective.
 
@@ -219,17 +224,20 @@ def step_x(
     (omega / Q) P, as built by ``prox_x_operator(N, dt, omega / Q)`` when
     not given. Slice 0 stays pinned. The coupling term
     is the gradient of the field sum_k a_new[k, i] phi_k at each particle,
-    from :func:`~mfgspectral.basis.field_gradient`.
+    read from ``tables``, the :class:`~mfgspectral.basis.SliceTables` of
+    the basis at x[:, 1:], built here when not given.
     """
     dt = problem.dt
     if prox is None:
         prox = prox_x_operator(problem.num_steps, dt, omega / measure.count)
     inner = x[:, 1:, :]  # slices 1..N
+    if tables is None:
+        tables = SliceTables(problem.basis, inner)
 
     grad = inner - x[:, :-1, :]
     grad[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
     grad /= dt
-    grad += dt * field_gradient(problem.basis, inner, a_new)
+    grad += dt * tables.field_gradient(a_new)
     grad[:, -1, :] += problem.terminal_grad(x[:, -1, :])
 
     x_new = x.copy()
@@ -237,11 +245,18 @@ def step_x(
     return x_new
 
 
-def step_z(x_new: np.ndarray, x_old: np.ndarray, theta: float) -> np.ndarray:
-    """Extrapolate trajectories: z = x_new + theta * (x_new - x_old)."""
-    if x_new.shape != x_old.shape:
-        raise ValueError("trajectory arrays must have matching shapes")
-    return x_new + theta * (x_new - x_old)
+def step_z(new: np.ndarray, old: np.ndarray, theta: float) -> np.ndarray:
+    """Extrapolate: new + theta * (new - old).
+
+    The solve applies it to the basis moments, q = p(x_new) + theta *
+    (p(x_new) - p(x_old)), each of shape (size, N).
+    """
+    if new.shape != old.shape:
+        raise ValueError(
+            "extrapolated arrays must have matching shapes, "
+            f"got {new.shape} and {old.shape}"
+        )
+    return new + theta * (new - old)
 
 
 def fixed_point_residual(
@@ -267,12 +282,15 @@ def solve(
 ) -> SolverResult:
     """Run the three-step iteration from the stationary initialization.
 
-    Starts with zero coefficients, stationary trajectories and z = x;
-    stops when both step norms fall to the tolerance or at max_iter.
-    When ``diagnostics_path`` is set, each recorded iteration is appended
-    to that file as one JSON line. Divergence raises
-    :class:`~mfgspectral.problem.DivergenceError` carrying the partial
-    diagnostics.
+    Starts with zero coefficients and stationary trajectories, whose
+    moments are the first extrapolated moments; stops when both step norms
+    fall to the tolerance or at max_iter. The per-axis tables are built
+    once per iteration, at the new trajectories, and shared by the next
+    trajectory step, the moments and the diagnostics. When
+    ``diagnostics_path`` is set, each recorded iteration is appended to
+    that file as one JSON line. A non-finite or unbounded step raises
+    :class:`~mfgspectral.problem.DivergenceError`, carrying the partial
+    diagnostics, before it is committed to the state.
     """
     if measure.dimension != problem.dimension:
         raise ValueError("measure dimension does not match the problem")
@@ -282,15 +300,15 @@ def solve(
     state = SolverState(
         a=np.zeros((size, n)),
         x=np.repeat(measure.points[:, None, :], n + 1, axis=1),
-        z=np.repeat(measure.points[:, None, :], n + 1, axis=1),
     )
+    tables = SliceTables(problem.basis, state.x[:, 1:])
+    p = q = tables.moments(measure.weights)  # p(x0), also the first q
     diag = Diagnostics()
     prox_a = prox_a_operator(problem.kernel, config.lam * problem.dt)
     prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
     def emit(a_step, x_step):
-        p = moment_vector(state.x, measure, problem.basis)  # shared by both values
         diag.record(
             state.iteration,
             _saddle_value(state.a, state.x, p, problem, measure),
@@ -305,38 +323,36 @@ def solve(
     try:
         while state.iteration < config.max_iter and last_step > config.tol:
             a_new = step_a(
-                state.a,
-                state.z,
-                problem.kernel,
-                measure,
-                problem.dt,
-                config.lam,
-                prox=prox_a,
+                state.a, q, problem.kernel, problem.dt, config.lam, prox=prox_a
             )
             x_new = step_x(
-                state.x, a_new, problem, measure, config.omega, prox=prox_x
+                state.x, a_new, problem, measure, config.omega,
+                prox=prox_x, tables=tables,
             )
-            z_new = step_z(x_new, state.x, config.theta)
+            # checked before the tables see x_new; NaN and inf fail too
+            if not (
+                np.max(np.abs(a_new)) <= DIVERGENCE_LIMIT
+                and np.max(np.abs(x_new)) <= DIVERGENCE_LIMIT
+            ):
+                raise DivergenceError(
+                    f"solver diverged at iteration {state.iteration + 1}; "
+                    "check the step-size bound",
+                    diagnostics=diag,
+                    iteration=state.iteration + 1,
+                )
+            tables.rebuild(x_new[:, 1:])
+            p_new = tables.moments(measure.weights)
+            q = step_z(p_new, p, config.theta)
 
             a_step = float(np.max(np.abs(a_new - state.a)))
             moved = x_new - state.x
             x_step = float(
                 np.sqrt(np.max(np.sum(moved**2, axis=2)))
             )  # max particle displacement
-            state.a, state.x, state.z = a_new, x_new, z_new
+            state.a, state.x, p = a_new, x_new, p_new
             state.iteration += 1
             last_step = max(a_step, x_step)
 
-            bad = not (
-                np.all(np.isfinite(a_new)) and np.all(np.isfinite(x_new))
-            ) or np.max(np.abs(x_new)) > DIVERGENCE_LIMIT
-            if bad:
-                raise DivergenceError(
-                    f"solver diverged at iteration {state.iteration}; "
-                    "check the step-size bound",
-                    diagnostics=diag,
-                    iteration=state.iteration,
-                )
             if (
                 state.iteration % config.record_every == 0
                 or last_step <= config.tol
@@ -350,7 +366,6 @@ def solve(
     return SolverResult(
         a=state.a,
         x=state.x,
-        z=state.z,
         iterations=state.iteration,
         converged=last_step <= config.tol,
         diagnostics=diag,

@@ -257,8 +257,8 @@ def test_criterion_8_step_a_proximal_optimality():
             a = rng.normal(size=(ker.size, n))
             z = np.repeat(measure.points[:, None, :], n + 1, axis=1)
             z[:, 1:, :] += rng.normal(scale=0.4, size=(q_pts, n, 1))
-            out = step_a(a, z, ker, measure, dt=dt, lam=lam)
             q = moment_vector(z, measure, ker.basis)
+            out = step_a(a, q, ker, dt=dt, lam=lam)
             gap = (lam * dt * ker.j_matrix() + np.eye(ker.size)) @ out - (
                 a + lam * dt * q
             )

@@ -5,6 +5,7 @@ import pytest
 
 from mfgspectral.basis import (
     BasisSet,
+    SliceTables,
     basis_1d,
     basis_2d,
     eval_all,
@@ -289,6 +290,45 @@ def test_slice_contractions_check_point_shape():
         moments(basis_2d(3), np.zeros((4, 2, 1)), np.ones(4))
     with pytest.raises(ValueError):
         field_gradient(basis_1d(3), np.zeros((4, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        basis_1d(6),
+        basis_2d(6),
+        BasisSet(dimension=1, truncation=5, indices=(1, 4, 5)),
+        BasisSet(dimension=2, truncation=5, indices=((3, 1), (1, 1), (2, 3), (1, 4))),
+    ],
+    ids=["1d", "2d", "1d-subset", "2d-subset"],
+)
+def test_shared_tables_match_fresh_contractions(b):
+    # one table set read twice, then rebuilt in place, gives bit for bit
+    # what the one-shot contractions give at the same points
+    rng = np.random.default_rng(9)
+
+    def check(tables, pts):
+        weights = rng.uniform(size=pts.shape[0])
+        coeffs = rng.normal(size=(b.size, pts.shape[1]))
+        for _ in range(2):
+            np.testing.assert_array_equal(tables.moments(weights), moments(b, pts, weights))
+            np.testing.assert_array_equal(
+                tables.field_gradient(coeffs), field_gradient(b, pts, coeffs)
+            )
+
+    pts = rng.uniform(-1, 2, size=(7, 4, b.dimension))
+    tables = SliceTables(b, pts)
+    check(tables, pts)
+    before = tables.tables[0]
+    pts = rng.uniform(-1, 2, size=(7, 4, b.dimension))
+    tables.rebuild(pts)
+    assert np.shares_memory(before, tables.tables[0])  # refilled in place
+    check(tables, pts)
+    pts = rng.uniform(-1, 2, size=(5, 9, b.dimension))
+    tables.rebuild(pts)
+    check(tables, pts)
+    with pytest.raises(ValueError):
+        tables.rebuild(pts[..., :1] if b.dimension == 2 else np.zeros((5, 9, 2)))
 
 
 def test_lipschitz_bounds_match_product_formula():

@@ -1,10 +1,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from mfgspectral import basis as basis_module
+from mfgspectral import pdhg
 from mfgspectral.basis import basis_1d
 from mfgspectral.kernel import (
     GaussianKernelSpec,
@@ -130,8 +133,8 @@ class TestStepA:
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
         m = uniform_measure(4)
         a = np.arange(12.0).reshape(3, 4)
-        z = stationary(m, 4)
-        out = step_a(a, z, ker, m, dt=0.25, lam=0.0)
+        q = moment_vector(stationary(m, 4), m, ker.basis)
+        out = step_a(a, q, ker, dt=0.25, lam=0.0)
         np.testing.assert_array_equal(out, a)
 
     def test_flat_kernel_fixed_point(self):
@@ -142,7 +145,7 @@ class TestStepA:
         z = stationary(m, 5)
         rng = np.random.default_rng(16)
         z[:, 1:, :] += rng.normal(scale=0.3, size=(6, 5, 1))
-        out = step_a(a, z, ker, m, dt=0.2, lam=3.0)
+        out = step_a(a, moment_vector(z, m, ker.basis), ker, dt=0.2, lam=3.0)
         np.testing.assert_allclose(out, mu, rtol=1e-14)
 
     def test_scalar_arithmetic(self):
@@ -171,8 +174,8 @@ class TestStepA:
         a = rng.normal(size=(ker.size, n))
         z = stationary(m, n)
         z[:, 1:, :] += rng.normal(scale=0.4, size=(5, n, 1))
-        out = step_a(a, z, ker, m, dt=dt, lam=lam)
         q = moment_vector(z, m, ker.basis)
+        out = step_a(a, q, ker, dt=dt, lam=lam)
         lhs = (lam * dt * ker.j_matrix() + np.eye(ker.size)) @ out
         rhs = a + lam * dt * q
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -397,6 +400,22 @@ class TestStepZ:
         out = step_z(np.array([[[0.6]]]), np.array([[[0.5]]]), 1.0)
         assert out[0, 0, 0] == pytest.approx(0.7, abs=1e-15)
 
+    def test_moment_arrays(self):
+        # the solve extrapolates (size, N) moments
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        m = uniform_measure(5)
+        rng = np.random.default_rng(25)
+        x_old = stationary(m, 3)
+        x_new = x_old.copy()
+        x_new[:, 1:, :] += rng.normal(scale=0.2, size=(5, 3, 1))
+        p_old = moment_vector(x_old, m, ker.basis)
+        p_new = moment_vector(x_new, m, ker.basis)
+        out = step_z(p_new, p_old, 0.5)
+        assert out.shape == (4, 3)
+        np.testing.assert_allclose(out, 1.5 * p_new - 0.5 * p_old, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="extrapolated"):
+            step_z(p_new, p_old[:, :2], 0.5)
+
 
 class TestFixedPointResidual:
     def test_exact_fixed_point(self):
@@ -465,6 +484,113 @@ class TestSolve:
             solve(prob, m, cfg)
         assert isinstance(err.value.diagnostics, Diagnostics)
 
+    def test_non_finite_step_raises_before_commit(self):
+        # from its 5th call the terminal gradient is infinite for one
+        # particle: the step must stop with DivergenceError, before the
+        # infinite coordinates reach the basis tables and warn there
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        calls = []
+
+        def gradU(p):
+            calls.append(None)
+            g = (4 * np.pi * np.cos(4 * np.pi * p[:, 0]))[:, None]
+            if len(calls) >= 5:
+                g[2] = np.inf
+            return g
+
+        prob = make_problem(ker, U=lambda p: np.sin(4 * np.pi * p[:, 0]), gradU=gradU)
+        m = uniform_measure(4)
+        cfg = SolverConfig(
+            lam=3.0, omega=1.0 / 12.0, max_iter=100, tol=0.0, record_every=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                solve(prob, m, cfg)
+        assert err.value.iteration == 5
+        assert err.value.diagnostics.iterations == [1, 2, 3, 4]
+
+    def test_unbounded_coefficients_raise(self, monkeypatch):
+        # |a| is bounded as well as |x|: the third coefficient step jumps
+        real_step_a = pdhg.step_a
+        calls = []
+
+        def step_a_jumping(*args, **kwargs):
+            calls.append(None)
+            out = real_step_a(*args, **kwargs)
+            return out + 2.0 * pdhg.DIVERGENCE_LIMIT if len(calls) == 3 else out
+
+        monkeypatch.setattr(pdhg, "step_a", step_a_jumping)
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        prob = make_problem(ker, N=4)
+        m = uniform_measure(5)
+        cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, max_iter=10, tol=0.0, record_every=1)
+        with pytest.raises(DivergenceError) as err:
+            solve(prob, m, cfg)
+        assert err.value.iteration == 3
+        assert err.value.diagnostics.iterations == [1, 2]
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("record_every", [1, 50])
+    def test_one_table_build_per_iteration(self, monkeypatch, dimension, record_every):
+        # d per-axis tables at the start, then d per iteration, shared by
+        # the trajectory step, the moments and the diagnostics
+        built = []
+        real = basis_module._axis_tables
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(basis_module, "_axis_tables", counting)
+        if dimension == 1:
+            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        else:
+            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
+        )
+        m = discretize_measure(lambda p: np.ones(p.shape[0]), 4, dimension)
+        k = 60
+        cfg = SolverConfig(
+            lam=3.0, omega=0.5, max_iter=k, tol=0.0, record_every=record_every
+        )
+        res = solve(prob, m, cfg)
+        assert res.iterations == k
+        assert len(built) == dimension * (k + 1)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_two_iterations_by_hand(self, theta, dimension):
+        # the solve extrapolates moments, not trajectories
+        if dimension == 1:
+            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6)
+        else:
+            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=5,
+        )
+        m = discretize_measure(
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 5, dimension
+        )
+        lam, omega, dt = 3.0, 0.5, prob.dt
+        cfg = SolverConfig(lam=lam, omega=omega, theta=theta, max_iter=2, tol=0.0)
+        res = solve(prob, m, cfg)
+
+        x0 = np.repeat(m.points[:, None, :], 6, axis=1)
+        p0 = moment_vector(x0, m, ker.basis)
+        a1 = step_a(np.zeros((ker.size, 5)), p0, ker, dt, lam)
+        x1 = step_x(x0, a1, prob, m, omega)
+        p1 = moment_vector(x1, m, ker.basis)
+        q1 = p1 + theta * (p1 - p0)
+        a2 = step_a(a1, q1, ker, dt, lam)
+        x2 = step_x(x1, a2, prob, m, omega)
+        assert not np.array_equal(x2, x1)
+        np.testing.assert_array_equal(res.a, a2)
+        np.testing.assert_array_equal(res.x, x2)
+
     def test_pinning_and_finiteness_on_generic_run(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
@@ -481,7 +607,6 @@ class TestSolve:
         res = solve(prob, m, cfg)
         assert res.iterations == 300
         np.testing.assert_array_equal(res.x[:, 0, :], m.points)
-        np.testing.assert_array_equal(res.z[:, 0, :], m.points)
         assert np.all(np.isfinite(res.a)) and np.all(np.isfinite(res.x))
         assert res.diagnostics.iterations == [50, 100, 150, 200, 250, 300]
 
