@@ -6,9 +6,6 @@ from .basis import (
     BasisSet,
     basis_1d,
     basis_2d,
-    eval_basis,
-    grad_basis,
-    lipschitz_bound,
     tensor_indices,
 )
 from .kernel import (
@@ -40,8 +37,10 @@ from .problem import (
     DiscreteMeasure,
     DivergenceError,
     MFGProblem,
+    action,
+    action_gradient,
+    best_response,
     discrete_G,
-    discrete_value_at,
     discretize_measure,
     moment_vector,
     saddle_value,
@@ -66,22 +65,21 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "SpectralKernel",
+    "action",
+    "action_gradient",
     "basis_1d",
     "basis_2d",
+    "best_response",
     "check_steps",
     "density_histogram",
     "discrete_G",
-    "discrete_value_at",
     "discretize_measure",
-    "eval_basis",
     "fejer_average",
     "fixed_point_residual",
     "fourier_coefficients",
     "gaussian_spectral_1d",
     "gaussian_spectral_2d",
-    "grad_basis",
     "kernel_eval_direct",
-    "lipschitz_bound",
     "moment_vector",
     "psd_check",
     "regularize",

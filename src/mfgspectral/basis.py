@@ -131,23 +131,6 @@ def basis_2d(r: int) -> BasisSet:
     return BasisSet(dimension=2, truncation=r, indices=tuple(tensor_indices(r)))
 
 
-def eval_basis(basis: BasisSet, index, x) -> float:
-    """Value of one basis function at a single point (periodic in x)."""
-    j = basis.position(index)
-    return float(eval_all(basis, [x])[0, j])  # as a one-point list, x must be one point
-
-
-def grad_basis(basis: BasisSet, index, x) -> np.ndarray:
-    """Analytic gradient of one basis function at a single point."""
-    j = basis.position(index)
-    return grad_all(basis, [x])[0, j]
-
-
-def lipschitz_bound(basis: BasisSet, index) -> float:
-    """Lipschitz constant of one basis function (Euclidean, on the torus lift)."""
-    return float(lipschitz_bounds(basis)[basis.position(index)])
-
-
 def lipschitz_bounds(basis: BasisSet) -> np.ndarray:
     """Vector of Lipschitz constants in basis order.
 

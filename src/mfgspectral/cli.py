@@ -401,10 +401,12 @@ def load_config_source(source: str) -> dict:
             "nor an existing file"
         )
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {source}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {source}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,6 @@ class SpectralKernel:
     def size(self) -> int:
         return self.basis.size
 
-    def k_matrix(self) -> np.ndarray:
-        """Copy of the coefficient matrix."""
-        return self.k_mat.copy()
-
-    def j_matrix(self) -> np.ndarray:
-        """Copy of the inverse coefficient matrix."""
-        return self.j_mat.copy()
-
     def apply_k(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product K @ v; v may carry trailing axes."""
         return np.tensordot(self.k_mat, v, axes=(1, 0))

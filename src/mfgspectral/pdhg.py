@@ -47,6 +47,7 @@ from .problem import (
     DivergenceError,
     MFGProblem,
     _saddle_value,
+    action_gradient,
     moment_vector,
     saddle_value,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
@@ -219,29 +220,17 @@ def step_x(
 
     L x_new taking the pinned slice 0 as its left neighbor. It is computed
     as x - (omega / Q) P grad A(x), with grad A the unweighted action
-    gradient and P = (Id + omega / (Q dt) L)^-1 shared by all particles, so
-    an unforced stationary path stays bit-exact; ``prox`` applies
-    (omega / Q) P, as built by ``prox_x_operator(N, dt, omega / Q)`` when
-    not given. Slice 0 stays pinned. The coupling term
-    is the gradient of the field sum_k a_new[k, i] phi_k at each particle,
-    read from ``tables``, the :class:`~mfgspectral.basis.SliceTables` of
-    the basis at x[:, 1:], built here when not given.
+    gradient (:func:`~mfgspectral.problem.action_gradient`, which reads the
+    coupling from ``tables`` when given) and P = (Id + omega / (Q dt) L)^-1
+    shared by all particles, so an unforced stationary path stays
+    bit-exact; ``prox`` applies (omega / Q) P, as built by
+    ``prox_x_operator(N, dt, omega / Q)`` when not given. Slice 0 stays
+    pinned.
     """
-    dt = problem.dt
     if prox is None:
-        prox = prox_x_operator(problem.num_steps, dt, omega / measure.count)
-    inner = x[:, 1:, :]  # slices 1..N
-    if tables is None:
-        tables = SliceTables(problem.basis, inner)
-
-    grad = inner - x[:, :-1, :]
-    grad[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
-    grad /= dt
-    grad += dt * tables.field_gradient(a_new)
-    grad[:, -1, :] += problem.terminal_grad(x[:, -1, :])
-
+        prox = prox_x_operator(problem.num_steps, problem.dt, omega / measure.count)
     x_new = x.copy()
-    x_new[:, 1:, :] = inner - prox(grad)
+    x_new[:, 1:, :] = x[:, 1:, :] - prox(action_gradient(x, a_new, problem, tables))
     return x_new
 
 

@@ -1,5 +1,5 @@
 """Problem instances: particle measures, the discrete saddle objective, and
-per-trajectory value evaluation.
+the discrete action of every trajectory with its batched best response.
 
 Trajectories live on the universal cover (unwrapped real coordinates, shape
 (Q, N+1, d) with slice 0 pinned to the particle grid); basis and cost
@@ -18,8 +18,8 @@ import numpy as np
 
 from .basis import (
     BasisSet,
+    SliceTables,
     eval_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
-    field_gradient,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
     moments,
 )
@@ -49,6 +49,8 @@ class DiscreteMeasure:
             raise ValueError(f"points must have shape (Q, d), got {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise ValueError("weights must match the number of points")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+            raise ValueError("points and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -178,84 +180,101 @@ def _saddle_value(a, x, p, problem: MFGProblem, measure: DiscreteMeasure) -> flo
     return quad - kinetic - coupling - terminal
 
 
-def trajectory_action(path: np.ndarray, a: np.ndarray, problem: MFGProblem) -> float:
-    """Discrete action of one trajectory: kinetic + coupling + terminal."""
-    diffs = path[1:] - path[:-1]
-    kinetic = float(np.sum(diffs**2)) / (2.0 * problem.dt)
-    p = moments(problem.basis, path[None, 1:], [1.0])  # (size, N)
-    running = problem.dt * float(np.sum(a * p))
-    terminal = float(problem.terminal_cost(path[-1:, :])[0])
-    return kinetic + running + terminal
+def action(x: np.ndarray, a: np.ndarray, problem: MFGProblem) -> np.ndarray:
+    """Discrete action of each trajectory, kinetic + coupling + terminal: shape (Q,).
+
+    ``x`` holds (Q, N+1, d) paths and ``a`` the (size, N) coefficient paths
+    of the coupling field, read at the unweighted basis values of every
+    point: each point is its own slice of :func:`~mfgspectral.basis.moments`.
+    """
+    q, n, d = x.shape[0], problem.num_steps, problem.dimension
+    diffs = x[:, 1:] - x[:, :-1]
+    kinetic = np.sum((diffs**2).reshape(q, -1), axis=1) / (2.0 * problem.dt)
+    values = moments(problem.basis, x[:, 1:].reshape(1, -1, d), [1.0])
+    terms = (a[:, None, :] * values.reshape(-1, q, n)).transpose(1, 0, 2)
+    running = problem.dt * np.sum(terms.reshape(q, -1), axis=1)
+    return kinetic + running + problem.terminal_cost(x[:, -1, :])
 
 
-def _action_gradient(path: np.ndarray, a: np.ndarray, problem: MFGProblem):
+def action_gradient(
+    x: np.ndarray, a: np.ndarray, problem: MFGProblem, tables=None
+) -> np.ndarray:
+    """Gradient of each trajectory's action in slices 1..N: shape (Q, N, d).
+
+    The coupling term is the gradient of the field sum_k a[k, i] phi_k at
+    each particle, read from ``tables``, the basis
+    :class:`~mfgspectral.basis.SliceTables` at x[:, 1:] (built when not given).
+    """
     dt = problem.dt
-    n = problem.num_steps
-    grad = np.zeros((n, problem.dimension))
-    grad += (path[1:] - path[:-1]) / dt
-    grad[:-1] -= (path[2:] - path[1:-1]) / dt
-    grad += dt * field_gradient(problem.basis, path[None, 1:], a)[0]
-    grad[-1] += problem.terminal_grad(path[-1:, :])[0]
+    inner = x[:, 1:, :]  # slices 1..N
+    if tables is None:
+        tables = SliceTables(problem.basis, inner)
+    grad = inner - x[:, :-1, :]
+    grad[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
+    grad /= dt
+    grad += dt * tables.field_gradient(a)
+    grad[:, -1, :] += problem.terminal_grad(x[:, -1, :])
     return grad
 
 
-def discrete_value_at(
-    x0,
-    a: np.ndarray,
-    problem: MFGProblem,
-    step: float | None = None,
-    max_steps: int = 5000,
-    tol: float = 1e-10,
-) -> float:
-    """Approximate value of the discrete control problem started at x0.
+def _batch_gradient(x, a, problem: MFGProblem) -> np.ndarray:
+    # numpy contracts one particle with other kernels than several (gemv, not
+    # gemm; pairwise, not running sums), so a lone particle goes in twice
+    if len(x) == 1:
+        return action_gradient(np.concatenate([x, x]), a, problem)[:1]
+    return action_gradient(x, a, problem)
 
-    Monotone gradient descent on the single-trajectory action from the
-    stationary path; the trial step (default dt/4, stable for the kinetic
-    term) is halved whenever it would increase the action, which keeps the
-    returned value a true upper bound on the discrete infimum.
+
+def best_response(a: np.ndarray, x0, problem: MFGProblem):
+    """Each particle's best path and value against the coefficient paths ``a``.
+
+    Monotone gradient descent on all Q actions at once, from the stationary
+    paths at the (Q, d) starting points ``x0``. Each particle has its own
+    trial step, first dt/4 (stable for the kinetic term) and halved
+    whenever it would raise that particle's action, so each value is the
+    action of a real path: an upper bound on the particle's discrete value,
+    the same in a batch of any size. A particle stops after 5000 accepted
+    steps or once a step moves it less than 1e-10; each round evaluates
+    only the particles still descending. Returns the (Q, N+1, d) paths and
+    their (Q,) actions.
     """
     a = np.asarray(a, dtype=float)
-    start = np.atleast_1d(np.asarray(x0, dtype=float))
-    if start.shape != (problem.dimension,):
+    start = np.asarray(x0, dtype=float)
+    if start.ndim != 2 or start.shape[1] != problem.dimension:
         raise ValueError(
-            f"starting point must have {problem.dimension} coordinate(s)"
+            f"starting points must have shape (Q, {problem.dimension}), "
+            f"got {start.shape}"
         )
-    if step is None:
-        step = problem.dt / 4.0
-    path = np.tile(start, (problem.num_steps + 1, 1))
-    value = trajectory_action(path, a, problem)
-    for _ in range(max_steps):
-        grad = _action_gradient(path, a, problem)
-        moved = 0.0
-        while True:
-            candidate = path.copy()
-            candidate[1:] -= step * grad
-            cand_value = trajectory_action(candidate, a, problem)
-            if not np.isfinite(cand_value):
-                raise DivergenceError(
-                    "trajectory descent produced non-finite values"
-                )
-            if cand_value <= value or step < 1e-18:
-                moved = step * float(np.max(np.abs(grad)))
-                path, value = candidate, cand_value
-                break
-            step *= 0.5
-        if moved < tol:
-            break
-    return value
+    x = np.repeat(start[:, None, :], problem.num_steps + 1, axis=1)
+    values = action(x, a, problem)
+    grad = _batch_gradient(x, a, problem)
+    step = np.full(len(start), problem.dt / 4.0)
+    accepted = np.zeros(len(start), dtype=int)
+    active = np.arange(len(start))
+    while active.size:
+        trial = x[active]
+        trial[:, 1:] -= step[active, None, None] * grad[active]
+        trial_values = action(trial, a, problem)
+        if not np.all(np.isfinite(trial_values)):
+            raise DivergenceError("trajectory descent produced non-finite values")
+        take = (trial_values <= values[active]) | (step[active] < 1e-18)
+        step[active[~take]] *= 0.5
+        moved = active[take]
+        x[moved], values[moved] = trial[take], trial_values[take]
+        accepted[moved] += 1
+        far = step[moved] * np.max(np.abs(grad[moved]), axis=(1, 2)) >= 1e-10
+        going = moved[far & (accepted[moved] < 5000)]
+        if going.size:
+            grad[going] = _batch_gradient(x[going], a, problem)
+        active = np.sort(np.concatenate([active[~take], going]))
+    return x, values
 
 
-def discrete_G(
-    a: np.ndarray,
-    problem: MFGProblem,
-    measure: DiscreteMeasure,
-    step: float | None = None,
-    max_steps: int = 5000,
-    tol: float = 1e-10,
-) -> float:
-    """Measure-weighted sum of per-particle discrete values."""
-    values = [
-        discrete_value_at(y, a, problem, step=step, max_steps=max_steps, tol=tol)
-        for y in measure.points
-    ]
+def discrete_G(a: np.ndarray, problem: MFGProblem, measure: DiscreteMeasure) -> float:
+    """Measure-weighted sum of the particles' best-response values.
+
+    Each value is an upper bound on its particle's discrete value (see
+    :func:`best_response`), so the sum is one too.
+    """
+    _, values = best_response(a, measure.points, problem)
     return float(np.dot(measure.weights, values))

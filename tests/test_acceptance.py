@@ -259,7 +259,7 @@ def test_criterion_8_step_a_proximal_optimality():
             z[:, 1:, :] += rng.normal(scale=0.4, size=(q_pts, n, 1))
             q = moment_vector(z, measure, ker.basis)
             out = step_a(a, q, ker, dt=dt, lam=lam)
-            gap = (lam * dt * ker.j_matrix() + np.eye(ker.size)) @ out - (
+            gap = (lam * dt * ker.j_mat + np.eye(ker.size)) @ out - (
                 a + lam * dt * q
             )
             worst = max(worst, float(np.max(np.abs(gap))))

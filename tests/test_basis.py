@@ -9,11 +9,8 @@ from mfgspectral.basis import (
     basis_1d,
     basis_2d,
     eval_all,
-    eval_basis,
     field_gradient,
     grad_all,
-    grad_basis,
-    lipschitz_bound,
     lipschitz_bounds,
     moments,
     tensor_indices,
@@ -47,32 +44,47 @@ def closed_form(idx, pts):
     return np.prod(vals, axis=0), np.stack(grad, axis=-1)
 
 
+def value(b, idx, pts):
+    """Values of basis function ``idx`` at (n, d) points, read from eval_all."""
+    return eval_all(b, pts)[:, b.position(idx)]
+
+
+def gradient(b, idx, pts):
+    """Gradients of basis function ``idx`` at (n, d) points, from grad_all."""
+    return grad_all(b, pts)[:, b.position(idx)]
+
+
 def test_eval_constant():
     b = basis_1d(3)
-    assert eval_basis(b, 1, 0.37) == 1.0
+    assert value(b, 1, [[0.37]])[0] == 1.0
 
 
 def test_eval_first_sine_cosine():
     b = basis_1d(3)
     # sqrt(2) sin(2 pi x) at x = 1/4 and sqrt(2) cos(2 pi x) at x = 1/2
-    assert eval_basis(b, 2, 0.25) == pytest.approx(1.4142135623730951, abs=1e-14)
-    assert eval_basis(b, 3, 0.5) == pytest.approx(-1.4142135623730951, abs=1e-14)
+    assert value(b, 2, [[0.25]])[0] == pytest.approx(1.4142135623730951, abs=1e-14)
+    assert value(b, 3, [[0.5]])[0] == pytest.approx(-1.4142135623730951, abs=1e-14)
 
 
 def test_grad_values():
     b = basis_1d(3)
-    assert grad_basis(b, 1, 0.123) == pytest.approx([0.0])
-    assert grad_basis(b, 2, 0.0)[0] == pytest.approx(8.885765876316732, abs=1e-12)
-    assert grad_basis(b, 3, 0.25)[0] == pytest.approx(-8.885765876316732, abs=1e-12)
+    assert gradient(b, 1, [[0.123]])[0] == pytest.approx([0.0])
+    assert gradient(b, 2, [[0.0]])[0, 0] == pytest.approx(8.885765876316732, abs=1e-12)
+    assert gradient(b, 3, [[0.25]])[0, 0] == pytest.approx(
+        -8.885765876316732, abs=1e-12
+    )
 
 
 def test_lipschitz_values():
     b = basis_1d(4)
-    assert lipschitz_bound(b, 1) == 0.0
-    assert lipschitz_bound(b, 2) == pytest.approx(8.885765876316732, abs=1e-12)
+    lips = lipschitz_bounds(b)
+    assert lips[b.position(1)] == 0.0
+    assert lips[b.position(2)] == pytest.approx(8.885765876316732, abs=1e-12)
     b2 = basis_2d(4)
     # constant x sine factor: bound is the sine factor's constant
-    assert lipschitz_bound(b2, (1, 2)) == pytest.approx(8.885765876316732, abs=1e-12)
+    assert lipschitz_bounds(b2)[b2.position((1, 2))] == pytest.approx(
+        8.885765876316732, abs=1e-12
+    )
 
 
 def test_tensor_indices_small():
@@ -96,12 +108,14 @@ def test_tensor_indices_rejects_small_r():
 def test_invalid_index_raises():
     b = basis_1d(3)
     with pytest.raises(IndexError):
-        eval_basis(b, 4, 0.1)
+        b.position(4)
     with pytest.raises(IndexError):
-        grad_basis(b, 0, 0.1)
+        b.position(0)
     b2 = basis_2d(3)
     with pytest.raises(IndexError):
-        eval_basis(b2, (2, 2), (0.1, 0.2))
+        b2.position((2, 2))
+    with pytest.raises(IndexError):
+        b2.position(1)  # a 1d index in a 2d basis
     # a basis may not list a per-axis index above its truncation
     with pytest.raises(ValueError, match="invalid basis index 8"):
         BasisSet(dimension=1, truncation=1, indices=(1, 8))
@@ -111,33 +125,31 @@ def test_invalid_index_raises():
 
 def test_point_shape_checked():
     with pytest.raises(ValueError):
-        eval_basis(basis_1d(3), 2, [0.1, 0.2])
+        eval_all(basis_1d(3), [[0.1, 0.2]])  # a 2d point in 1d
     with pytest.raises(ValueError):
-        eval_basis(basis_2d(3), (1, 1), 0.5)
+        eval_all(basis_2d(3), [0.5])  # a 1d point in 2d
     with pytest.raises(ValueError):
-        eval_basis(basis_2d(3), (1, 1), [[0.1, 0.2]])
+        eval_all(basis_2d(3), [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
-        grad_basis(basis_2d(3), (1, 1), [[0.1, 0.2]])
+        eval_all(basis_2d(3), [[[0.1, 0.2]]])
     with pytest.raises(ValueError):
-        grad_basis(basis_1d(3), 2, [[0.1]])
+        grad_all(basis_2d(3), [[[0.1, 0.2]]])
+    with pytest.raises(ValueError):
+        grad_all(basis_1d(3), [[[0.1]]])
 
 
 def test_periodicity():
     rng = np.random.default_rng(0)
     b = basis_1d(8)
-    xs = rng.uniform(-2, 2, size=50)
-    for k in b.indices:
-        for x in xs:
-            assert eval_basis(b, k, x) == pytest.approx(
-                eval_basis(b, k, x + 1.0), abs=1e-12
-            )
+    xs = rng.uniform(-2, 2, size=(50, 1))
+    np.testing.assert_allclose(
+        eval_all(b, xs + 1.0), eval_all(b, xs), rtol=0, atol=1e-12
+    )
     b2 = basis_2d(5)
     pts = rng.uniform(-2, 2, size=(20, 2))
-    for idx in b2.indices:
-        for p in pts:
-            v = eval_basis(b2, idx, p)
-            assert eval_basis(b2, idx, p + np.array([1.0, 0.0])) == pytest.approx(v, abs=1e-12)
-            assert eval_basis(b2, idx, p + np.array([0.0, 1.0])) == pytest.approx(v, abs=1e-12)
+    v = eval_all(b2, pts)
+    for shift in ([1.0, 0.0], [0.0, 1.0]):
+        np.testing.assert_allclose(eval_all(b2, pts + shift), v, rtol=0, atol=1e-12)
 
 
 def test_orthonormality_quadrature():
@@ -153,14 +165,12 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     h = 1e-6
     b = basis_1d(8)
-    for x in rng.uniform(0, 1, size=100):
-        for k in b.indices:
-            fd = (eval_basis(b, k, x + h) - eval_basis(b, k, x - h)) / (2 * h)
-            g = grad_basis(b, k, x)[0]
-            if abs(fd) > 1e-3:
-                assert abs(g - fd) / abs(fd) < 1e-7
-            else:
-                assert abs(g - fd) < 1e-6
+    xs = rng.uniform(0, 1, size=(100, 1))
+    fd = (eval_all(b, xs + h) - eval_all(b, xs - h)) / (2 * h)  # (100, 8)
+    g = grad_all(b, xs)[:, :, 0]
+    big = np.abs(fd) > 1e-3
+    assert np.all(np.abs(g - fd)[big] / np.abs(fd[big]) < 1e-7)
+    assert np.all(np.abs(g - fd)[~big] < 1e-6)
 
 
 def test_gradient_matches_finite_differences_2d():
@@ -184,10 +194,9 @@ def test_lipschitz_bound_is_valid():
     rng = np.random.default_rng(3)
     b = basis_1d(8)
     xs = rng.uniform(-1, 2, size=(1000, 2))
-    for k in b.indices:
-        L = lipschitz_bound(b, k)
-        for x, y in xs:
-            assert abs(eval_basis(b, k, x) - eval_basis(b, k, y)) <= L * abs(x - y) + 1e-12
+    gaps = np.abs(eval_all(b, xs[:, :1]) - eval_all(b, xs[:, 1:]))  # (1000, 8)
+    bounds = lipschitz_bounds(b) * np.abs(xs[:, :1] - xs[:, 1:]) + 1e-12
+    assert np.all(gaps <= bounds)
 
 
 def test_lipschitz_bound_is_valid_2d():
@@ -195,21 +204,19 @@ def test_lipschitz_bound_is_valid_2d():
     b = basis_2d(5)
     xs = rng.uniform(-1, 2, size=(300, 2))
     ys = rng.uniform(-1, 2, size=(300, 2))
-    for idx in b.indices:
-        L = lipschitz_bound(b, idx)
-        for x, y in zip(xs, ys):
-            gap = abs(eval_basis(b, idx, x) - eval_basis(b, idx, y))
-            assert gap <= L * np.linalg.norm(x - y) + 1e-12
+    gaps = np.abs(eval_all(b, xs) - eval_all(b, ys))  # (300, size)
+    dist = np.linalg.norm(xs - ys, axis=1)[:, None]
+    assert np.all(gaps <= lipschitz_bounds(b) * dist + 1e-12)
 
 
 def test_2d_values_are_products():
     b1 = basis_1d(6)
     b2 = basis_2d(6)
     rng = np.random.default_rng(5)
-    for p in rng.uniform(0, 1, size=(20, 2)):
-        for k, kp in b2.indices:
-            expect = eval_basis(b1, k, p[0]) * eval_basis(b1, kp, p[1])
-            assert eval_basis(b2, (k, kp), p) == pytest.approx(expect, abs=1e-13)
+    pts = rng.uniform(0, 1, size=(20, 2))
+    for k, kp in b2.indices:
+        expect = value(b1, k, pts[:, :1]) * value(b1, kp, pts[:, 1:])
+        np.testing.assert_allclose(value(b2, (k, kp), pts), expect, rtol=0, atol=1e-13)
 
 
 def test_eval_all_matches_pointwise():
@@ -365,9 +372,9 @@ def test_lipschitz_bounds_vector():
 def test_basis_subset_allowed():
     b = BasisSet(dimension=1, truncation=5, indices=(1, 4, 5))
     assert b.size == 3
-    assert eval_basis(b, 4, 0.125) == pytest.approx(SQRT2 * math.sin(math.pi / 2))
+    assert value(b, 4, [[0.125]])[0] == pytest.approx(SQRT2 * math.sin(math.pi / 2))
     with pytest.raises(IndexError):
-        eval_basis(b, 2, 0.3)
+        b.position(2)
 
 
 def test_basisset_validation():

@@ -127,6 +127,16 @@ class TestValidation:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
 
+    def test_directory_config_path(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert "config error: config: cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 1, "note": "caf\xe9"}')
+        assert main(["solve", str(path)]) == 1
+        assert "config error: config: cannot read" in capsys.readouterr().err
+
     def test_wrong_matrix_shape(self, tmp_path):
         cfg = tiny_config(
             tmp_path / "out",

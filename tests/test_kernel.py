@@ -17,7 +17,7 @@ from mfgspectral.kernel import (
 
 
 def frobenius_identity_gap(kernel):
-    prod = kernel.k_matrix() @ kernel.j_matrix()
+    prod = kernel.k_mat @ kernel.j_mat
     return np.linalg.norm(prod - np.eye(kernel.size))
 
 
@@ -209,7 +209,7 @@ class TestPsdCheck:
 
     def test_gaussian_diagonal(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
-        assert psd_check(ker.k_matrix()) == pytest.approx(np.min(np.diag(ker.k_mat)))
+        assert psd_check(ker.k_mat) == pytest.approx(np.min(np.diag(ker.k_mat)))
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -266,7 +266,7 @@ class TestTranslationInvariantBlocks:
 
         ker = translation_invariant_blocks([c0, c1], [0.0, s1])
         coeffs = fourier_coefficients(kernel, basis_1d(3), 32)
-        np.testing.assert_allclose(ker.k_matrix(), coeffs, atol=1e-12)
+        np.testing.assert_allclose(ker.k_mat, coeffs, atol=1e-12)
 
 
 class TestRegularize:
@@ -342,5 +342,5 @@ class TestApplyOperators:
         ]
         for ker in kernels:
             v = rng.normal(size=(ker.size, 3))
-            np.testing.assert_allclose(ker.apply_k(v), ker.k_matrix() @ v, atol=1e-12)
-            np.testing.assert_allclose(ker.apply_j(v), ker.j_matrix() @ v, atol=1e-12)
+            np.testing.assert_allclose(ker.apply_k(v), ker.k_mat @ v, atol=1e-12)
+            np.testing.assert_allclose(ker.apply_j(v), ker.j_mat @ v, atol=1e-12)

@@ -176,7 +176,7 @@ class TestStepA:
         z[:, 1:, :] += rng.normal(scale=0.4, size=(5, n, 1))
         q = moment_vector(z, m, ker.basis)
         out = step_a(a, q, ker, dt=dt, lam=lam)
-        lhs = (lam * dt * ker.j_matrix() + np.eye(ker.size)) @ out
+        lhs = (lam * dt * ker.j_mat + np.eye(ker.size)) @ out
         rhs = a + lam * dt * q
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 

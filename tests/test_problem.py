@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from mfgspectral.kernel import GaussianKernelSpec, gaussian_spectral_1d
+from mfgspectral.kernel import (
+    GaussianKernelSpec,
+    gaussian_spectral_1d,
+    gaussian_spectral_2d,
+)
 from mfgspectral.problem import (
     DiscreteMeasure,
+    DivergenceError,
     MFGProblem,
+    action,
+    action_gradient,
+    best_response,
     discrete_G,
-    discrete_value_at,
     discretize_measure,
     moment_vector,
     saddle_value,
-    trajectory_action,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -42,6 +48,59 @@ def make_problem(kernel, U=None, gradU=None, N=4):
 
 def stationary_trajectories(measure, N):
     return np.repeat(measure.points[:, None, :], N + 1, axis=1)
+
+
+def value_at(x0, a, problem):
+    """Best-response value of one particle started at the 1d point x0."""
+    return best_response(a, [[x0]], problem)[1][0]
+
+
+def descend_alone(x0, a, problem, max_steps=5000, tol=1e-10):
+    """Reference loop: best_response's monotone descent for one particle."""
+    path = np.repeat(np.asarray(x0, dtype=float)[None, None], problem.num_steps + 1, 1)
+    value = action(path, a, problem)[0]
+    step = problem.dt / 4.0
+    for _ in range(max_steps):
+        grad = action_gradient(path, a, problem)
+        while True:
+            candidate = path.copy()
+            candidate[:, 1:] -= step * grad
+            cand_value = action(candidate, a, problem)[0]
+            if cand_value <= value or step < 1e-18:
+                path, value = candidate, cand_value
+                break
+            step *= 0.5
+        if step * np.max(np.abs(grad)) < tol:
+            break
+    return value
+
+
+def paper_like_problem(dimension, N):
+    """A crowd-averse instance with the paper's terminal costs, 1d or 2d."""
+    if dimension == 1:
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
+        U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
+        gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
+            :, None
+        ]
+    else:
+        ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+        U = lambda p: 1.5 + 0.5 * (
+            np.cos(6 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, 1])
+        )
+        gradU = lambda p: np.column_stack(
+            [
+                -3 * np.pi * np.sin(6 * np.pi * p[:, 0]),
+                -np.pi * np.sin(2 * np.pi * p[:, 1]),
+            ]
+        )
+    return MFGProblem(
+        kernel=ker,
+        initial_density=lambda p: np.ones(p.shape[0]),
+        terminal_cost=U,
+        terminal_grad=gradU,
+        num_steps=N,
+    )
 
 
 class TestDiscretizeMeasure:
@@ -93,6 +152,19 @@ class TestMeasureInvariants:
             DiscreteMeasure(
                 points=np.array([[0.2], [0.8]]), weights=np.array([1.5, -0.5])
             )
+
+    @pytest.mark.parametrize(
+        "points, weights",
+        [
+            ([[0.1], [0.2]], [np.nan, 1.0]),
+            ([[0.1], [np.nan]], [0.5, 0.5]),
+            ([[0.1, np.inf], [0.2, 0.3]], [0.5, 0.5]),
+        ],
+        ids=["nan-weight", "nan-point", "inf-point"],
+    )
+    def test_non_finite_rejected(self, points, weights):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(points=np.array(points), weights=np.array(weights))
 
     def test_weights_not_mutated(self):
         m = discretize_measure(lambda p: np.ones(p.shape[0]), 4, 1)
@@ -215,7 +287,7 @@ class TestDiscreteValue:
             flat_kernel(), U=lambda p: 2.5 + 0.0 * p[:, 0], N=5
         )
         a = np.zeros((1, 5))
-        assert discrete_value_at(0.3, a, prob) == pytest.approx(2.5, abs=1e-12)
+        assert value_at(0.3, a, prob) == pytest.approx(2.5, abs=1e-12)
 
     def test_start_at_terminal_minimum(self):
         U = lambda p: 1.0 + np.cos(4 * np.pi * p[:, 0])
@@ -223,19 +295,19 @@ class TestDiscreteValue:
         prob = make_problem(flat_kernel(), U=U, gradU=gradU, N=5)
         a = np.zeros((1, 5))
         # x0 = 0.25 is a critical minimum of U; no motion is optimal
-        assert discrete_value_at(0.25, a, prob) == pytest.approx(0.0, abs=1e-10)
+        assert value_at(0.25, a, prob) == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_running_cost(self):
         mu = 0.8
         prob = make_problem(flat_kernel(mu), N=6)
         a = np.full((1, 6), mu)
-        assert discrete_value_at(0.4, a, prob) == pytest.approx(mu, abs=1e-12)
+        assert value_at(0.4, a, prob) == pytest.approx(mu, abs=1e-12)
 
     def test_translation_consistency(self):
         prob = make_problem(flat_kernel(), N=4)
         a = np.zeros((1, 4))
         for x0 in (0.0, 0.31, 0.77):
-            assert discrete_value_at(x0, a, prob) == pytest.approx(0.0, abs=1e-12)
+            assert value_at(x0, a, prob) == pytest.approx(0.0, abs=1e-12)
 
     def test_descent_actually_improves(self):
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
@@ -245,7 +317,7 @@ class TestDiscreteValue:
         prob = make_problem(flat_kernel(), U=U, gradU=gradU, N=8)
         a = np.zeros((1, 8))
         x0 = 0.2
-        value = discrete_value_at(x0, a, prob)
+        value = value_at(x0, a, prob)
         stationary = float(U(np.array([[x0]]))[0])
         assert value < stationary
 
@@ -290,4 +362,104 @@ def test_trajectory_action_manual():
     path = np.array([[0.0], [0.1], [0.3]])
     a = np.zeros((1, 2))
     # dt = 1/2: kinetic = (0.01 + 0.04) / (2 * 0.5) = 0.05
-    assert trajectory_action(path, a, prob) == pytest.approx(0.05 + 0.1, abs=1e-14)
+    assert action(path[None], a, prob)[0] == pytest.approx(0.05 + 0.1, abs=1e-14)
+
+
+class TestAction:
+    def test_saddle_value_is_quadratic_term_minus_weighted_actions(self):
+        rng = np.random.default_rng(16)
+        prob = paper_like_problem(2, N=4)
+        m = discretize_measure(lambda p: 1.0 + 0.5 * np.cos(2 * np.pi * p[:, 0]), 3, 2)
+        x = stationary_trajectories(m, 4)
+        x[:, 1:, :] += rng.normal(scale=0.2, size=(9, 4, 2))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, 4))
+        quad = 0.5 * prob.dt * float(np.sum(a * prob.kernel.apply_j(a)))
+        expect = quad - float(np.dot(m.weights, action(x, a, prob)))
+        assert saddle_value(a, x, prob, m) == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_gradient_matches_finite_differences(self, dimension):
+        rng = np.random.default_rng(17)
+        prob = paper_like_problem(dimension, N=3)
+        x = np.repeat(rng.uniform(0, 1, size=(2, 1, dimension)), 4, axis=1)
+        x[:, 1:, :] += rng.normal(scale=0.1, size=(2, 3, dimension))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, 3))
+        grad = action_gradient(x, a, prob)
+        h = 1e-6
+        for i in range(3):
+            for e in range(dimension):
+                shift = np.zeros_like(x)
+                shift[:, i + 1, e] = h
+                fd = (action(x + shift, a, prob) - action(x - shift, a, prob)) / (2 * h)
+                np.testing.assert_allclose(grad[:, i, e], fd, rtol=1e-6, atol=1e-6)
+
+
+class TestBestResponse:
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_each_particle_matches_its_lone_solve(self, dimension):
+        # bit for bit: no step size or stop flag leaks between particles
+        rng = np.random.default_rng(18)
+        prob = paper_like_problem(dimension, N=6)
+        starts = rng.uniform(0, 1, size=(7, dimension))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, 6))
+        x, values = best_response(a, starts, prob)
+        for alpha, start in enumerate(starts):
+            x_alone, value_alone = best_response(a, start[None], prob)
+            assert values[alpha] == value_alone[0]
+            np.testing.assert_array_equal(x[alpha], x_alone[0])
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_matches_the_reference_loop(self, dimension):
+        # the loop contracts one particle in another summation order
+        rng = np.random.default_rng(20)
+        prob = paper_like_problem(dimension, N=5)
+        starts = rng.uniform(0, 1, size=(4, dimension))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, 5))
+        _, values = best_response(a, starts, prob)
+        for alpha, start in enumerate(starts):
+            assert values[alpha] == pytest.approx(
+                descend_alone(start, a, prob), rel=1e-12, abs=1e-14
+            )
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_values_are_actions_no_worse_than_the_start(self, dimension):
+        rng = np.random.default_rng(19)
+        prob = paper_like_problem(dimension, N=5)
+        starts = rng.uniform(0, 1, size=(6, dimension))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, 5))
+        x, values = best_response(a, starts, prob)
+        stationary = np.repeat(starts[:, None, :], 6, axis=1)
+        assert np.all(values <= action(stationary, a, prob))
+        assert np.all(values < action(stationary, a, prob) - 1e-6)  # all moved
+        np.testing.assert_array_equal(x[:, 0, :], starts)
+        np.testing.assert_array_equal(values, action(x, a, prob))
+
+    def test_free_particles_reach_the_straight_line_optimum(self):
+        # with a = 0 the best path runs straight to some y, and its action
+        # is (y - x0)^2 / 2 + U(y) exactly on the uniform grid
+        U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
+        gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
+            :, None
+        ]
+        prob = make_problem(flat_kernel(), U=U, gradU=gradU, N=8)
+        starts = np.array([[0.2], [0.4], [0.65]])
+        x, values = best_response(np.zeros((1, 8)), starts, prob)
+        for x0, value, path in zip(starts[:, 0], values, x[:, :, 0]):
+            y = np.linspace(x0 - 0.5, x0 + 0.5, 2000001)
+            best = np.min((y - x0) ** 2 / 2 + U(y[:, None]))
+            assert value == pytest.approx(best, abs=1e-9)
+            assert np.max(np.abs(np.diff(path, 2))) < 1e-6
+
+    def test_non_finite_action_raises(self):
+        U = lambda p: np.where(p[:, 0] == 0.3, 0.0, np.inf)
+        gradU = lambda p: np.ones_like(p)
+        prob = make_problem(flat_kernel(), U=U, gradU=gradU, N=3)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            best_response(np.zeros((1, 3)), [[0.3]], prob)
+
+    def test_start_shape_checked(self):
+        prob = make_problem(flat_kernel(), N=3)
+        with pytest.raises(ValueError, match="starting points"):
+            best_response(np.zeros((1, 3)), [0.3], prob)
+        with pytest.raises(ValueError, match="starting points"):
+            best_response(np.zeros((1, 3)), [[0.3, 0.4]], prob)
