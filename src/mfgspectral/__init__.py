@@ -22,7 +22,6 @@ from .kernel import (
     translation_invariant_blocks,
 )
 from .pdhg import (
-    Diagnostics,
     SolverConfig,
     SolverResult,
     check_steps,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSet",
     "DensitySnapshot",
-    "Diagnostics",
     "DiscreteMeasure",
     "DivergenceError",
     "GaussianKernelSpec",

@@ -416,10 +416,11 @@ def load_config_source(source: str) -> dict:
 def build_kernel(cfg: ExperimentConfig) -> SpectralKernel:
     if cfg.kernel_type == "gaussian":
         spec = GaussianKernelSpec(sigma=cfg.sigma, mu=cfg.mu, dimension=cfg.dimension)
-        if cfg.dimension == 1:
-            ker = gaussian_spectral_1d(spec, cfg.r)
-        else:
-            ker = gaussian_spectral_2d(spec, cfg.r)
+        spectral = gaussian_spectral_1d if cfg.dimension == 1 else gaussian_spectral_2d
+        try:
+            ker = spectral(spec, cfg.r)
+        except ValueError as exc:
+            raise ConfigError(f"config.kernel: {exc}") from exc
         if cfg.eps:
             ker = regularize(ker, cfg.eps)
         return ker
@@ -473,18 +474,22 @@ def run(cfg: ExperimentConfig) -> int:
             f"exceeds 1/A^2 = {1.0 / a_squared:.6g}; the iteration may diverge",
             file=sys.stderr,
         )
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"config.output_dir: cannot create {cfg.output_dir} ({exc.strerror})"
+        ) from exc
     diagnostics_path = os.path.join(cfg.output_dir, "diagnostics.jsonl")
     metrics_path = os.path.join(cfg.output_dir, "metrics.json")
     try:
         result = solve(problem, measure, cfg.solver, diagnostics_path=diagnostics_path)
     except DivergenceError as exc:
-        recorded = exc.diagnostics is not None and exc.diagnostics.iterations
         metrics = {
             "status": "diverged",
             "iterations": exc.iteration,
             "converged": False,
-            "last_record": exc.diagnostics.last_record() if recorded else None,
+            "last_record": exc.diagnostics[-1] if exc.diagnostics else None,
             "a_squared": a_squared,
             "step_bound_ok": check_steps(cfg.solver, a_squared),
         }

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class SolverConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        for name in ("max_iter", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not self.tol >= 0.0:  # also rejects NaN; +inf stops at once
@@ -82,48 +86,14 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """Loop-carried iterates: coefficients and trajectories."""
-
-    a: np.ndarray  # (size, N)
-    x: np.ndarray  # (Q, N+1, d), slice 0 pinned to the particle grid
-    iteration: int = 0
-
-
-@dataclass
-class Diagnostics:
-    """Per-recorded-iteration solver history."""
-
-    iterations: list = field(default_factory=list)
-    saddle_values: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    a_steps: list = field(default_factory=list)
-    x_steps: list = field(default_factory=list)
-
-    def record(self, iteration, saddle, residual, a_step, x_step):
-        self.iterations.append(int(iteration))
-        self.saddle_values.append(float(saddle))
-        self.residuals.append(float(residual))
-        self.a_steps.append(float(a_step))
-        self.x_steps.append(float(x_step))
-
-    def last_record(self) -> dict:
-        return {
-            "iteration": self.iterations[-1],
-            "saddle_value": self.saddle_values[-1],
-            "residual": self.residuals[-1],
-            "a_step": self.a_steps[-1],
-            "x_step": self.x_steps[-1],
-        }
-
-
-@dataclass
 class SolverResult:
+    """Final iterates of :func:`solve` and its list of record dicts."""
+
     a: np.ndarray
     x: np.ndarray
     iterations: int
     converged: bool
-    diagnostics: Diagnostics
+    diagnostics: list[dict]
 
 
 def step_size_bound(
@@ -275,47 +245,36 @@ def solve(
     moments are the first extrapolated moments; stops when both step norms
     fall to the tolerance or at max_iter. The per-axis tables are built
     once per iteration, at the new trajectories, and shared by the next
-    trajectory step, the moments and the diagnostics. When
-    ``diagnostics_path`` is set, each recorded iteration is appended to
-    that file as one JSON line. A non-finite or unbounded step raises
-    :class:`~mfgspectral.problem.DivergenceError`, carrying the partial
-    diagnostics, before it is committed to the state.
+    trajectory step, the moments and the diagnostics. Each recorded
+    iteration is one dict (iteration, saddle_value, residual, a_step,
+    x_step) in ``diagnostics``, also written as one JSON line to
+    ``diagnostics_path`` when set. A non-finite or unbounded step raises
+    :class:`~mfgspectral.problem.DivergenceError`, carrying the records
+    so far, before it is committed to the iterates.
     """
     if measure.dimension != problem.dimension:
         raise ValueError("measure dimension does not match the problem")
     n = problem.num_steps
     size = problem.basis.size
 
-    state = SolverState(
-        a=np.zeros((size, n)),
-        x=np.repeat(measure.points[:, None, :], n + 1, axis=1),
-    )
-    tables = SliceTables(problem.basis, state.x[:, 1:])
+    a = np.zeros((size, n))
+    x = np.repeat(measure.points[:, None, :], n + 1, axis=1)
+    iteration = 0
+    tables = SliceTables(problem.basis, x[:, 1:])
     p = q = tables.moments(measure.weights)  # p(x0), also the first q
-    diag = Diagnostics()
+    records = []
     prox_a = prox_a_operator(problem.kernel, config.lam * problem.dt)
     prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
-    def emit(a_step, x_step):
-        diag.record(
-            state.iteration,
-            _saddle_value(state.a, state.x, p, problem, measure),
-            _residual(state.a, p, problem.kernel),
-            a_step,
-            x_step,
-        )
-        if sink is not None:
-            sink.write(json.dumps(diag.last_record(), sort_keys=True) + "\n")
-
     last_step = math.inf
     try:
-        while state.iteration < config.max_iter and last_step > config.tol:
+        while iteration < config.max_iter and last_step > config.tol:
             a_new = step_a(
-                state.a, q, problem.kernel, problem.dt, config.lam, prox=prox_a
+                a, q, problem.kernel, problem.dt, config.lam, prox=prox_a
             )
             x_new = step_x(
-                state.x, a_new, problem, measure, config.omega,
+                x, a_new, problem, measure, config.omega,
                 prox=prox_x, tables=tables,
             )
             # checked before the tables see x_new; NaN and inf fail too
@@ -324,38 +283,47 @@ def solve(
                 and np.max(np.abs(x_new)) <= DIVERGENCE_LIMIT
             ):
                 raise DivergenceError(
-                    f"solver diverged at iteration {state.iteration + 1}; "
+                    f"solver diverged at iteration {iteration + 1}; "
                     "check the step-size bound",
-                    diagnostics=diag,
-                    iteration=state.iteration + 1,
+                    diagnostics=records,
+                    iteration=iteration + 1,
                 )
             tables.rebuild(x_new[:, 1:])
             p_new = tables.moments(measure.weights)
             q = step_z(p_new, p, config.theta)
 
-            a_step = float(np.max(np.abs(a_new - state.a)))
-            moved = x_new - state.x
+            a_step = float(np.max(np.abs(a_new - a)))
+            moved = x_new - x
             x_step = float(
                 np.sqrt(np.max(np.sum(moved**2, axis=2)))
             )  # max particle displacement
-            state.a, state.x, p = a_new, x_new, p_new
-            state.iteration += 1
+            a, x, p = a_new, x_new, p_new
+            iteration += 1
             last_step = max(a_step, x_step)
 
             if (
-                state.iteration % config.record_every == 0
+                iteration % config.record_every == 0
                 or last_step <= config.tol
-                or state.iteration == config.max_iter
+                or iteration == config.max_iter
             ):
-                emit(a_step, x_step)
+                record = {
+                    "iteration": iteration,
+                    "saddle_value": _saddle_value(a, x, p, problem, measure),
+                    "residual": _residual(a, p, problem.kernel),
+                    "a_step": a_step,
+                    "x_step": x_step,
+                }
+                records.append(record)
+                if sink is not None:
+                    sink.write(json.dumps(record, sort_keys=True) + "\n")
     finally:
         if sink is not None:
             sink.close()
 
     return SolverResult(
-        a=state.a,
-        x=state.x,
-        iterations=state.iteration,
+        a=a,
+        x=x,
+        iterations=iteration,
         converged=last_step <= config.tol,
-        diagnostics=diag,
+        diagnostics=records,
     )

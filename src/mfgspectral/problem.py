@@ -27,7 +27,8 @@ from .kernel import SpectralKernel
 
 
 class DivergenceError(RuntimeError):
-    """An iteration produced non-finite or unbounded state."""
+    """An iteration produced non-finite or unbounded state; ``diagnostics``
+    holds the solve's record dicts so far, ``iteration`` the failing one."""
 
     def __init__(self, message, diagnostics=None, iteration=None):
         super().__init__(message)

@@ -120,20 +120,20 @@ def test_criterion_2_approximate_flatness(run_1d_c):
 
 def test_criterion_3_fixed_point_residual(run_1d_a):
     result, problem, measure, elapsed = run_1d_a
-    diag = result.diagnostics
+    residuals = [rec["residual"] for rec in result.diagnostics]
     below = [
-        it
-        for it, r in zip(diag.iterations, diag.residuals)
-        if r < 1e-3 and it <= 20000
+        rec["iteration"]
+        for rec in result.diagnostics
+        if rec["residual"] < 1e-3 and rec["iteration"] <= 20000
     ]
-    tail = diag.residuals[-max(2, len(diag.residuals) // 10) :]
+    tail = residuals[-max(2, len(residuals) // 10) :]
     non_increasing = all(b <= a * 1.1 for a, b in zip(tail, tail[1:]))
     ok = bool(below) and non_increasing
     _report(
         "criterion 3 fixed-point residual",
         ok,
         f"first<1e-3 at iter {below[0] if below else 'never'}, "
-        f"final={diag.residuals[-1]:.2e}, tail monotone(10%)={non_increasing}",
+        f"final={residuals[-1]:.2e}, tail monotone(10%)={non_increasing}",
     )
 
 

@@ -240,6 +240,15 @@ class TestKernelInfo:
         np.testing.assert_allclose(np.diag(ker.k_mat), analytic, rtol=1e-14)
         assert np.min(np.diag(ker.k_mat)) < 1e-21
 
+    @pytest.mark.parametrize("command", ["solve", "kernel-info"])
+    def test_underflowed_gaussian_is_config_error(self, tmp_path, capsys, command):
+        # mu^2 underflows to zero, so every 2d eigenvalue does too
+        raw = load_config_source("paper-2d-a")
+        raw["kernel"]["mu"] = 1e-200
+        raw["output_dir"] = str(tmp_path / "out")
+        assert main([command, write_config(tmp_path, raw)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.kernel: ")
+
     def test_custom_matrix_auto_policy(self, tmp_path):
         entries = np.diag([1e-13, 1.0, 1.0]).tolist()
         cfg = tiny_config(
@@ -298,6 +307,16 @@ class TestRun:
         xs = {line.split(",")[2] for line in lines}
         assert xs == {"0.5"}
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_output_dir_is_config_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        path = write_config(tmp_path, tiny_config(out))
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.output_dir: cannot create {out}")
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "diverge"
         # the implicit kinetic step is stable at any omega; a huge terminal
@@ -326,7 +345,7 @@ class TestRun:
         assert metrics["iterations"] == caught.value.iteration
         last = metrics["last_record"]
         assert last["iteration"] == caught.value.iteration // 10 * 10
-        assert last == caught.value.diagnostics.last_record()
+        assert last == caught.value.diagnostics[-1]
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "flags"

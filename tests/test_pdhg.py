@@ -18,7 +18,6 @@ from mfgspectral.kernel import (
     translation_invariant_blocks,
 )
 from mfgspectral.pdhg import (
-    Diagnostics,
     SolverConfig,
     check_steps,
     fixed_point_residual,
@@ -482,7 +481,8 @@ class TestSolve:
         )
         with pytest.raises(DivergenceError) as err:
             solve(prob, m, cfg)
-        assert isinstance(err.value.diagnostics, Diagnostics)
+        iterations = [r["iteration"] for r in err.value.diagnostics]
+        assert iterations == list(range(1, err.value.iteration))
 
     def test_non_finite_step_raises_before_commit(self):
         # from its 5th call the terminal gradient is infinite for one
@@ -508,7 +508,7 @@ class TestSolve:
             with pytest.raises(DivergenceError) as err:
                 solve(prob, m, cfg)
         assert err.value.iteration == 5
-        assert err.value.diagnostics.iterations == [1, 2, 3, 4]
+        assert [r["iteration"] for r in err.value.diagnostics] == [1, 2, 3, 4]
 
     def test_unbounded_coefficients_raise(self, monkeypatch):
         # |a| is bounded as well as |x|: the third coefficient step jumps
@@ -528,7 +528,7 @@ class TestSolve:
         with pytest.raises(DivergenceError) as err:
             solve(prob, m, cfg)
         assert err.value.iteration == 3
-        assert err.value.diagnostics.iterations == [1, 2]
+        assert [r["iteration"] for r in err.value.diagnostics] == [1, 2]
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     @pytest.mark.parametrize("record_every", [1, 50])
@@ -608,7 +608,7 @@ class TestSolve:
         assert res.iterations == 300
         np.testing.assert_array_equal(res.x[:, 0, :], m.points)
         assert np.all(np.isfinite(res.a)) and np.all(np.isfinite(res.x))
-        assert res.diagnostics.iterations == [50, 100, 150, 200, 250, 300]
+        assert [r["iteration"] for r in res.diagnostics] == [50, 100, 150, 200, 250, 300]
 
     def test_flat_kernel_trajectories_straight(self):
         mu = 0.5
@@ -655,9 +655,15 @@ class TestSolve:
         path = tmp_path / "diag.jsonl"
         res = solve(prob, m, cfg, diagnostics_path=path)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(res.diagnostics.iterations) == 4
-        rec = json.loads(lines[0])
-        assert set(rec) == {"iteration", "saddle_value", "residual", "a_step", "x_step"}
+        assert [json.loads(line) for line in lines] == res.diagnostics
+        assert [r["iteration"] for r in res.diagnostics] == [5, 10, 15, 20]
+        # plain Python scalars under the five keys, so the records serialize
+        scalar_types = {
+            "iteration": int, "saddle_value": float, "residual": float,
+            "a_step": float, "x_step": float,
+        }
+        for rec in res.diagnostics:
+            assert {k: type(v) for k, v in rec.items()} == scalar_types
 
 
 class TestSolverConfigValidation:
@@ -685,6 +691,18 @@ class TestSolverConfigValidation:
     def test_non_finite_inputs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**{"lam": 1.0, "omega": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("field", ["max_iter", "record_every"])
+    @pytest.mark.parametrize("value", [10.5, 2.5, 4.0, True, "4", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{"lam": 1.0, "omega": 0.1, field: value})
+
+    def test_numpy_integer_counts_allowed(self):
+        cfg = SolverConfig(
+            lam=1.0, omega=0.1, max_iter=np.int64(7), record_every=np.int32(2)
+        )
+        assert (cfg.max_iter, cfg.record_every) == (7, 2)
 
     def test_zero_and_infinite_tol_allowed(self):
         assert SolverConfig(lam=1.0, omega=0.1, tol=0.0).tol == 0.0
