@@ -12,19 +12,21 @@ one-dimensional ones, indexed by pairs (k, k') with k + k' <= r, listed in
 lexicographic order. Indices are 1-based throughout.
 
 Evaluation is the same in both dimensions. Per axis, one table holds the
-1d functions at every coordinate; it costs one sin and one cos per
-coordinate, since higher frequencies follow by the angle-addition
-recurrence, and the derivative of each function is a multiple of another
-row of it. :func:`eval_all` and :func:`grad_all` multiply one table row
-per axis for each value or gradient component at each point. The solver's
-contractions, :func:`moments` (weights against values) and
-:func:`field_gradient` (coefficients against gradients), work slice by
-slice on the per-axis tables instead, so they never form an (n, size) or
-(n, size, d) array: in 2d a slice's moments are T1 diag(w) T2^T and its
-gradient field is T1' A T2 and T1 A T2', with A the coefficients laid out
-over the per-axis table rows. Both are methods of one :class:`SliceTables`
-object, which a caller that needs several contractions at the same points
-builds once and can rebuild in place at new points.
+1d functions at every coordinate; it costs one tan per coordinate, of
+the half angle, from which sin and cos follow by the half-angle formulas
+(within 2.3e-16 of libm's sin and cos of the same angle), and higher
+frequencies by the angle-addition recurrence. The derivative of each
+function is a multiple of another row of the table. :func:`eval_all` and
+:func:`grad_all` multiply one table row per axis for each value or
+gradient component at each point. The solver's contractions,
+:func:`moments` (weights against values) and :func:`field_gradient`
+(coefficients against gradients), work slice by slice on the per-axis
+tables instead, so they never form an (n, size) or (n, size, d) array:
+in 2d a slice's moments are T1 diag(w) T2^T and its gradient field is
+T1' A T2 and T1 A T2', with A the coefficients laid out over the per-axis
+table rows. Both are methods of one :class:`SliceTables` object, which a
+caller that needs several contractions at the same points builds once and
+can rebuild in place at new points.
 """
 
 from __future__ import annotations
@@ -160,9 +162,15 @@ def _axis_tables(t: np.ndarray, top: int, out: np.ndarray | None = None) -> np.n
     """Table of the 1d functions 1..2*top+1 at coordinates t.
 
     Shape (2*top+1, *t.shape); row k - 1 holds function k, so rows 2m - 1
-    and 2m are sqrt(2) sin and sqrt(2) cos of frequency m. Only one sin and
-    one cos per coordinate are evaluated, on the argument reduced (exactly)
-    to one period; frequency m follows from frequency m - 1 by angle
+    and 2m are sqrt(2) sin and sqrt(2) cos of frequency m. Only one tan per
+    coordinate is evaluated, of the half angle u = tan(th / 2) on the
+    argument reduced (exactly) to one period, th / 2 = pi (t - rint t) in
+    [-pi/2, pi/2]; then sin th = 2u / (1 + u^2) and cos th = (1 - u^2) /
+    (1 + u^2), finite at th / 2 = +-pi/2 too. numpy builds for AVX-512
+    vectorize float64 tan but call libm for sin and cos, so this is 4-5x
+    cheaper there; the two values are within 2.3e-16 of sin and cos of the
+    same rounded angle (libm: 5.6e-17), measured on 2e6 points against
+    long double. Frequency m follows from frequency m - 1 by angle
     addition, sin m th = sin (m-1) th cos th + cos (m-1) th sin th, and
     cos m th = cos (m-1) th cos th - sin (m-1) th sin th. The rows are
     computed in place, into ``out`` when given, each written in order.
@@ -170,13 +178,18 @@ def _axis_tables(t: np.ndarray, top: int, out: np.ndarray | None = None) -> np.n
     table = np.empty((2 * top + 1,) + t.shape) if out is None else out
     table[0] = 1.0
     if top:
-        theta = np.rint(t, out=np.empty(t.shape))  # in order, even if t is not
-        np.subtract(t, theta, out=theta)
-        theta *= TWO_PI
-        sin, cos = np.sin(theta), np.cos(theta, out=theta)
+        u = np.rint(t, out=np.empty(t.shape))  # in order, even if t is not
+        np.subtract(t, u, out=u)
+        u *= math.pi
+        np.tan(u, out=u)
+        cos = np.multiply(u, u)  # u^2 until the line that makes it cos
+        scratch = np.add(cos, 1.0)  # 1 + u^2, then the recurrence's scratch
+        sin = np.add(u, u, out=u)
+        sin /= scratch
+        np.subtract(1.0, cos, out=cos)
+        cos /= scratch
         np.multiply(sin, SQRT2, out=table[1])
         np.multiply(cos, SQRT2, out=table[2])
-        scratch = np.empty_like(sin)
         for m in range(2, top + 1):
             s, c = table[2 * m - 3], table[2 * m - 2]
             np.multiply(c, sin, out=scratch)
@@ -256,7 +269,12 @@ class SliceTables:
         return self._scratches[axis]
 
     def rebuild(self, points) -> None:
-        """Tabulate at new points, in place when their shape is unchanged."""
+        """Tabulate at new points, in place when their shape is unchanged.
+
+        Each axis reads the (N, Q) coordinates points[:, :, e].T, which are
+        contiguous when the points are a view of (d, N, Q) memory, as the
+        solve's slice-major trajectories are.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[2] != self.basis.dimension:
             raise ValueError(

@@ -23,6 +23,12 @@ particle position is ever formed. Stopping is on step-norm stagnation;
 the fixed-point residual is tracked as a diagnostic because the coupling
 is not bilinear and carries no convergence guarantee.
 
+The solve keeps its trajectories slice-major: (d, N+1, Q) memory, used
+through its (Q, N+1, d) transpose view, so every shape in the API is the
+usual one. The per-axis tables, the coupling gradient and the shared
+kinetic solve all read (N, Q) rows of one coordinate, which this layout
+holds contiguously; the returned trajectories are C-contiguous again.
+
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +74,10 @@ class SolverConfig:
     record_every: int = 50
 
     def __post_init__(self):
+        for name in ("lam", "omega", "theta", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -87,7 +98,11 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Final iterates of :func:`solve` and its list of record dicts."""
+    """Final iterates of :func:`solve` and its list of record dicts.
+
+    ``x`` is a C-contiguous (Q, N+1, d) array, copied once from the solve's
+    slice-major trajectories.
+    """
 
     a: np.ndarray
     x: np.ndarray
@@ -155,18 +170,23 @@ def prox_x_operator(num_steps: int, dt: float, step: float):
     """Invert (Id + (step / dt) L) once; returns grad -> step * inverse @ grad.
 
     L is the N x N Laplacian of the kinetic term over slices 1..N, with
-    slice 0 pinned and a free end at slice N. The applier takes (Q, N, d)
-    arrays and multiplies every particle's path on every axis by the scaled
-    inverse as one (N, N) x (N, Q d) matrix product.
+    slice 0 pinned and a free end at slice N; ``step`` must be nonnegative
+    and finite. The applier takes (Q, N, d) arrays and multiplies every
+    particle's path on every axis by the scaled inverse, as d batched
+    (N, N) x (N, Q) matrix products on (d, N, Q) memory; it returns the
+    (Q, N, d) view of that memory. A slice-major gradient (see
+    :func:`solve`) is read in place, and a C-order one is copied first, so
+    both layouts give the same result bit for bit.
     """
+    if not (math.isfinite(step) and step >= 0):
+        raise ValueError(f"step must be nonnegative and finite, got {step}")
     lap = 2.0 * np.eye(num_steps) - np.eye(num_steps, k=1) - np.eye(num_steps, k=-1)
     lap[-1, -1] = 1.0
     inverse = step * np.linalg.inv(np.eye(num_steps) + (step / dt) * lap)
 
     def apply(grad: np.ndarray) -> np.ndarray:
-        q, n, d = grad.shape
-        columns = grad.transpose(1, 0, 2).reshape(n, q * d)
-        return (inverse @ columns).reshape(n, q, d).transpose(1, 0, 2)
+        columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
+        return np.matmul(inverse, columns).transpose(2, 1, 0)
 
     return apply
 
@@ -195,12 +215,16 @@ def step_x(
     shared by all particles, so an unforced stationary path stays
     bit-exact; ``prox`` applies (omega / Q) P, as built by
     ``prox_x_operator(N, dt, omega / Q)`` when not given. Slice 0 stays
-    pinned.
+    pinned. The new paths keep the memory layout of ``x``: slice-major in,
+    slice-major out (as in :func:`solve`), C order in, C order out; the
+    values do not depend on the layout.
     """
     if prox is None:
         prox = prox_x_operator(problem.num_steps, problem.dt, omega / measure.count)
-    x_new = x.copy()
-    x_new[:, 1:, :] = x[:, 1:, :] - prox(action_gradient(x, a_new, problem, tables))
+    x_new = np.empty_like(x)  # in the memory layout of x
+    x_new[:, 0, :] = x[:, 0, :]
+    move = prox(action_gradient(x, a_new, problem, tables))
+    np.subtract(x[:, 1:, :], move, out=x_new[:, 1:, :])
     return x_new
 
 
@@ -250,7 +274,9 @@ def solve(
     x_step) in ``diagnostics``, also written as one JSON line to
     ``diagnostics_path`` when set. A non-finite or unbounded step raises
     :class:`~mfgspectral.problem.DivergenceError`, carrying the records
-    so far, before it is committed to the iterates.
+    so far, before it is committed to the iterates. The iterates ``x``
+    live in slice-major (d, N+1, Q) memory throughout (see the module
+    docstring), and the result holds a C-contiguous copy.
     """
     if measure.dimension != problem.dimension:
         raise ValueError("measure dimension does not match the problem")
@@ -258,7 +284,7 @@ def solve(
     size = problem.basis.size
 
     a = np.zeros((size, n))
-    x = np.repeat(measure.points[:, None, :], n + 1, axis=1)
+    x = np.repeat(measure.points.T[:, None, :], n + 1, axis=1).transpose(2, 1, 0)
     iteration = 0
     tables = SliceTables(problem.basis, x[:, 1:])
     p = q = tables.moments(measure.weights)  # p(x0), also the first q
@@ -322,7 +348,7 @@ def solve(
 
     return SolverResult(
         a=a,
-        x=x,
+        x=np.ascontiguousarray(x),
         iterations=iteration,
         converged=last_step <= config.tol,
         diagnostics=records,

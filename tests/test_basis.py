@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mfgspectral.basis import (
     BasisSet,
     SliceTables,
+    _axis_tables,
     basis_1d,
     basis_2d,
     eval_all,
@@ -336,6 +338,57 @@ def test_shared_tables_match_fresh_contractions(b):
     check(tables, pts)
     with pytest.raises(ValueError):
         tables.rebuild(pts[..., :1] if b.dimension == 2 else np.zeros((5, 9, 2)))
+
+
+def reference_rows(t, top):
+    # rows 1, sqrt(2) sin and sqrt(2) cos of frequencies 1..top, at the
+    # exactly reduced argument, so the reference carries no rounding of t m
+    r = t - np.rint(t)
+    rows = [np.ones_like(t)]
+    for m in range(1, top + 1):
+        rows += [SQRT2 * np.sin(2 * np.pi * m * r), SQRT2 * np.cos(2 * np.pi * m * r)]
+    return np.array(rows)
+
+
+def row_tolerance(top):
+    # frequency m carries m steps of the angle-addition recurrence
+    return np.array([1e-15] + [m * 1e-15 for m in range(1, top + 1) for _ in "sc"])
+
+
+@pytest.mark.parametrize("top", [1, 4])
+def test_axis_tables_match_closed_form(top):
+    t = np.random.default_rng(7).uniform(-3.0, 3.0, 100_000)
+    error = np.max(np.abs(_axis_tables(t, top) - reference_rows(t, top)), axis=1)
+    assert error[1:3].max() <= 1e-15  # the half-angle sin and cos themselves
+    assert np.all(error <= row_tolerance(top))
+
+
+def test_axis_tables_edge_points():
+    half = np.nextafter(0.5, 0.0)
+    t = np.array([0.0, 0.25, -0.25, 0.5, -0.5, half, 1e3 + 0.37])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # tan(+-pi/2) must not warn
+        table = _axis_tables(t, 4)
+    assert np.all(np.isfinite(table))
+    np.testing.assert_array_equal(table[:, 0], [1.0] + [0.0, SQRT2] * 4)
+    error = np.max(np.abs(table - reference_rows(t, 4)), axis=1)
+    assert np.all(error <= row_tolerance(4))
+
+
+@pytest.mark.parametrize("shift", [1.0, -3.0, 1000.0])
+def test_axis_tables_are_periodic_bit_for_bit(shift):
+    rng = np.random.default_rng(11)
+    near_half = 0.5 - 2.0**-40
+    t = np.concatenate([[0.0, 0.25, -0.25, near_half, -near_half],
+                        rng.uniform(-0.5, 0.5, 1000)])
+    t = (t + shift) - shift  # exactly representable after the shift too
+    np.testing.assert_array_equal(_axis_tables(t, 4), _axis_tables(t + shift, 4))
+    # rint rounds ties to even, so an odd shift moves the reduced argument
+    # of a half-integer between +1/2 and -1/2, and the sines there, m 1.7e-16
+    # at frequency m, change sign
+    ties = np.array([0.5, -0.5])
+    error = np.abs(_axis_tables(ties, 4) - _axis_tables(ties + shift, 4))
+    assert np.all(error <= row_tolerance(4)[:, None])
 
 
 def test_lipschitz_bounds_match_product_formula():

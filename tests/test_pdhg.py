@@ -22,6 +22,7 @@ from mfgspectral.pdhg import (
     check_steps,
     fixed_point_residual,
     prox_a_operator,
+    prox_x_operator,
     solve,
     step_a,
     step_size_bound,
@@ -356,6 +357,64 @@ class TestStepX:
         out_perm = step_x(x[perm], a, prob, m_perm, omega=0.02)
         np.testing.assert_array_equal(out_perm, out[perm])
 
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_output_keeps_input_layout(self, dimension):
+        # a slice-major x (a (Q, N+1, d) view of (d, N+1, Q) memory, as in
+        # solve) gives slice-major paths, a C-order x C-order ones, same values
+        rng = np.random.default_rng(21)
+        if dimension == 1:
+            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 5)
+        else:
+            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=20,
+        )
+        m = discretize_measure(
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 50 if dimension == 1 else 7,
+            dimension,
+        )
+        x = stationary(m, 20)
+        x[:, 1:, :] += rng.normal(scale=0.1, size=(m.count, 20, dimension))
+        a = rng.normal(size=(ker.size, 20))
+        slice_major = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        out_c = step_x(x, a, prob, m, omega=0.5)
+        out_sm = step_x(slice_major, a, prob, m, omega=0.5)
+        assert out_c.flags.c_contiguous
+        assert out_sm.transpose(2, 1, 0).flags.c_contiguous
+        np.testing.assert_array_equal(out_sm, out_c)
+
+
+class TestProxX:
+    def test_applier_returns_view_of_slice_major_memory(self):
+        # C-order and slice-major gradients give the same (Q, N, d) view of
+        # (d, N, Q) memory, holding step (Id + (step / dt) L)^-1 grad; at
+        # these (paper-1d) sizes a strided product would differ in last bits
+        n, q, dt, step = 20, 50, 0.05, 0.01
+        lap = np.diag([2.0] * (n - 1) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
+        inverse = step * np.linalg.inv(np.eye(n) + (step / dt) * lap)
+        grad = np.random.default_rng(22).normal(size=(q, n, 2))
+        expect = np.einsum("ij,qjd->qid", inverse, grad)
+        prox = prox_x_operator(n, dt, step)
+        slice_major = np.ascontiguousarray(grad.transpose(2, 1, 0)).transpose(2, 1, 0)
+        outs = [prox(grad), prox(slice_major)]
+        for out in outs:
+            assert out.shape == (q, n, 2)
+            assert out.base is not None and out.base.shape == (2, n, q)
+            assert out.transpose(2, 1, 0).flags.c_contiguous
+            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_zero_step_does_not_move(self):
+        np.testing.assert_array_equal(
+            prox_x_operator(3, 0.5, 0.0)(np.ones((2, 3, 1))), np.zeros((2, 3, 1))
+        )
+
+    @pytest.mark.parametrize("step", [-0.1, -math.inf, math.inf, math.nan])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            prox_x_operator(3, 0.5, step)
+
 
 def test_coupling_terms_build_no_basis_tensors():
     # paper-2d shapes: Q = 400 particles, N = 20 slices, 28 functions, d = 2
@@ -591,6 +650,37 @@ class TestSolve:
         np.testing.assert_array_equal(res.a, a2)
         np.testing.assert_array_equal(res.x, x2)
 
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_slice_major_inside_c_order_result(self, monkeypatch, dimension):
+        # every step_x of the solve sees (d, N+1, Q) memory; the result is
+        # one C-contiguous copy with slice 0 pinned to the grid
+        layouts = []
+        real = pdhg.step_x
+
+        def recording(x, *args, **kwargs):
+            layouts.append(x.transpose(2, 1, 0).flags.c_contiguous)
+            out = real(x, *args, **kwargs)
+            layouts.append(out.transpose(2, 1, 0).flags.c_contiguous)
+            return out
+
+        monkeypatch.setattr(pdhg, "step_x", recording)
+        if dimension == 1:
+            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        else:
+            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
+        )
+        m = discretize_measure(
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 5, dimension
+        )
+        res = solve(prob, m, SolverConfig(lam=3.0, omega=0.5, max_iter=5, tol=0.0))
+        assert layouts == [True] * 10
+        assert res.x.flags.c_contiguous
+        assert res.x.shape == (m.count, 5, dimension)
+        np.testing.assert_array_equal(res.x[:, 0, :], m.points)
+
     def test_pinning_and_finiteness_on_generic_run(self):
         ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
@@ -697,6 +787,18 @@ class TestSolverConfigValidation:
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"lam": 1.0, "omega": 0.1, field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "omega", "theta", "tol"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 1j])
+    def test_non_real_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{"lam": 1.0, "omega": 0.1, field: value})
+
+    def test_numpy_and_integer_reals_allowed(self):
+        cfg = SolverConfig(
+            lam=np.float64(2.0), omega=1, theta=np.float32(0.5), tol=np.int64(0)
+        )
+        assert (cfg.lam, cfg.omega, cfg.theta, cfg.tol) == (2.0, 1, 0.5, 0)
 
     def test_numpy_integer_counts_allowed(self):
         cfg = SolverConfig(
