@@ -136,9 +136,12 @@ def check_steps(config: SolverConfig, a_squared: float) -> bool:
 
 
 def prox_a_operator(kernel: SpectralKernel, lam_dt: float):
-    """Invert (lam_dt * J + Id) once; returns a columnwise applier."""
-    if lam_dt < 0:
-        raise ValueError(f"lam_dt must be nonnegative, got {lam_dt}")
+    """Invert (lam_dt * J + Id) once; returns a columnwise applier.
+
+    ``lam_dt`` must be nonnegative and finite.
+    """
+    if not (math.isfinite(lam_dt) and lam_dt >= 0):
+        raise ValueError(f"lam_dt must be nonnegative and finite, got {lam_dt}")
     inverse = np.linalg.inv(lam_dt * kernel.j_mat + np.eye(kernel.size))
 
     def apply(rhs: np.ndarray) -> np.ndarray:

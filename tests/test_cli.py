@@ -258,7 +258,7 @@ class TestKernelInfo:
         )
         ker = build_kernel(validate_config(cfg))
         assert ker.eps == pytest.approx(1e-6)
-        assert ker.min_eigenvalue() > 0
+        assert ker.eigenvalues()[0] > 0
 
 
 class TestRun:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mfgspectral.kernel import (
     spectral_from_dense,
     translation_invariant_blocks,
 )
+from mfgspectral.kernel import _gauss_axis
 
 
 def frobenius_identity_gap(kernel):
@@ -168,6 +171,94 @@ class TestFourierCoefficients:
         )
         np.testing.assert_allclose(coeffs, ker.k_mat, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "dimension, r, g", [(1, 17, 512), (1, 9, 37), (2, 8, 40), (2, 8, 37)]
+    )
+    def test_blocks_match_full_broadcast(self, dimension, r, g):
+        # g = 37 in 2d: 1369 points, not a multiple of the block rows
+        kern = sheared_gaussian(0.3, 0.6) if dimension == 2 else asymmetric_1d
+        b = basis_1d(r) if dimension == 1 else basis_2d(r)
+        axis = np.arange(g) / g
+        if dimension == 1:
+            pts = axis
+        else:
+            pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        phi = eval_all(b, pts)
+        full = kern(pts[:, None], pts[None])
+        expect = phi.T @ full @ phi / g ** (2 * dimension)
+        np.testing.assert_allclose(
+            fourier_coefficients(kern, b, g), expect, rtol=0, atol=1e-14
+        )
+
+    def test_2d_memory_is_one_block(self):
+        b = basis_2d(8)
+        kern = sheared_gaussian(0.3, 0.6)
+        fourier_coefficients(kern, b, 40)
+        tracemalloc.start()
+        try:
+            fourier_coefficients(kern, b, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one full-broadcast pass over the 1600 x 1600 pairs peaks at 157 MiB
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_wrong_kernel_shape_rejected(self, dimension):
+        b = basis_1d(3) if dimension == 1 else basis_2d(2)
+        g = 16 if dimension == 1 else 8
+        with pytest.raises(ValueError, match=rf"\(\d+, {g**dimension}\)"):
+            fourier_coefficients(lambda x, y: 1.0, b, g)
+        with pytest.raises(ValueError, match="shape"):
+            fourier_coefficients(lambda x, y: (x - y)[..., :1], b, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        def kern(x, y):
+            out = np.ones(np.broadcast(x, y).shape)
+            out[0, 3] = bad
+            return out
+
+        with pytest.raises(ValueError, match="finite"):
+            fourier_coefficients(kern, basis_1d(3), 16)
+
+
+def asymmetric_1d(x, y):
+    # smooth, periodic, not a function of x - y alone
+    return np.exp(np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * (x - 2 * y)))
+
+
+def sheared_gaussian(sigma, mu):
+    # g((x1 - y1) + (x2 - y2)) g(x2 - y2): periodic, PSD and not separable
+    spec = GaussianKernelSpec(sigma=sigma, mu=mu)
+
+    def kern(x, y):
+        d = x - y
+        return kernel_eval_direct(spec, d[..., 0] + d[..., 1], 0.0) * kernel_eval_direct(
+            spec, d[..., 1], 0.0
+        )
+
+    return kern
+
+
+class TestGaussAxis:
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7])
+    def test_bit_identical_to_written_out_sum(self, sigma):
+        spec = GaussianKernelSpec(sigma=sigma, mu=0.7)
+        rng = np.random.default_rng(23)
+        t = np.concatenate(
+            [rng.uniform(-3, 3, 500), rng.uniform(-1e6, 1e6, 97), [0.0, -0.5, 1e9]]
+        ).reshape(3, -1, 4)
+        s = sigma / 2.0
+        frac = t - np.floor(t)
+        m = max(3, int(np.ceil(1.0 + 4.3 * sigma)))
+        total = np.zeros_like(frac)
+        for k in range(-m, m + 1):
+            total += np.exp(-((frac - k) ** 2) / (2.0 * s * s))
+        expect = 0.7 / np.sqrt(2.0 * np.pi * s * s) * total
+        np.testing.assert_array_equal(_gauss_axis(spec, t), expect)
+        np.testing.assert_array_equal(_gauss_axis(spec, t[:, 1::3, ::2]), expect[:, 1::3, ::2])
+
 
 class TestFejerAverage:
     def test_weights_1d(self):
@@ -292,7 +383,7 @@ class TestRegularize:
         g = rng.normal(size=(6, 4))
         singular = g @ g.T  # rank 4, PSD-singular
         ker = spectral_from_dense(singular, basis_1d(6), eps=1e-6)
-        assert ker.min_eigenvalue() >= 1e-6 - 1e-12
+        assert ker.eigenvalues()[0] >= 1e-6 - 1e-12
         # inverse accuracy for a cond ~ 1e7 matrix is limited by cond * ulp
         cond = np.linalg.cond(ker.k_mat)
         assert frobenius_identity_gap(ker) < 100 * cond * np.finfo(float).eps
@@ -307,7 +398,7 @@ class TestDenseConstruction:
     def test_auto_policy_applies_shift(self):
         ker = spectral_from_dense(np.diag([1e-12, 1.0]), basis_1d(2))
         assert ker.eps == pytest.approx(1e-6)
-        assert ker.min_eigenvalue() > 0
+        assert ker.eigenvalues()[0] > 0
 
     def test_auto_policy_skips_well_conditioned(self):
         ker = spectral_from_dense(np.diag([0.5, 1.0]), basis_1d(2))
@@ -328,6 +419,13 @@ class TestDenseConstruction:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             spectral_from_dense(np.array([[1.0, 0.2], [0.0, 1.0]]), basis_1d(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        c = np.eye(3)
+        c[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectral_from_dense(c, basis_1d(3))
 
 
 class TestApplyOperators:

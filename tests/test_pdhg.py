@@ -221,6 +221,12 @@ class TestStepA:
         permuted = prox(rhs[:, perm])
         np.testing.assert_array_equal(direct, permuted)
 
+    @pytest.mark.parametrize("lam_dt", [-0.1, math.nan, math.inf, -math.inf])
+    def test_bad_lam_dt_rejected(self, lam_dt):
+        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        with pytest.raises(ValueError, match="lam_dt"):
+            prox_a_operator(ker, lam_dt)
+
 
 class TestStepX:
     def test_stationary_without_forcing(self):
