@@ -11,22 +11,26 @@ periodic unit interval. Two-dimensional functions are products of two
 one-dimensional ones, indexed by pairs (k, k') with k + k' <= r, listed in
 lexicographic order. Indices are 1-based throughout.
 
-Evaluation is the same in both dimensions. Per axis, one table holds the
-1d functions at every coordinate; it costs one tan per coordinate, of
-the half angle, from which sin and cos follow by the half-angle formulas
-(within 2.3e-16 of libm's sin and cos of the same angle), and higher
-frequencies by the angle-addition recurrence. The derivative of each
-function is a multiple of another row of the table. :func:`eval_all` and
-:func:`grad_all` multiply one table row per axis for each value or
-gradient component at each point. The solver's contractions,
-:func:`moments` (weights against values) and :func:`field_gradient`
-(coefficients against gradients), work slice by slice on the per-axis
-tables instead, so they never form an (n, size) or (n, size, d) array:
-in 2d a slice's moments are T1 diag(w) T2^T and its gradient field is
-T1' A T2 and T1 A T2', with A the coefficients laid out over the per-axis
-table rows. Both are methods of one :class:`SliceTables` object, which a
-caller that needs several contractions at the same points builds once and
-can rebuild in place at new points.
+Evaluation is the same in both dimensions. A table holds the 1d functions
+at every coordinate; it costs one tan per coordinate, of the half angle,
+from which sin and cos follow by the half-angle formulas (within 2.3e-16
+of libm's sin and cos of the same angle), and higher frequencies by the
+angle-addition recurrence. The derivative of each function is a multiple
+of another row of the table. :func:`eval_all` and :func:`grad_all`
+multiply one table row per axis for each value or gradient component at
+each point. The solver's contractions, :func:`moments` (weights against
+values) and :func:`field_gradient` (coefficients against gradients), work
+slice by slice on the tables instead, so they never form an (n, size) or
+(n, size, d) array. Both are methods of one :class:`SliceTables` object,
+which a caller that needs several contractions at the same points builds
+once and can rebuild in place at new points. It keeps the tables of all
+axes in one (rows, d, N, Q) buffer, filled by one table call. The
+moments of a slice are T1 w in 1d and T1 diag(w) T2^T in 2d. For the
+gradient field, a fixed scatter matrix lays the coefficients, times the
+derivative constants, out over the table rows as one array A per
+component; the field is then T1 A in 1d, and in 2d both components are
+sum_k T1[k] (A_e T2)[k], one batched matmul followed by one einsum that
+multiplies and sums in the same pass.
 """
 
 from __future__ import annotations
@@ -245,35 +249,54 @@ def grad_all(basis: BasisSet, points) -> np.ndarray:
 
 
 class SliceTables:
-    """Per-axis tables of a basis at every slice of a (Q, N, d) point cloud.
+    """Tables of a basis at every slice of a (Q, N, d) point cloud.
 
-    Axis e holds the table at the coordinates points[:, i, e] of every slice
-    i, laid out as (2*top+1, N, Q) so that each row is written in order and
-    read as (N, 2*top+1, Q) by the slice contractions. :meth:`rebuild`
-    refills the same buffers for new points of the same shape, so one
-    object serves a whole iteration: the coupling gradient at the current
-    points and the moments that feed the next coefficient step. The
-    contractions write their (N, 2*top+1, Q) intermediates into scratch
-    arrays kept with the tables, made on first use.
+    All axes share one (rows, d, N, Q) buffer, rows = 2 * max(top) + 1 for
+    the highest per-axis frequency top: buffer[:, e, i] holds the 1d
+    functions at the coordinates points[:, i, e] of slice i, each row
+    written in order. An axis with a lower top gets extra rows that no
+    basis function reads. ``tables`` holds one (N, 2*top+1, Q) view of
+    the buffer per axis. :meth:`rebuild` refills the buffer for new points
+    of the same shape with one :func:`_axis_tables` call over all axes, so
+    one object serves a whole iteration: the coupling gradient at the
+    current points and the moments that feed the next coefficient step.
+    In 2d both contractions write their intermediates into one work array
+    kept with the tables, made on first use and grown to the largest
+    shape asked for.
     """
 
     def __init__(self, basis: BasisSet, points):
         self.basis = basis
-        self._buffers = []
+        d = basis.dimension
+        self._rows = rows = 2 * max(basis._table_tops) + 1
+        # the coefficients scatter into A = coeffs.T @ _scatter, laid out as
+        # (N, d, rows[, rows]): entry (i, e, r1[, r2]) is the coefficient of
+        # slice i of the one function whose derivative along e is a constant
+        # times table rows r1 (of axis 1) [and r2 (of axis 2)], times that
+        # constant; every column has at most one nonzero, so A is exact
+        scatter = np.zeros((basis.size, d) + (rows,) * d)
+        functions = np.arange(basis.size)
+        for e in range(d):
+            deriv_rows, factors = _derivative_rows(basis, e)
+            scatter[(functions, e, *deriv_rows)] = factors
+        self._scatter = scatter.reshape(basis.size, -1)
+        self._buffer = self._work = None
         self.rebuild(points)
 
-    def _scratch(self, axis: int) -> np.ndarray:
-        # an uninitialized array shaped like the table of ``axis``
-        if axis not in self._scratches:
-            self._scratches[axis] = np.empty(self.tables[axis].shape)
-        return self._scratches[axis]
+    def _scratch(self, shape) -> np.ndarray:
+        # an uninitialized view of the work array, grown when too small
+        size = math.prod(shape)
+        if self._work is None or self._work.size < size:
+            self._work = np.empty(size)
+        return self._work[:size].reshape(shape)
 
     def rebuild(self, points) -> None:
         """Tabulate at new points, in place when their shape is unchanged.
 
-        Each axis reads the (N, Q) coordinates points[:, :, e].T, which are
-        contiguous when the points are a view of (d, N, Q) memory, as the
-        solve's slice-major trajectories are.
+        The one table call reads the (d, N, Q) coordinates
+        points.transpose(2, 1, 0), which are contiguous when the points are
+        a view of (d, N, Q) memory, as the solve's slice-major trajectories
+        are; the values do not depend on the layout.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[2] != self.basis.dimension:
@@ -281,28 +304,32 @@ class SliceTables:
                 f"points must have shape (Q, N, {self.basis.dimension}), "
                 f"got {pts.shape}"
             )
-        tops = self.basis._table_tops
-        shape = pts.shape[1::-1]  # (N, Q)
-        if not self._buffers or self._buffers[0].shape[1:] != shape:
-            self._buffers = [np.empty((2 * top + 1, *shape)) for top in tops]
-            self._scratches = {}
-        for e, (buffer, top) in enumerate(zip(self._buffers, tops)):
-            _axis_tables(pts[:, :, e].T, top, out=buffer)
-        self.tables = [buffer.transpose(1, 0, 2) for buffer in self._buffers]
+        coords = pts.transpose(2, 1, 0)  # (d, N, Q)
+        if self._buffer is None or self._buffer.shape[1:] != coords.shape:
+            self._buffer = np.empty((self._rows, *coords.shape))
+            self._work = None
+        _axis_tables(coords, self._rows // 2, out=self._buffer)
+        self._axes = self._buffer.transpose(1, 2, 0, 3)  # d x (N, rows, Q)
+        self.tables = [
+            self._axes[e, :, : 2 * top + 1]
+            for e, top in enumerate(self.basis._table_tops)
+        ]
 
     def moments(self, weights) -> np.ndarray:
         """Weighted basis moments of each slice: shape (size, N).
 
-        Entry (k, i) is sum_a weights[a] phi_k(points[a, i]). In 2d the
-        moments of slice i are T1 diag(w) T2^T, with T1 and T2 the per-axis
-        tables of that slice, read at each function's pair of table rows.
+        Entry (k, i) is sum_a weights[a] phi_k(points[a, i]). In 1d the
+        moments of slice i are T1 w; in 2d they are T1 diag(w) T2^T, with
+        T1 and T2 the per-axis tables of that slice, read at each
+        function's pair of table rows.
         """
-        tables, w = self.tables, np.asarray(weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if self.basis.dimension == 1:
-            per_slice = tables[0] @ w  # (N, rows1)
-        else:
-            weighted = np.multiply(tables[0], w, out=self._scratch(0))
-            per_slice = weighted @ tables[1].transpose(0, 2, 1)  # (N, rows1, rows2)
+            per_slice = self._axes[0] @ w  # (N, rows)
+        else:  # T1 weighted in the buffer's own (rows, N, Q) order
+            first = self._buffer[:, 0]
+            weighted = np.multiply(first, w, out=self._scratch(first.shape))
+            per_slice = weighted.transpose(1, 0, 2) @ self._axes[1].transpose(0, 2, 1)
         rows = (rows for rows, _, _ in self.basis._axis_rows)
         return per_slice[(slice(None), *rows)].T
 
@@ -310,26 +337,26 @@ class SliceTables:
         """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
 
         The derivative of each function along axis e is a constant times a
-        product of table rows, so for component e the slice's coefficients,
-        times those constants, are scattered into a zero array A indexed by
-        the per-axis table rows. In 2d the components are then
-        sum_k T1[k] (A T2)[k] and sum_l T2[l] (A^T T1)[l]; in 1d,
-        sum_k T1[k] A[k].
+        product of table rows, so one product A = coeffs^T S with a fixed
+        scatter matrix S lays out each slice's coefficients, times those
+        constants, over the table rows of every component. In 1d component
+        1 is sum_k T1[k] A[k]; in 2d both components are sum_k T1[k]
+        (A_e T2)[k], one batched matmul for the two A_e T2 and one einsum
+        that multiplies by T1 and sums over k in the same pass.
         """
-        tables, basis = self.tables, self.basis
         coeffs = np.asarray(coeffs, dtype=float)
-        out = np.empty((basis.dimension, coeffs.shape[1], tables[0].shape[2]))
-        for e in range(basis.dimension):
-            rows, factors = _derivative_rows(basis, e)
-            scattered = np.zeros((coeffs.shape[1], *(t.shape[1] for t in tables)))
-            scattered[(slice(None), *rows)] = (factors[:, None] * coeffs).T
-            terms = self._scratch(e)  # (N, rows_e, Q)
-            if basis.dimension == 1:
-                np.multiply(tables[0], scattered[:, :, None], out=terms)
-            else:  # contract the other axis first
-                np.matmul(np.moveaxis(scattered, 1 + e, 1), tables[1 - e], out=terms)
-                terms *= tables[e]
-            np.add.reduce(terms, axis=1, out=out[e])
+        rows, (d, n, q) = self._rows, self._buffer.shape[1:]
+        scattered = coeffs.T @ self._scatter  # (N, d * rows**d)
+        t1, out = self._axes[0], np.empty((d, n, q))
+        if d == 1:
+            np.einsum("nrq,nr->nq", t1, scattered, out=out[0])
+        else:
+            terms = self._scratch((n, 2 * rows, q))
+            np.matmul(scattered.reshape(n, 2 * rows, rows), self._axes[1], out=terms)
+            np.einsum(
+                "nerq,nrq->neq", terms.reshape(n, 2, rows, q), t1,
+                out=out.transpose(1, 0, 2),
+            )
         return out.transpose(2, 1, 0)
 
 

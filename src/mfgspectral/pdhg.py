@@ -14,20 +14,22 @@ The trajectories enter the coefficient step only through their moments
 p(x), on which the coupling a . p is linear, so the extrapolation
 q = p(x_new) + theta (p(x_new) - p(x)) is taken on the moments (for a
 linear p it equals the moments of the extrapolated trajectories). Then
-every basis contraction of an iteration reads one set of per-axis tables
-(:class:`~mfgspectral.basis.SliceTables`) at the current trajectories,
-rebuilt in place once per iteration: the coupling gradient of the
-trajectory step, the moments p(x_new) for the next coefficient step, and
-the recorded diagnostics. No table of every basis function at every
-particle position is ever formed. Stopping is on step-norm stagnation;
-the fixed-point residual is tracked as a diagnostic because the coupling
-is not bilinear and carries no convergence guarantee.
+every basis contraction of an iteration reads one table buffer of all
+axes (:class:`~mfgspectral.basis.SliceTables`) at the current
+trajectories, rebuilt in place by one table call per iteration: the
+coupling gradient of the trajectory step, the moments p(x_new) for the
+next coefficient step, and the recorded diagnostics. No table of every
+basis function at every particle position is ever formed. Stopping is on
+step-norm stagnation; the fixed-point residual is tracked as a diagnostic
+because the coupling is not bilinear and carries no convergence
+guarantee.
 
 The solve keeps its trajectories slice-major: (d, N+1, Q) memory, used
 through its (Q, N+1, d) transpose view, so every shape in the API is the
-usual one. The per-axis tables, the coupling gradient and the shared
-kinetic solve all read (N, Q) rows of one coordinate, which this layout
-holds contiguously; the returned trajectories are C-contiguous again.
+usual one. The table call reads the (d, N, Q) coordinates and the
+shared kinetic solve reads (N, Q) rows of one coordinate, both of which
+this layout holds contiguously; the returned trajectories are
+C-contiguous again.
 
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
@@ -270,8 +272,8 @@ def solve(
 
     Starts with zero coefficients and stationary trajectories, whose
     moments are the first extrapolated moments; stops when both step norms
-    fall to the tolerance or at max_iter. The per-axis tables are built
-    once per iteration, at the new trajectories, and shared by the next
+    fall to the tolerance or at max_iter. The basis tables are built once
+    per iteration, at the new trajectories, and shared by the next
     trajectory step, the moments and the diagnostics. Each recorded
     iteration is one dict (iteration, saddle_value, residual, a_step,
     x_step) in ``diagnostics``, also written as one JSON line to

@@ -213,7 +213,7 @@ def action_gradient(
     grad = inner - x[:, :-1, :]
     grad[:, :-1, :] += x[:, 1:-1, :] - x[:, 2:, :]
     grad /= dt
-    grad += dt * tables.field_gradient(a)
+    grad += tables.field_gradient(dt * a)  # scaled as (size, N), not (Q, N, d)
     grad[:, -1, :] += problem.terminal_grad(x[:, -1, :])
     return grad
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,9 +271,18 @@ def test_eval_and_grad_all_match_closed_form(b, count):
          11, 3),
         (basis_2d(5), 125, 20),
         (basis_2d(8), 400, 20),  # the paper-2d shapes
+        (basis_1d(5), 1, 3),  # one particle: numpy takes its gemv paths
+        (basis_2d(5), 1, 3),
+        (basis_1d(5), 11, 1),  # one slice
+        (basis_2d(5), 11, 1),
+        # per-axis tops 0 and 3 (then 3 and 1): the shorter axis' padded
+        # table rows must not reach the results
+        (BasisSet(dimension=2, truncation=7, indices=((1, 1), (1, 7))), 11, 3),
+        (BasisSet(dimension=2, truncation=7, indices=((7, 1), (2, 3), (1, 1))), 11, 3),
     ],
     ids=["1d-r1", "2d-r2", "1d-r4", "1d-r5", "1d-subset", "2d-subset", "2d-r5-many",
-         "2d-r8-paper"],
+         "2d-r8-paper", "1d-q1", "2d-q1", "1d-n1", "2d-n1", "2d-tops-0-3",
+         "2d-tops-3-1"],
 )
 def test_slice_contractions_match_point_tables(b, q, n):
     # the contractions written out with the full (Q*N, size[, d]) tables
@@ -338,6 +348,48 @@ def test_shared_tables_match_fresh_contractions(b):
     check(tables, pts)
     with pytest.raises(ValueError):
         tables.rebuild(pts[..., :1] if b.dimension == 2 else np.zeros((5, 9, 2)))
+
+
+@pytest.mark.parametrize("b", [basis_1d(6), basis_2d(6)], ids=["1d", "2d"])
+def test_slice_tables_do_not_depend_on_point_layout(b):
+    # C-order points and a (Q, N, d) view of (d, N, Q) memory, as the solve
+    # passes them, give the same contractions bit for bit
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1, 2, size=(13, 5, b.dimension))
+    slice_major = np.ascontiguousarray(pts.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not slice_major.flags.c_contiguous
+    weights = rng.uniform(size=13)
+    coeffs = rng.normal(size=(b.size, 5))
+    c_order, sliced = SliceTables(b, pts), SliceTables(b, slice_major)
+    np.testing.assert_array_equal(c_order.moments(weights), sliced.moments(weights))
+    np.testing.assert_array_equal(
+        c_order.field_gradient(coeffs), sliced.field_gradient(coeffs)
+    )
+
+
+@pytest.mark.parametrize(
+    "b, q", [(basis_1d(8), 50), (basis_2d(8), 400)], ids=["1d-paper", "2d-paper"]
+)
+def test_contractions_make_no_table_sized_temporaries(b, q):
+    # once the work array exists, a call allocates little beyond its result
+    rng = np.random.default_rng(13)
+    n = 20
+    tables = SliceTables(b, rng.uniform(-1, 2, size=(q, n, b.dimension)))
+    weights = rng.uniform(size=q)
+    coeffs = rng.normal(size=(b.size, n))
+    tables.field_gradient(coeffs)
+    tables.moments(weights)
+    tracemalloc.start()
+    try:
+        tables.moments(weights)
+        moments_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tables.field_gradient(coeffs)
+        gradient_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moments_peak < 64 * 1024
+    assert gradient_peak < 2 * (q * n * b.dimension * 8)
 
 
 def reference_rows(t, top):

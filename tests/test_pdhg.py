@@ -598,8 +598,8 @@ class TestSolve:
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     @pytest.mark.parametrize("record_every", [1, 50])
     def test_one_table_build_per_iteration(self, monkeypatch, dimension, record_every):
-        # d per-axis tables at the start, then d per iteration, shared by
-        # the trajectory step, the moments and the diagnostics
+        # one table call for all axes at the start, then one per iteration,
+        # shared by the trajectory step, the moments and the diagnostics
         built = []
         real = basis_module._axis_tables
 
@@ -623,7 +623,7 @@ class TestSolve:
         )
         res = solve(prob, m, cfg)
         assert res.iterations == k
-        assert len(built) == dimension * (k + 1)
+        assert len(built) == k + 1
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
