@@ -12,25 +12,26 @@ one-dimensional ones, indexed by pairs (k, k') with k + k' <= r, listed in
 lexicographic order. Indices are 1-based throughout.
 
 Evaluation is the same in both dimensions. A table holds the 1d functions
-at every coordinate; it costs one tan per coordinate, of the half angle,
-from which sin and cos follow by the half-angle formulas (within 2.3e-16
-of libm's sin and cos of the same angle), and higher frequencies by the
-angle-addition recurrence. The derivative of each function is a multiple
-of another row of the table. :func:`eval_all` and :func:`grad_all`
-multiply one table row per axis for each value or gradient component at
-each point. The solver's contractions, :func:`moments` (weights against
-values) and :func:`field_gradient` (coefficients against gradients), work
-slice by slice on the tables instead, so they never form an (n, size) or
-(n, size, d) array. Both are methods of one :class:`SliceTables` object,
-which a caller that needs several contractions at the same points builds
-once and can rebuild in place at new points. It keeps the tables of all
-axes in one (rows, d, N, Q) buffer, filled by one table call. The
-moments of a slice are T1 w in 1d and T1 diag(w) T2^T in 2d. For the
-gradient field, a fixed scatter matrix lays the coefficients, times the
-derivative constants, out over the table rows as one array A per
-component; the field is then T1 A in 1d, and in 2d both components are
-sum_k T1[k] (A_e T2)[k], one batched matmul followed by one einsum that
-multiplies and sums in the same pass.
+at every coordinate of every axis, up to the highest frequency over all
+axes, and is filled by one call; it costs one tan per coordinate, of the
+half angle, from which sin and cos follow by the half-angle formulas
+(within 2.3e-16 of libm's sin and cos of the same angle), and higher
+frequencies by the angle-addition recurrence. The derivative of each
+function is a multiple of another row of the table. Pointwise work,
+:func:`eval_all` and :func:`grad_all`, fills one (rows, d, n) table and
+multiplies one of its rows per axis for each value or gradient component
+at each point. The solver's contractions, :meth:`SliceTables.moments`
+(weights against values) and :meth:`SliceTables.field_gradient`
+(coefficients against gradients), work slice by slice on a (rows, d, N, Q)
+table instead, so they never form an (n, size) or (n, size, d) array. A
+:class:`SliceTables` has a fixed shape: a caller that needs several
+contractions at the same points builds it once, and :meth:`~SliceTables.rebuild`
+refills it in place at new points of that shape. The moments of a slice
+are T1 w in 1d and T1 diag(w) T2^T in 2d. For the gradient field, a fixed
+scatter matrix lays the coefficients, times the derivative constants, out
+over the table rows as one array A per component; the field is then T1 A
+in 1d, and in 2d both components are sum_k T1[k] (A_e T2)[k], one batched
+matmul followed by one einsum that multiplies and sums in the same pass.
 """
 
 from __future__ import annotations
@@ -87,17 +88,6 @@ class BasisSet:
         return len(self.indices)
 
     @cached_property
-    def _position(self) -> dict:
-        return {idx: j for j, idx in enumerate(self.indices)}
-
-    def position(self, index) -> int:
-        """0-based position of a basis index; raises IndexError if absent."""
-        try:
-            return self._position[index]
-        except (KeyError, TypeError):
-            raise IndexError(f"index {index!r} not in basis") from None
-
-    @cached_property
     def frequencies(self) -> np.ndarray:
         """Read-only (size, dimension) array of per-axis frequencies k // 2."""
         ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
@@ -118,11 +108,6 @@ class BasisSet:
             factors = TWO_PI * np.where(sine, k // 2, -(k // 2))
             axes.append((k - 1, deriv_rows, factors))
         return tuple(axes)
-
-    @cached_property
-    def _table_tops(self) -> tuple:
-        # per axis: the highest frequency, so tables hold rows 0..2 * top
-        return tuple(int(top) for top in self.frequencies.max(axis=0))
 
 
 def basis_1d(r: int) -> BasisSet:
@@ -208,24 +193,25 @@ def _axis_tables(t: np.ndarray, top: int, out: np.ndarray | None = None) -> np.n
 _BLOCK = 1024  # points per block: small gathered temporaries fault in few pages
 
 
-def _fill_products(dest: np.ndarray, tables, rows) -> None:
-    # dest[j] = product over axes e of tables[e][rows[e][j]]
+def _point_table(basis: BasisSet, points) -> np.ndarray:
+    # the (rows, d, n) table of every axis at (n, d) points, from one call
+    pts = _as_points(basis, points)
+    return _axis_tables(pts.T, int(basis.frequencies.max()))
+
+
+def _fill_products(dest: np.ndarray, table: np.ndarray, rows) -> None:
+    # dest[j] = product over axes e of table[rows[e][j], e]
     for start in range(0, dest.shape[1], _BLOCK):
         block = slice(start, start + _BLOCK)
-        factors = [t[:, block][r] for t, r in zip(tables, rows)]
+        factors = [table[:, e, block][r] for e, r in enumerate(rows)]
         dest[:, block] = math.prod(factors[1:], start=factors[0])
-
-
-def _point_tables(basis: BasisSet, points) -> list:
-    pts = _as_points(basis, points)
-    return [_axis_tables(t, top) for t, top in zip(pts.T, basis._table_tops)]
 
 
 def eval_all(basis: BasisSet, points) -> np.ndarray:
     """Values of every basis function at many points: shape (n, size)."""
-    tables = _point_tables(basis, points)
-    out = np.empty((tables[0].shape[1], basis.size))
-    _fill_products(out.T, tables, [rows for rows, _, _ in basis._axis_rows])
+    table = _point_table(basis, points)
+    out = np.empty((table.shape[2], basis.size))
+    _fill_products(out.T, table, [rows for rows, _, _ in basis._axis_rows])
     return out
 
 
@@ -239,11 +225,11 @@ def _derivative_rows(basis: BasisSet, axis: int):
 
 def grad_all(basis: BasisSet, points) -> np.ndarray:
     """Gradients of every basis function at many points: shape (n, size, d)."""
-    tables = _point_tables(basis, points)
-    out = np.empty((tables[0].shape[1], basis.size, basis.dimension))
+    table = _point_table(basis, points)
+    out = np.empty((table.shape[2], basis.size, basis.dimension))
     for i in range(basis.dimension):
         rows, factors = _derivative_rows(basis, i)
-        _fill_products(out[:, :, i].T, tables, rows)
+        _fill_products(out[:, :, i].T, table, rows)
         out[:, :, i] *= factors
     return out
 
@@ -251,24 +237,27 @@ def grad_all(basis: BasisSet, points) -> np.ndarray:
 class SliceTables:
     """Tables of a basis at every slice of a (Q, N, d) point cloud.
 
-    All axes share one (rows, d, N, Q) buffer, rows = 2 * max(top) + 1 for
-    the highest per-axis frequency top: buffer[:, e, i] holds the 1d
-    functions at the coordinates points[:, i, e] of slice i, each row
-    written in order. An axis with a lower top gets extra rows that no
-    basis function reads. ``tables`` holds one (N, 2*top+1, Q) view of
-    the buffer per axis. :meth:`rebuild` refills the buffer for new points
-    of the same shape with one :func:`_axis_tables` call over all axes, so
-    one object serves a whole iteration: the coupling gradient at the
-    current points and the moments that feed the next coefficient step.
-    In 2d both contractions write their intermediates into one work array
-    kept with the tables, made on first use and grown to the largest
-    shape asked for.
+    The shape of the cloud is fixed when the object is made. All axes
+    share one (rows, d, N, Q) buffer, rows = 2 * top + 1 for the highest
+    frequency top over all axes: buffer[:, e, i] holds the 1d functions at
+    the coordinates points[:, i, e] of slice i, each row written in order.
+    An axis with lower frequencies gets extra rows that no basis function
+    reads. The buffer and its per-axis (N, rows, Q) views are made once;
+    :meth:`rebuild` refills them in place at new points of the same shape
+    with one :func:`_axis_tables` call over all axes, so one object serves
+    a whole solve: each iteration's coupling gradient at the current
+    points and the moments that feed the next coefficient step. In 2d
+    both contractions write their intermediates into one work array kept
+    with the tables, made on first use and grown to the larger of the two.
     """
 
     def __init__(self, basis: BasisSet, points):
         self.basis = basis
         d = basis.dimension
-        self._rows = rows = 2 * max(basis._table_tops) + 1
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 3 or pts.shape[2] != d:
+            raise ValueError(f"points must have shape (Q, N, {d}), got {pts.shape}")
+        self._rows = rows = 2 * int(basis.frequencies.max()) + 1
         # the coefficients scatter into A = coeffs.T @ _scatter, laid out as
         # (N, d, rows[, rows]): entry (i, e, r1[, r2]) is the coefficient of
         # slice i of the one function whose derivative along e is a constant
@@ -280,8 +269,10 @@ class SliceTables:
             deriv_rows, factors = _derivative_rows(basis, e)
             scatter[(functions, e, *deriv_rows)] = factors
         self._scatter = scatter.reshape(basis.size, -1)
-        self._buffer = self._work = None
-        self.rebuild(points)
+        self._buffer = np.empty((rows, *pts.shape[::-1]))
+        self._axes = self._buffer.transpose(1, 2, 0, 3)  # d x (N, rows, Q)
+        self._work = None
+        self.rebuild(pts)
 
     def _scratch(self, shape) -> np.ndarray:
         # an uninitialized view of the work array, grown when too small
@@ -291,29 +282,19 @@ class SliceTables:
         return self._work[:size].reshape(shape)
 
     def rebuild(self, points) -> None:
-        """Tabulate at new points, in place when their shape is unchanged.
+        """Tabulate in place at new points of the shape the tables were made for.
 
-        The one table call reads the (d, N, Q) coordinates
-        points.transpose(2, 1, 0), which are contiguous when the points are
-        a view of (d, N, Q) memory, as the solve's slice-major trajectories
-        are; the values do not depend on the layout.
+        Points of any other shape raise ``ValueError``. The one table call
+        reads the (d, N, Q) coordinates points.transpose(2, 1, 0), which
+        are contiguous when the points are a view of (d, N, Q) memory, as
+        the solve's slice-major trajectories are; the values do not depend
+        on the layout.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 3 or pts.shape[2] != self.basis.dimension:
-            raise ValueError(
-                f"points must have shape (Q, N, {self.basis.dimension}), "
-                f"got {pts.shape}"
-            )
-        coords = pts.transpose(2, 1, 0)  # (d, N, Q)
-        if self._buffer is None or self._buffer.shape[1:] != coords.shape:
-            self._buffer = np.empty((self._rows, *coords.shape))
-            self._work = None
-        _axis_tables(coords, self._rows // 2, out=self._buffer)
-        self._axes = self._buffer.transpose(1, 2, 0, 3)  # d x (N, rows, Q)
-        self.tables = [
-            self._axes[e, :, : 2 * top + 1]
-            for e, top in enumerate(self.basis._table_tops)
-        ]
+        shape = self._buffer.shape[:0:-1]  # (Q, N, d)
+        if pts.shape != shape:
+            raise ValueError(f"points must have shape {shape}, got {pts.shape}")
+        _axis_tables(pts.transpose(2, 1, 0), self._rows // 2, out=self._buffer)
 
     def moments(self, weights) -> np.ndarray:
         """Weighted basis moments of each slice: shape (size, N).
@@ -328,7 +309,7 @@ class SliceTables:
             per_slice = self._axes[0] @ w  # (N, rows)
         else:  # T1 weighted in the buffer's own (rows, N, Q) order
             first = self._buffer[:, 0]
-            weighted = np.multiply(first, w, out=self._scratch(first.shape))
+            weighted = np.einsum("rnq,q->rnq", first, w, out=self._scratch(first.shape))
             per_slice = weighted.transpose(1, 0, 2) @ self._axes[1].transpose(0, 2, 1)
         rows = (rows for rows, _, _ in self.basis._axis_rows)
         return per_slice[(slice(None), *rows)].T
@@ -358,21 +339,3 @@ class SliceTables:
                 out=out.transpose(1, 0, 2),
             )
         return out.transpose(2, 1, 0)
-
-
-def moments(basis: BasisSet, points, weights) -> np.ndarray:
-    """Weighted basis moments of each slice of a point cloud: shape (size, N).
-
-    ``points`` has shape (Q, N, d) and ``weights`` shape (Q,); see
-    :meth:`SliceTables.moments`.
-    """
-    return SliceTables(basis, points).moments(weights)
-
-
-def field_gradient(basis: BasisSet, points, coeffs) -> np.ndarray:
-    """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
-
-    ``points`` has shape (Q, N, d) and ``coeffs`` shape (size, N); see
-    :meth:`SliceTables.field_gradient`.
-    """
-    return SliceTables(basis, points).field_gradient(coeffs)

@@ -26,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
+    SliceTables,
     basis_1d,
     basis_2d,
     eval_all,
-    field_gradient,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
 from .kernel import (
@@ -253,41 +253,25 @@ def _function_from_coefficients(coeffs, dimension, path):
         return eval_all(b, p) @ vec
 
     def gradient(p):
-        # each point is its own one-point slice
+        # all points in one slice, of one coefficient column
         pts = np.asarray(p, dtype=float)[:, None, :]
-        return field_gradient(b, pts, vec[:, None])[:, 0]
+        return SliceTables(b, pts).field_gradient(vec[:, None])[:, 0]
 
     return value, gradient
 
 
-def _resolve_density(section, dimension, path):
+def _resolve_function(section, dimension, path, presets):
+    # the functions of a preset entry (all but its trailing dimension), or
+    # the value and gradient of a coefficient list
     _expect(isinstance(section, dict), path, "must be an object")
     if "preset" in section:
         name = section["preset"]
-        _expect(name in DENSITY_PRESETS, f"{path}.preset",
-                f"unknown preset {name!r}; available: {sorted(DENSITY_PRESETS)}")
-        fn, dim = DENSITY_PRESETS[name]
+        _expect(name in presets, f"{path}.preset",
+                f"unknown preset {name!r}; available: {sorted(presets)}")
+        *functions, dim = presets[name]
         _expect(dim == dimension, f"{path}.preset",
                 f"preset {name!r} is {dim}-dimensional")
-        return fn
-    if "coefficients" in section:
-        fn, _ = _function_from_coefficients(
-            section["coefficients"], dimension, f"{path}.coefficients"
-        )
-        return fn
-    raise ConfigError(f"{path}: needs either 'preset' or 'coefficients'")
-
-
-def _resolve_terminal(section, dimension, path):
-    _expect(isinstance(section, dict), path, "must be an object")
-    if "preset" in section:
-        name = section["preset"]
-        _expect(name in TERMINAL_PRESETS, f"{path}.preset",
-                f"unknown preset {name!r}; available: {sorted(TERMINAL_PRESETS)}")
-        fn, grad, dim = TERMINAL_PRESETS[name]
-        _expect(dim == dimension, f"{path}.preset",
-                f"preset {name!r} is {dim}-dimensional")
-        return fn, grad
+        return functions
     if "coefficients" in section:
         return _function_from_coefficients(
             section["coefficients"], dimension, f"{path}.coefficients"
@@ -354,9 +338,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.solver: {exc}") from exc
 
-    density_fn = _resolve_density(raw.get("M", {}), dimension, "config.M")
-    terminal_fn, terminal_grad_fn = _resolve_terminal(
-        raw.get("U", {}), dimension, "config.U"
+    density_fn = _resolve_function(
+        raw.get("M", {}), dimension, "config.M", DENSITY_PRESETS
+    )[0]
+    terminal_fn, terminal_grad_fn = _resolve_function(
+        raw.get("U", {}), dimension, "config.U", TERMINAL_PRESETS
     )
 
     output_dir = raw.get("output_dir", "out")

@@ -19,9 +19,8 @@ import numpy as np
 from .basis import (
     BasisSet,
     SliceTables,
-    eval_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+    eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
-    moments,
 )
 from .kernel import SpectralKernel
 
@@ -79,11 +78,8 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     line = np.arange(1, Q + 1) / (Q + 1)
-    if dimension == 1:
-        pts = line[:, None]
-    else:
-        a, b = np.meshgrid(line, line, indexing="ij")
-        pts = np.column_stack([a.ravel(), b.ravel()])
+    grid = np.indices((Q,) * dimension).reshape(dimension, -1)  # (d, Q^d)
+    pts = np.ascontiguousarray(line[grid].T)
     vals = np.asarray(density(pts), dtype=float)
     if vals.shape != (pts.shape[0],):
         raise ValueError(
@@ -143,9 +139,10 @@ def moment_vector(
     """Weighted basis moments of the moving particles: shape (size, N).
 
     Entry (k, i) is sum_alpha c_alpha phi_k(x_alpha at slice i+1), contracted
-    slice by slice against per-axis tables (:func:`~mfgspectral.basis.moments`).
+    slice by slice against per-axis tables
+    (:meth:`~mfgspectral.basis.SliceTables.moments`).
     """
-    return moments(basis, x[:, 1:], measure.weights)
+    return SliceTables(basis, x[:, 1:]).moments(measure.weights)
 
 
 def saddle_value(
@@ -185,14 +182,14 @@ def action(x: np.ndarray, a: np.ndarray, problem: MFGProblem) -> np.ndarray:
     """Discrete action of each trajectory, kinetic + coupling + terminal: shape (Q,).
 
     ``x`` holds (Q, N+1, d) paths and ``a`` the (size, N) coefficient paths
-    of the coupling field, read at the unweighted basis values of every
-    point: each point is its own slice of :func:`~mfgspectral.basis.moments`.
+    of the coupling field, read at the basis values of every point of slices
+    1..N (:func:`~mfgspectral.basis.eval_all`).
     """
     q, n, d = x.shape[0], problem.num_steps, problem.dimension
     diffs = x[:, 1:] - x[:, :-1]
     kinetic = np.sum((diffs**2).reshape(q, -1), axis=1) / (2.0 * problem.dt)
-    values = moments(problem.basis, x[:, 1:].reshape(1, -1, d), [1.0])
-    terms = (a[:, None, :] * values.reshape(-1, q, n)).transpose(1, 0, 2)
+    values = eval_all(problem.basis, x[:, 1:].reshape(-1, d)).reshape(q, n, -1)
+    terms = (values * a.T).transpose(0, 2, 1)  # (Q, size, N)
     running = problem.dt * np.sum(terms.reshape(q, -1), axis=1)
     return kinetic + running + problem.terminal_cost(x[:, -1, :])
 

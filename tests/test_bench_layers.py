@@ -2,15 +2,19 @@
 
 ``bench/layers.py`` patches library functions by module and attribute
 name; a refactor that drops or renames one of them would only surface
-when a traced benchmark run crashes. This test reads ``bench/`` and
-changes nothing there.
+when a traced benchmark run crashes. An import kept only for those
+patches carries ``# noqa: F401``, and such a marker must not outlive its
+reason. These tests read ``bench/`` and change nothing there.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SRC = ROOT / "src" / "mfgspectral"
 
 
 @pytest.fixture
@@ -26,3 +30,32 @@ def test_traced_names_resolve(layers):
         assert callable(getattr(owner, attr, None)), (
             f"{name}: {owner.__name__}.{attr} is not a callable"
         )
+
+
+def test_unused_imports_are_exactly_the_traced_ones(layers):
+    # every `# noqa: F401` import names an attribute the bench patches in
+    # that module, and nothing else in the module reads it
+    traced = layers.COARSE + layers.LAYERS
+    patched = {(owner.__name__, attr) for _, owner, attr, _ in traced}
+    marked = 0
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        module = "mfgspectral" + ("" if path.stem == "__init__" else f".{path.stem}")
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                if "noqa: F401" not in lines[alias.lineno - 1]:
+                    continue
+                marked += 1
+                name = alias.asname or alias.name
+                assert (module, name) in patched, (
+                    f"{path.name}:{alias.lineno}: bench/layers.py does not patch {name}"
+                )
+                assert name not in read, (
+                    f"{path.name}:{alias.lineno}: {name} is used, so needs no noqa"
+                )
+    assert marked  # the check saw the imports it is about

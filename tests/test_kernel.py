@@ -50,7 +50,7 @@ class TestGaussianSpectral:
         assert ker.size == 28
         assert ker.k_mat[0, 0] == pytest.approx(0.25, abs=0)
         ker1 = gaussian_spectral_2d(GaussianKernelSpec(1.0, 0.5, dimension=2), 8)
-        pos = ker1.basis.position((1, 2))
+        pos = ker1.basis.indices.index((1, 2))
         # mu^2 * exp(-pi^2/2), frozen from direct evaluation
         assert ker1.k_mat[pos, pos] == pytest.approx(0.001797970838956592, rel=1e-13)
 
@@ -281,7 +281,7 @@ class TestFejerAverage:
         b = basis_2d(4)
         c = np.eye(b.size)
         out = fejer_average(c, 2, basis=b)
-        pos = b.position((2, 2))
+        pos = b.indices.index((2, 2))
         # per-axis frequencies (1, 1): weight (1 - 1/3)^2 per side
         assert out[pos, pos] == pytest.approx((2.0 / 3.0) ** 4)
 
