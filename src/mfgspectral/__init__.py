@@ -13,8 +13,7 @@ from .kernel import (
     SpectralKernel,
     fejer_average,
     fourier_coefficients,
-    gaussian_spectral_1d,
-    gaussian_spectral_2d,
+    gaussian_spectral,
     kernel_eval_direct,
     psd_check,
     regularize,
@@ -24,11 +23,10 @@ from .kernel import (
 from .pdhg import (
     SolverConfig,
     SolverResult,
-    check_steps,
     fixed_point_residual,
     solve,
     step_a,
-    step_size_bound,
+    step_check,
     step_x,
     step_z,
 )
@@ -68,15 +66,13 @@ __all__ = [
     "basis_1d",
     "basis_2d",
     "best_response",
-    "check_steps",
     "density_histogram",
     "discrete_G",
     "discretize_measure",
     "fejer_average",
     "fixed_point_residual",
     "fourier_coefficients",
-    "gaussian_spectral_1d",
-    "gaussian_spectral_2d",
+    "gaussian_spectral",
     "kernel_eval_direct",
     "moment_vector",
     "psd_check",
@@ -85,7 +81,7 @@ __all__ = [
     "solve",
     "spectral_from_dense",
     "step_a",
-    "step_size_bound",
+    "step_check",
     "step_x",
     "step_z",
     "straightness_metric",

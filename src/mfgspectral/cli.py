@@ -35,17 +35,15 @@ from .basis import (
 from .kernel import (
     GaussianKernelSpec,
     SpectralKernel,
-    gaussian_spectral_1d,
-    gaussian_spectral_2d,
+    gaussian_spectral,
     regularize,
     spectral_from_dense,
 )
 from .pdhg import (
     SolverConfig,
-    check_steps,
     fixed_point_residual,
     solve,
-    step_size_bound,
+    step_check,
 )
 from .problem import (
     DivergenceError,
@@ -196,23 +194,30 @@ class ExperimentConfig:
     density_slices: tuple
 
 
+# JSON key of the solver section -> SolverConfig field
+SOLVER_KEYS = {"lambda": "lam", "omega": "omega", "theta": "theta",
+               "max_iter": "max_iter", "tol": "tol", "record_every": "record_every"}
+
+
 def _expect(condition, path, message):
     if not condition:
         raise ConfigError(f"{path}: {message}")
 
 
-def _get_number(section, key, path, positive=False, allow_missing=False, default=None):
+def _get_number(section, key, path, positive=False):
     if key not in section:
-        if allow_missing:
-            return default
         raise ConfigError(f"{path}.{key}: missing required field")
     value = section[key]
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{path}.{key}", "must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}.{key}: too large for a float") from None
     if positive:
         _expect(math.isfinite(value) and value > 0, f"{path}.{key}",
                 "must be positive and finite")
-    return float(value)
+    return value
 
 
 def _get_int(section, key, path, minimum=None, allow_missing=False, default=None):
@@ -252,10 +257,18 @@ def _function_from_coefficients(coeffs, dimension, path):
     def value(p):
         return eval_all(b, p) @ vec
 
+    tables = None
+
     def gradient(p):
-        # all points in one slice, of one coefficient column
+        # all points in one slice, of one coefficient column; kept tables
+        # are refilled in place while the point count holds
+        nonlocal tables
         pts = np.asarray(p, dtype=float)[:, None, :]
-        return SliceTables(b, pts).field_gradient(vec[:, None])[:, 0]
+        if tables is not None and tables.shape == pts.shape:
+            tables.rebuild(pts)
+        else:
+            tables = SliceTables(b, pts)
+        return tables.field_gradient(vec[:, None])[:, 0]
 
     return value, gradient
 
@@ -322,19 +335,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     solver_section = raw.get("solver")
     _expect(isinstance(solver_section, dict), "config.solver", "must be an object")
-    try:
-        solver = SolverConfig(
-            lam=_get_number(solver_section, "lambda", "config.solver", positive=True),
-            omega=_get_number(solver_section, "omega", "config.solver", positive=True),
-            theta=_get_number(solver_section, "theta", "config.solver",
-                              allow_missing=True, default=1.0),
-            max_iter=_get_int(solver_section, "max_iter", "config.solver",
-                              minimum=0, allow_missing=True, default=20000),
-            tol=_get_number(solver_section, "tol", "config.solver",
-                            allow_missing=True, default=1e-8),
-            record_every=_get_int(solver_section, "record_every", "config.solver",
-                                  minimum=1, allow_missing=True, default=50),
-        )
+    for key in ("lambda", "omega"):
+        _expect(key in solver_section, f"config.solver.{key}", "missing required field")
+    try:  # SolverConfig owns the defaults and the checks of its fields
+        solver = SolverConfig(**{
+            field: solver_section[key]
+            for key, field in SOLVER_KEYS.items()
+            if key in solver_section
+        })
     except ValueError as exc:
         raise ConfigError(f"config.solver: {exc}") from exc
 
@@ -389,10 +397,10 @@ def load_config_source(source: str) -> dict:
     try:
         with open(source, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {source}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {source}: {exc}") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ConfigError(f"config: invalid JSON in {source}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +410,8 @@ def load_config_source(source: str) -> dict:
 def build_kernel(cfg: ExperimentConfig) -> SpectralKernel:
     if cfg.kernel_type == "gaussian":
         spec = GaussianKernelSpec(sigma=cfg.sigma, mu=cfg.mu, dimension=cfg.dimension)
-        spectral = gaussian_spectral_1d if cfg.dimension == 1 else gaussian_spectral_2d
         try:
-            ker = spectral(spec, cfg.r)
+            ker = gaussian_spectral(spec, cfg.r)
         except ValueError as exc:
             raise ConfigError(f"config.kernel: {exc}") from exc
         if cfg.eps:
@@ -436,7 +443,6 @@ def build_problem(cfg: ExperimentConfig):
 def kernel_info(cfg: ExperimentConfig) -> dict:
     problem, measure = build_problem(cfg)
     kernel = problem.kernel
-    a_squared = step_size_bound(measure, kernel.basis, problem.dt)
     eigenvalues = kernel.eigenvalues()
     return {
         "dimension": cfg.dimension,
@@ -444,22 +450,21 @@ def kernel_info(cfg: ExperimentConfig) -> dict:
         "epsilon": kernel.eps,
         "eigenvalues": eigenvalues.tolist(),
         "min_eigenvalue": float(eigenvalues[0]),
-        "a_squared": a_squared,
-        "omega_lambda": cfg.solver.omega * cfg.solver.lam,
-        "omega_lambda_limit": (1.0 / a_squared) if a_squared > 0 else None,
-        "step_bound_ok": check_steps(cfg.solver, a_squared),
+        **step_check(cfg.solver, measure, kernel.basis, problem.dt),
     }
 
 
 def run(cfg: ExperimentConfig) -> int:
     problem, measure = build_problem(cfg)
-    a_squared = step_size_bound(measure, problem.basis, problem.dt)
-    if not check_steps(cfg.solver, a_squared):
+    steps = step_check(cfg.solver, measure, problem.basis, problem.dt)
+    if not steps["step_bound_ok"]:
         print(
-            f"warning: omega*lambda = {cfg.solver.omega * cfg.solver.lam:.6g} "
-            f"exceeds 1/A^2 = {1.0 / a_squared:.6g}; the iteration may diverge",
+            f"warning: omega*lambda = {steps['omega_lambda']:.6g} "
+            f"exceeds 1/A^2 = {steps['omega_lambda_limit']:.6g}; "
+            "the iteration may diverge",
             file=sys.stderr,
         )
+    step_metrics = {k: steps[k] for k in ("a_squared", "step_bound_ok")}
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
@@ -476,8 +481,7 @@ def run(cfg: ExperimentConfig) -> int:
             "iterations": exc.iteration,
             "converged": False,
             "last_record": exc.diagnostics[-1] if exc.diagnostics else None,
-            "a_squared": a_squared,
-            "step_bound_ok": check_steps(cfg.solver, a_squared),
+            **step_metrics,
         }
         write_metrics_json(metrics_path, metrics)
         raise
@@ -505,8 +509,7 @@ def run(cfg: ExperimentConfig) -> int:
         "final_saddle_value": saddle_value(result.a, result.x, problem, measure),
         "straightness_max": straightness,
         "symmetry_defect": defect,
-        "a_squared": a_squared,
-        "step_bound_ok": check_steps(cfg.solver, a_squared),
+        **step_metrics,
     }
     write_metrics_json(metrics_path, metrics)
     if not result.converged:

@@ -7,6 +7,9 @@ with odd part) fill K with a diagonal or 2x2-block pattern and get J in
 closed form; general kernels obtained by quadrature get J by a refined
 LAPACK inverse, with optional eps*I regularization.
 
+The periodic Gaussian has one constructor for both dimensions,
+:func:`gaussian_spectral`, which reads the dimension from its spec.
+
 The quadrature (:func:`fourier_coefficients`) takes one path in both
 dimensions: it evaluates the kernel on the tensor grid in row blocks of
 at most 2^16 point pairs, so the kernel's temporaries stay in cache and
@@ -108,31 +111,17 @@ def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
     return SpectralKernel(basis, np.diag(eig), np.diag(1.0 / eig))
 
 
-def gaussian_spectral_1d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
-    """Diagonal coefficient matrix of the 1d periodic Gaussian.
+def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
+    """Diagonal coefficient matrix of the periodic Gaussian of ``spec``.
 
-    Entry k equals mu * exp(-((pi * sigma * n)**2) / 2), n the frequency of
-    function k; the sine and cosine of one frequency share an eigenvalue.
+    Uses ``basis_1d(r)`` or ``basis_2d(r)`` by ``spec.dimension`` = d.
+    Entry k equals mu^d * exp(-sum_e (pi * sigma * n_e)^2 / 2), with n_e
+    the frequency of function k along axis e: the product of the 1d
+    factors, so the sine and cosine of one frequency share an eigenvalue.
     """
-    if spec.dimension != 1:
-        raise ValueError("1d constructor requires a 1d kernel spec")
-    b = basis_1d(r)
-    eig = spec.mu * np.exp(-0.5 * (math.pi * spec.sigma * b.frequencies[:, 0]) ** 2)
-    return _diagonal_kernel(b, eig)
-
-
-def gaussian_spectral_2d(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
-    """Diagonal coefficient matrix of the 2d periodic Gaussian.
-
-    Entries follow mu^2 * exp(-pi^2 sigma^2 (n^2 + n'^2) / 2), with (n, n')
-    the per-axis frequencies, over the lexicographic tensor index list.
-    """
-    if spec.dimension != 2:
-        raise ValueError("2d constructor requires a 2d kernel spec")
-    b = basis_2d(r)
-    n2 = np.sum(b.frequencies**2, axis=1)
-    eig = spec.mu**2 * np.exp(-0.5 * math.pi**2 * spec.sigma**2 * n2)
-    return _diagonal_kernel(b, eig)
+    b = basis_1d(r) if spec.dimension == 1 else basis_2d(r)
+    exponent = np.sum((math.pi * spec.sigma * b.frequencies) ** 2, axis=1)
+    return _diagonal_kernel(b, spec.mu**spec.dimension * np.exp(-0.5 * exponent))
 
 
 def _image_count(sigma: float) -> int:
@@ -221,20 +210,16 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     return phi.T @ kphi / n**2
 
 
-def fejer_average(
-    coefficients: np.ndarray, r: int, basis: BasisSet | None = None
-) -> np.ndarray:
+def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarray:
     """Cesaro-averaged coefficient matrix with per-frequency weights.
 
     Each entry is damped by w_i * w_j where w = prod_axis(1 - n/(r+1)) and n
-    is the per-axis frequency of the basis function. Without an explicit
-    basis the rows are assumed to follow the standard 1d ordering.
+    is the per-axis frequency of function i of ``basis``, whose order the
+    rows and columns follow.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")
-    if basis is None:
-        basis = basis_1d(c.shape[0])
     if basis.size != c.shape[0]:
         raise ValueError("coefficient matrix does not match basis size")
     if np.any(basis.frequencies > r):

@@ -31,6 +31,9 @@ shared kinetic solve reads (N, Q) rows of one coordinate, both of which
 this layout holds contiguously; the returned trajectories are
 C-contiguous again.
 
+The step rule is :func:`step_check`'s alone, and :class:`SolverConfig`
+owns the iteration's defaults and range checks.
+
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
 """
@@ -66,7 +69,10 @@ DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step sizes and stopping policy for the saddle-point iteration."""
+    """Step sizes and stopping policy for the saddle-point iteration.
+
+    Real fields are stored as floats; invalid values raise ValueError.
+    """
 
     lam: float  # proximal step for the coefficient paths
     omega: float  # trajectory step of a particle of average weight 1/Q
@@ -80,6 +86,10 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"{name} is too large for a float") from None
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -113,28 +123,28 @@ class SolverResult:
     diagnostics: list[dict]
 
 
-def step_size_bound(
-    measure: DiscreteMeasure, basis: BasisSet, dt: float
-) -> float:
-    """Squared bound of the preconditioned coupling map, dt^2 * sum Lip^2 / Q.
+def step_check(
+    config: SolverConfig, measure: DiscreteMeasure, basis: BasisSet, dt: float
+) -> dict:
+    """Check omega * lam < 1 / A^2, A^2 the preconditioned coupling bound.
 
-    The coupling operator's bound dt^2 * sum Lip^2 * sum_alpha c_alpha^2
-    tau_alpha / omega, with the trajectory steps tau_alpha = omega / (Q
-    c_alpha) and weights summing to 1, is dt^2 * sum Lip^2 / Q.
+    A^2 = dt^2 * sum Lip^2 * sum_alpha c_alpha^2 tau_alpha / omega, which
+    with tau_alpha = omega / (Q c_alpha) and weights summing to 1 is
+    dt^2 * sum Lip^2 / Q. Returns ``a_squared``, ``omega_lambda``,
+    ``omega_lambda_limit`` (1 / A^2, None for A^2 = 0) and ``step_bound_ok``
+    (vacuously true then). The coupling is not bilinear, so the bound is a
+    heuristic: a violation is reported, never fatal.
     """
     lips = lipschitz_bounds(basis)
-    return float(dt**2 * np.sum(lips**2) / measure.count)
-
-
-def check_steps(config: SolverConfig, a_squared: float) -> bool:
-    """True when omega * lam < 1 / A^2 (vacuously true for A^2 = 0).
-
-    The product bound is a heuristic here (the coupling is not bilinear),
-    so a violation is reported, never fatal.
-    """
-    if a_squared <= 0.0:
-        return True
-    return config.omega * config.lam < 1.0 / a_squared
+    a_squared = float(dt**2 * np.sum(lips**2) / measure.count)
+    omega_lambda = config.omega * config.lam
+    limit = 1.0 / a_squared if a_squared > 0 else None
+    return {
+        "a_squared": a_squared,
+        "omega_lambda": omega_lambda,
+        "omega_lambda_limit": limit,
+        "step_bound_ok": limit is None or omega_lambda < limit,
+    }
 
 
 def prox_a_operator(kernel: SpectralKernel, lam_dt: float):

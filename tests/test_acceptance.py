@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from mfgspectral.basis import basis_1d
 from mfgspectral.cli import (
     build_problem,
     kernel_info,
@@ -24,7 +25,7 @@ from mfgspectral.kernel import (
     GaussianKernelSpec,
     fejer_average,
     fourier_coefficients,
-    gaussian_spectral_1d,
+    gaussian_spectral,
     kernel_eval_direct,
     psd_check,
     translation_invariant_blocks,
@@ -146,7 +147,7 @@ def test_criterion_4_symmetry(run_1d_a):
 
 def test_criterion_5_kernel_cross_validation():
     spec = GaussianKernelSpec(sigma=0.2, mu=0.5)
-    analytic = gaussian_spectral_1d(spec, 8)
+    analytic = gaussian_spectral(spec, 8)
     t0 = time.perf_counter()
     coeffs = fourier_coefficients(
         lambda x, y: kernel_eval_direct(spec, x, y), analytic.basis, 512
@@ -169,7 +170,7 @@ def test_criterion_6_fejer_psd_preservation():
     for _ in range(20):
         m = int(rng.integers(3, 12))
         g = rng.normal(size=(m, m))
-        averaged = fejer_average(g.T @ g, m // 2 + 1)
+        averaged = fejer_average(g.T @ g, m // 2 + 1, basis_1d(m))
         worst = min(worst, psd_check(averaged))
     ok = worst >= -1e-10
     _report(
@@ -243,7 +244,7 @@ def test_criterion_7_gradient_oracle():
 def test_criterion_8_step_a_proximal_optimality():
     rng = np.random.default_rng(102)
     kernels = {
-        "diagonal": gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8),
+        "diagonal": gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8),
         "block2x2": translation_invariant_blocks(
             [1.0, 0.4, 0.2, 0.05], [0.0, 0.3, -0.1, 0.02]
         ),

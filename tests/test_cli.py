@@ -1,12 +1,17 @@
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mfgspectral.basis import basis_1d
+from mfgspectral import cli
+from mfgspectral.basis import SliceTables, basis_1d, basis_2d
 from mfgspectral.cli import (
     PRESETS,
+    SOLVER_KEYS,
     ConfigError,
+    _function_from_coefficients,
     build_kernel,
     build_problem,
     kernel_info,
@@ -14,10 +19,12 @@ from mfgspectral.cli import (
     main,
     validate_config,
 )
-from mfgspectral.pdhg import solve
+from mfgspectral.pdhg import SolverConfig, solve
 from mfgspectral.problem import DivergenceError
 
 ARTIFACTS = ["trajectories.csv", "diagnostics.jsonl", "metrics.json"]
+STEP_KEYS = ["a_squared", "omega_lambda", "omega_lambda_limit", "step_bound_ok"]
+HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
 
 
 def tiny_config(output_dir, **overrides):
@@ -127,6 +134,13 @@ class TestValidation:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
 
+    def test_integer_past_digit_limit(self, tmp_path, capsys):
+        # json reads integers through int(), which refuses over 4300 digits
+        path = tmp_path / "huge.json"
+        path.write_text('{"dimension": 1' + "0" * 5000 + "}")
+        assert main(["kernel-info", str(path)]) == 1
+        assert "config error: config: invalid JSON in" in capsys.readouterr().err
+
     def test_directory_config_path(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path)]) == 1
         assert "config error: config: cannot read" in capsys.readouterr().err
@@ -155,6 +169,9 @@ class TestValidation:
             ("eps", "Infinity"),
             ("matrix", "NaN"),
             ("matrix", "-Infinity"),
+            pytest.param("sigma", HUGE_INT, id="sigma-int-1e400"),
+            pytest.param("mu", HUGE_INT, id="mu-int-1e400"),
+            pytest.param("eps", HUGE_INT, id="eps-int-1e400"),
         ],
     )
     def test_non_finite_kernel_input(self, tmp_path, capsys, field, literal):
@@ -181,6 +198,37 @@ class TestValidation:
         path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
         assert main(["solve", str(path)]) == 1
         assert f"config error: config.{field}.coefficients:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lambda", "omega", "theta", "tol"])
+    def test_integer_beyond_float_range_in_solver(self, tmp_path, capsys, key):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["solver"][key] = "LITERAL"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', HUGE_INT))
+        assert main(["kernel-info", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config.solver: {SOLVER_KEYS[key]} is too large "
+            "for a float\n"
+        )
+
+    @pytest.mark.parametrize("key", ["lambda", "omega"])
+    def test_missing_required_solver_key(self, tmp_path, key):
+        cfg = tiny_config(tmp_path / "out")
+        del cfg["solver"][key]
+        with pytest.raises(
+            ConfigError, match=f"config.solver.{key}: missing required field"
+        ):
+            validate_config(cfg)
+
+    def test_solver_defaults_are_solver_configs(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["solver"] = {"lambda": 3.0, "omega": 0.5}
+        assert validate_config(cfg).solver == SolverConfig(lam=3.0, omega=0.5)
+
+    def test_solver_keys_cover_every_field_once(self):
+        # a SolverConfig field missing here could not be set from a config
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert Counter(SOLVER_KEYS.values()) == Counter(fields)
 
     def test_infinite_tol_still_valid(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
@@ -214,6 +262,17 @@ class TestKernelInfo:
         assert main(["kernel-info", "paper-1d-a"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["basis_size"] == 8
+
+    def test_step_values_pinned(self, capsys):
+        # paper-1d-a's step values, pinned to the last bit
+        assert main(["kernel-info", "paper-1d-a"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {k: data[k] for k in STEP_KEYS} == {
+            "a_squared": 0.17370503745917276,
+            "omega_lambda": 1.5,
+            "omega_lambda_limit": 5.756885434223736,
+            "step_bound_ok": True,
+        }
 
     def test_near_singular_custom_matrix_warns(self, tmp_path):
         entries = np.diag([1e-13, 1.0, 1.0]).tolist()
@@ -347,6 +406,27 @@ class TestRun:
         assert last["iteration"] == caught.value.iteration // 10 * 10
         assert last == caught.value.diagnostics[-1]
 
+    def test_step_bound_violation_warns_once(self, tmp_path, capsys):
+        # omega * lambda = 20 against a limit of about 0.81
+        out = tmp_path / "steps"
+        cfg = tiny_config(out)
+        cfg["solver"].update({"lambda": 40.0, "omega": 0.5})
+        path = write_config(tmp_path, cfg)
+        assert main(["kernel-info", path]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["step_bound_ok"] is False
+        assert info["omega_lambda"] == 20.0 > info["omega_lambda_limit"]
+        assert main(["solve", path]) == 0
+        err = capsys.readouterr().err
+        warning = (
+            f"warning: omega*lambda = 20 exceeds 1/A^2 = "
+            f"{info['omega_lambda_limit']:.6g}; the iteration may diverge\n"
+        )
+        assert err.count("exceeds 1/A^2") == 1 and err.startswith(warning)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["a_squared"] == info["a_squared"]
+        assert metrics["step_bound_ok"] is False
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "flags"
         path = write_config(tmp_path, tiny_config(tmp_path / "ignored"))
@@ -415,3 +495,29 @@ def test_config_requires_kernel_type(tmp_path):
     cfg["kernel"].pop("type")
     with pytest.raises(ConfigError, match="config.kernel.type"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "dimension, coeffs",
+    [(1, [0.3, -1.2, 0.7, 0.1, 2.0]), (2, [0.4, -0.9, 0.25, 1.1, -0.6, 0.8])],
+)
+def test_coefficient_gradient_reuses_tables(monkeypatch, dimension, coeffs):
+    # tables are kept while the point count holds and made anew when it
+    # changes; every call matches fresh tables bit for bit
+    made = []
+
+    class CountedTables(SliceTables):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "SliceTables", CountedTables)
+    _, gradient = _function_from_coefficients(coeffs, dimension, "config.U")
+    b = basis_1d(5) if dimension == 1 else basis_2d(4)
+    column = np.asarray(coeffs)[:, None]
+    rng = np.random.default_rng(140)
+    for count in (9, 9, 9, 4, 4, 9):
+        p = rng.uniform(-0.5, 1.5, size=(count, dimension))
+        expect = SliceTables(b, p[:, None, :]).field_gradient(column)[:, 0]
+        np.testing.assert_array_equal(gradient(p), expect)
+    assert len(made) == 3

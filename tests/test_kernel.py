@@ -8,8 +8,7 @@ from mfgspectral.kernel import (
     GaussianKernelSpec,
     fejer_average,
     fourier_coefficients,
-    gaussian_spectral_1d,
-    gaussian_spectral_2d,
+    gaussian_spectral,
     kernel_eval_direct,
     psd_check,
     regularize,
@@ -27,14 +26,14 @@ def frobenius_identity_gap(kernel):
 class TestGaussianSpectral:
     def test_1d_entries(self):
         spec = GaussianKernelSpec(sigma=0.2, mu=0.5)
-        k = np.diag(gaussian_spectral_1d(spec, 3).k_mat)
+        k = np.diag(gaussian_spectral(spec, 3).k_mat)
         assert k[0] == pytest.approx(0.5, abs=0)
         # mu * exp(-(0.2*pi)^2 / 2), frozen from direct evaluation
         assert k[1] == pytest.approx(0.41043435870776995, rel=1e-14)
         assert k[2] == k[1]
 
     def test_1d_inverse_and_form(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8)
         k, j = np.diag(ker.k_mat), np.diag(ker.j_mat)
         np.testing.assert_array_equal(ker.k_mat, np.diag(k))
         np.testing.assert_array_equal(ker.j_mat, np.diag(j))
@@ -42,14 +41,14 @@ class TestGaussianSpectral:
         assert frobenius_identity_gap(ker) < 1e-10
 
     def test_1d_monotone_decay(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.3, 1.2), 9)
+        ker = gaussian_spectral(GaussianKernelSpec(0.3, 1.2), 9)
         assert np.all(np.diff(np.diag(ker.k_mat)) <= 1e-18)
 
     def test_2d_entries(self):
-        ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.5, dimension=2), 8)
+        ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.5, dimension=2), 8)
         assert ker.size == 28
         assert ker.k_mat[0, 0] == pytest.approx(0.25, abs=0)
-        ker1 = gaussian_spectral_2d(GaussianKernelSpec(1.0, 0.5, dimension=2), 8)
+        ker1 = gaussian_spectral(GaussianKernelSpec(1.0, 0.5, dimension=2), 8)
         pos = ker1.basis.indices.index((1, 2))
         # mu^2 * exp(-pi^2/2), frozen from direct evaluation
         assert ker1.k_mat[pos, pos] == pytest.approx(0.001797970838956592, rel=1e-13)
@@ -57,7 +56,7 @@ class TestGaussianSpectral:
     def test_underflowed_frequencies_dropped(self):
         # at sigma=1, frequencies beyond ~26 underflow to exactly zero and
         # must leave the basis instead of producing infinite inverses
-        ker = gaussian_spectral_1d(GaussianKernelSpec(1.0, 0.5), 60)
+        ker = gaussian_spectral(GaussianKernelSpec(1.0, 0.5), 60)
         assert ker.size < 60
         assert np.all(np.diag(ker.k_mat) > 0)
         assert np.all(np.isfinite(ker.j_mat))
@@ -70,9 +69,7 @@ class TestGaussianSpectral:
         with pytest.raises(ValueError):
             GaussianKernelSpec(sigma=0.1, mu=0.0)
         with pytest.raises(ValueError):
-            gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 0)
-        with pytest.raises(ValueError):
-            gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5, dimension=2), 4)
+            gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 0)
 
     @pytest.mark.parametrize(
         "sigma, mu",
@@ -119,7 +116,7 @@ class TestDirectEvaluation:
     def test_truncated_expansion_matches_direct(self, sigma):
         # eigenfunction expansion with 40 functions against the image sum
         spec = GaussianKernelSpec(sigma=sigma, mu=0.5)
-        ker = gaussian_spectral_1d(spec, 40)
+        ker = gaussian_spectral(spec, 40)
         grid = np.arange(64) / 64.0
         vals = eval_all(ker.basis, grid)
         approx = vals @ ker.k_mat @ vals.T
@@ -149,7 +146,7 @@ class TestFourierCoefficients:
 
     def test_matches_analytic_gaussian(self):
         spec = GaussianKernelSpec(sigma=0.2, mu=0.5)
-        ker = gaussian_spectral_1d(spec, 8)
+        ker = gaussian_spectral(spec, 8)
         coeffs = fourier_coefficients(
             lambda x, y: kernel_eval_direct(spec, x, y), ker.basis, 512
         )
@@ -165,7 +162,7 @@ class TestFourierCoefficients:
 
     def test_2d_quadrature_against_analytic(self):
         spec = GaussianKernelSpec(sigma=0.5, mu=0.8, dimension=2)
-        ker = gaussian_spectral_2d(spec, 4)
+        ker = gaussian_spectral(spec, 4)
         coeffs = fourier_coefficients(
             lambda x, y: kernel_eval_direct(spec, x, y), ker.basis, 16
         )
@@ -263,7 +260,7 @@ class TestGaussAxis:
 class TestFejerAverage:
     def test_weights_1d(self):
         c = np.ones((5, 5))
-        out = fejer_average(c, 2)
+        out = fejer_average(c, 2, basis_1d(5))
         # frequencies along the standard ordering: 0, 1, 1, 2, 2
         assert out[0, 0] == pytest.approx(1.0)
         assert out[3, 0] == pytest.approx(1.0 / 3.0)
@@ -274,7 +271,7 @@ class TestFejerAverage:
         for _ in range(5):
             g = rng.normal(size=(7, 7))
             c = g.T @ g
-            out = fejer_average(c, 3)
+            out = fejer_average(c, 3, basis_1d(7))
             assert psd_check(out) >= -1e-10
 
     def test_2d_basis_weights(self):
@@ -288,7 +285,7 @@ class TestFejerAverage:
     def test_frequency_above_range_rejected(self):
         c = np.eye(5)
         with pytest.raises(ValueError):
-            fejer_average(c, 1)
+            fejer_average(c, 1, basis_1d(5))
 
 
 class TestPsdCheck:
@@ -299,7 +296,7 @@ class TestPsdCheck:
         assert psd_check(np.diag([1.0, -0.1])) == pytest.approx(-0.1)
 
     def test_gaussian_diagonal(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8)
         assert psd_check(ker.k_mat) == pytest.approx(np.min(np.diag(ker.k_mat)))
 
     def test_asymmetric_rejected(self):
@@ -362,11 +359,11 @@ class TestTranslationInvariantBlocks:
 
 class TestRegularize:
     def test_zero_eps_is_identity(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         assert regularize(ker, 0.0) is ker
 
     def test_diagonal_shift(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         out = regularize(ker, 1e-3)
         np.testing.assert_allclose(np.diag(out.k_mat), np.diag(ker.k_mat) + 1e-3)
         assert out.eps == pytest.approx(1e-3)
@@ -389,7 +386,7 @@ class TestRegularize:
         assert frobenius_identity_gap(ker) < 100 * cond * np.finfo(float).eps
 
     def test_negative_eps_rejected(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         with pytest.raises(ValueError):
             regularize(ker, -1e-6)
 
@@ -432,7 +429,7 @@ class TestApplyOperators:
     def test_apply_matches_matrices(self):
         rng = np.random.default_rng(11)
         kernels = [
-            gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6),
+            gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6),
             translation_invariant_blocks([1.0, 0.3, 0.1], [0.0, 0.4, -0.05]),
             spectral_from_dense(
                 np.eye(4) + 0.1 * np.ones((4, 4)), basis_1d(4)

@@ -12,20 +12,18 @@ from mfgspectral.basis import basis_1d
 from mfgspectral.kernel import (
     GaussianKernelSpec,
     SpectralKernel,
-    gaussian_spectral_1d,
-    gaussian_spectral_2d,
+    gaussian_spectral,
     spectral_from_dense,
     translation_invariant_blocks,
 )
 from mfgspectral.pdhg import (
     SolverConfig,
-    check_steps,
     fixed_point_residual,
     prox_a_operator,
     prox_x_operator,
     solve,
     step_a,
-    step_size_bound,
+    step_check,
     step_x,
     step_z,
 )
@@ -87,50 +85,70 @@ def stationary(measure, N):
     return np.repeat(measure.points[:, None, :], N + 1, axis=1)
 
 
+def one_particle():
+    return DiscreteMeasure(points=np.array([[0.5]]), weights=np.array([1.0]))
+
+
+def a_squared(measure, basis, dt):
+    return step_check(SolverConfig(lam=3.0, omega=0.5), measure, basis, dt)["a_squared"]
+
+
 class TestStepSizeBound:
     def test_constant_basis_is_zero(self):
         m = uniform_measure(5)
-        assert step_size_bound(m, basis_1d(1), 0.05) == 0.0
+        assert a_squared(m, basis_1d(1), 0.05) == 0.0
 
     def test_single_particle_single_frequency(self):
-        m = DiscreteMeasure(points=np.array([[0.5]]), weights=np.array([1.0]))
-        assert step_size_bound(m, basis_1d(2), 1.0) == pytest.approx(
+        assert a_squared(one_particle(), basis_1d(2), 1.0) == pytest.approx(
             78.95683520871486, rel=1e-13
         )
 
     def test_uniform_weight_scaling(self):
         b = basis_1d(4)
-        m1 = DiscreteMeasure(points=np.array([[0.5]]), weights=np.array([1.0]))
+        m1 = one_particle()
         m50 = uniform_measure(50)
-        assert step_size_bound(m50, b, 0.1) == pytest.approx(
-            step_size_bound(m1, b, 0.1) / 50.0, rel=1e-12
+        assert a_squared(m50, b, 0.1) == pytest.approx(
+            a_squared(m1, b, 0.1) / 50.0, rel=1e-12
         )
         # the preconditioned bound counts particles, not their weights
         skewed = discretize_measure(
             lambda p: 1.0 / 6.0 + 5.0 / 3.0 * np.sin(np.pi * p[:, 0]) ** 2, 50, 1
         )
-        assert step_size_bound(skewed, b, 0.1) == pytest.approx(
-            step_size_bound(m1, b, 0.1) / 50.0, rel=1e-12
+        assert a_squared(skewed, b, 0.1) == pytest.approx(
+            a_squared(m1, b, 0.1) / 50.0, rel=1e-12
         )
 
 
 class TestCheckSteps:
+    # one particle and one frequency: A^2 = 8 pi^2 dt^2, against
+    # omega * lam = 0.25
     def test_ok(self):
         cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0)
-        assert check_steps(cfg, 1.0) is True
+        steps = step_check(cfg, one_particle(), basis_1d(2), 0.1)
+        assert sorted(steps) == [
+            "a_squared", "omega_lambda", "omega_lambda_limit", "step_bound_ok"
+        ]
+        assert steps["omega_lambda"] == 0.25
+        assert steps["omega_lambda_limit"] == 1.0 / steps["a_squared"]
+        assert steps["step_bound_ok"] is True
 
     def test_violation(self):
         cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0)
-        assert check_steps(cfg, 10.0) is False
+        steps = step_check(cfg, one_particle(), basis_1d(2), 1.0)
+        assert steps["omega_lambda_limit"] == 1.0 / steps["a_squared"] < 0.25
+        assert steps["step_bound_ok"] is False
 
     def test_zero_bound_always_ok(self):
         cfg = SolverConfig(lam=100.0, omega=100.0)
-        assert check_steps(cfg, 0.0) is True
+        steps = step_check(cfg, uniform_measure(5), basis_1d(1), 0.05)
+        assert steps["a_squared"] == 0.0
+        assert steps["omega_lambda_limit"] is None
+        assert steps["step_bound_ok"] is True
 
 
 class TestStepA:
     def test_zero_lambda_is_identity(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         m = uniform_measure(4)
         a = np.arange(12.0).reshape(3, 4)
         q = moment_vector(stationary(m, 4), m, ker.basis)
@@ -139,7 +157,7 @@ class TestStepA:
 
     def test_flat_kernel_fixed_point(self):
         mu = 0.5
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, mu), 1)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 1)
         m = uniform_measure(6)
         a = np.full((1, 5), mu)
         z = stationary(m, 5)
@@ -161,7 +179,7 @@ class TestStepA:
     def test_proximal_optimality(self, builder):
         rng = np.random.default_rng(17)
         if builder == "gaussian_spectral_1d":
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6)
         elif builder == "translation_invariant_blocks":
             ker = translation_invariant_blocks(
                 [1.0, 0.3, 0.15], [0.0, 0.4, -0.07]
@@ -184,8 +202,7 @@ class TestStepA:
     def test_gaussian_prox_matches_closed_form(self, dimension):
         # the old diagonal applier: rhs / (1 + lam_dt / k)
         spec = GaussianKernelSpec(0.2, 0.5, dimension=dimension)
-        build = gaussian_spectral_1d if dimension == 1 else gaussian_spectral_2d
-        ker = build(spec, 8)
+        ker = gaussian_spectral(spec, 8)
         lam_dt = 0.15
         rhs = np.random.default_rng(19).normal(size=(ker.size, 5))
         k = np.diag(ker.k_mat)
@@ -213,7 +230,7 @@ class TestStepA:
 
     def test_time_slices_independent(self):
         rng = np.random.default_rng(18)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         prox = prox_a_operator(ker, 0.3)
         rhs = rng.normal(size=(4, 7))
         perm = rng.permutation(7)
@@ -223,14 +240,14 @@ class TestStepA:
 
     @pytest.mark.parametrize("lam_dt", [-0.1, math.nan, math.inf, -math.inf])
     def test_bad_lam_dt_rejected(self, lam_dt):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         with pytest.raises(ValueError, match="lam_dt"):
             prox_a_operator(ker, lam_dt)
 
 
 class TestStepX:
     def test_stationary_without_forcing(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         m = uniform_measure(5)
         prob = make_problem(ker, N=4)
         x = stationary(m, 4)
@@ -239,7 +256,7 @@ class TestStepX:
 
     def test_single_particle_single_step_formula(self):
         mu = 0.5
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, mu), 2)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 2)
         U = lambda p: np.sin(2 * np.pi * p[:, 0])
         gradU = lambda p: (2 * np.pi * np.cos(2 * np.pi * p[:, 0]))[:, None]
         prob = make_problem(ker, U=U, gradU=gradU, N=1)
@@ -262,7 +279,7 @@ class TestStepX:
         assert out[0, 0, 0] == 0.3
 
     def test_interior_equilibrium_row_follows_kinetic_solve(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 1)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 1)
         m = DiscreteMeasure(points=np.array([[0.4]]), weights=np.array([1.0]))
         prob = make_problem(ker, N=3)
         x = np.array([[[0.4], [0.6], [0.6], [0.6]]])
@@ -283,7 +300,7 @@ class TestStepX:
 
     def test_update_is_negative_scaled_gradient(self):
         rng = np.random.default_rng(19)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
         gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
             :, None
@@ -321,7 +338,7 @@ class TestStepX:
         # the step per unit weight is the same for every particle, so a
         # heavy and a light particle on the same path move identically
         rng = np.random.default_rng(24)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
         gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
             :, None
@@ -341,10 +358,10 @@ class TestStepX:
     def test_particles_independent(self, dimension):
         rng = np.random.default_rng(20)
         if dimension == 1:
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
             grid = 6
         else:  # the paper-2d basis; 144 particles
-            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
             grid = 12
         U = lambda p: np.sum(np.cos(2 * np.pi * p), axis=1)
         gradU = lambda p: -2 * np.pi * np.sin(2 * np.pi * p)
@@ -369,9 +386,9 @@ class TestStepX:
         # solve) gives slice-major paths, a C-order x C-order ones, same values
         rng = np.random.default_rng(21)
         if dimension == 1:
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 5)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
         else:
-            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
         prob = make_problem(
             ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
             gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=20,
@@ -424,7 +441,7 @@ class TestProxX:
 
 def test_coupling_terms_build_no_basis_tensors():
     # paper-2d shapes: Q = 400 particles, N = 20 slices, 28 functions, d = 2
-    ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
+    ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 8)
     prob = make_problem(ker, N=20)
     m = discretize_measure(lambda p: np.ones(p.shape[0]), 20, 2)
     rng = np.random.default_rng(23)
@@ -466,7 +483,7 @@ class TestStepZ:
 
     def test_moment_arrays(self):
         # the solve extrapolates (size, N) moments
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         m = uniform_measure(5)
         rng = np.random.default_rng(25)
         x_old = stationary(m, 3)
@@ -484,7 +501,7 @@ class TestStepZ:
 class TestFixedPointResidual:
     def test_exact_fixed_point(self):
         rng = np.random.default_rng(23)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 5)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
         m = uniform_measure(6)
         x = stationary(m, 4)
         x[:, 1:, :] += rng.normal(scale=0.2, size=(6, 4, 1))
@@ -494,14 +511,14 @@ class TestFixedPointResidual:
 
     def test_flat_kernel_constant_coefficients(self):
         mu = 0.5
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, mu), 1)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 1)
         m = uniform_measure(6)
         x = stationary(m, 4)
         a = np.full((1, 4), mu)
         assert fixed_point_residual(a, x, ker, m) < 1e-15
 
     def test_zero_coefficients(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         m = uniform_measure(5)
         x = stationary(m, 3)
         p = moment_vector(x, m, ker.basis)
@@ -514,7 +531,7 @@ class TestFixedPointResidual:
 class TestSolve:
     def test_flat_kernel_constant_terminal(self):
         mu = 0.5
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, mu), 1)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 1)
         prob = make_problem(ker, U=lambda p: 1.0 + 0.0 * p[:, 0], N=5)
         m = uniform_measure(8)
         cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, max_iter=2000, tol=1e-12)
@@ -524,7 +541,7 @@ class TestSolve:
         np.testing.assert_allclose(res.x, stationary(m, 5), atol=1e-12)
 
     def test_infinite_tolerance_returns_initial_state(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=4)
         m = uniform_measure(5)
         cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, tol=math.inf)
@@ -534,7 +551,7 @@ class TestSolve:
         np.testing.assert_array_equal(res.x, stationary(m, 4))
 
     def test_divergence_raises_with_diagnostics(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         # anti-confining terminal cost: the last slice is pushed outward
         # every iteration, whatever the step size
         U = lambda p: -5.0 * p[:, 0] ** 2
@@ -553,7 +570,7 @@ class TestSolve:
         # from its 5th call the terminal gradient is infinite for one
         # particle: the step must stop with DivergenceError, before the
         # infinite coordinates reach the basis tables and warn there
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         calls = []
 
         def gradU(p):
@@ -586,7 +603,7 @@ class TestSolve:
             return out + 2.0 * pdhg.DIVERGENCE_LIMIT if len(calls) == 3 else out
 
         monkeypatch.setattr(pdhg, "step_a", step_a_jumping)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=4)
         m = uniform_measure(5)
         cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, max_iter=10, tol=0.0, record_every=1)
@@ -609,9 +626,9 @@ class TestSolve:
 
         monkeypatch.setattr(basis_module, "_axis_tables", counting)
         if dimension == 1:
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         else:
-            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
         prob = make_problem(
             ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
             gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
@@ -630,9 +647,9 @@ class TestSolve:
     def test_two_iterations_by_hand(self, theta, dimension):
         # the solve extrapolates moments, not trajectories
         if dimension == 1:
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6)
         else:
-            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
         prob = make_problem(
             ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
             gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=5,
@@ -671,9 +688,9 @@ class TestSolve:
 
         monkeypatch.setattr(pdhg, "step_x", recording)
         if dimension == 1:
-            ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         else:
-            ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 5)
         prob = make_problem(
             ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
             gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
@@ -688,7 +705,7 @@ class TestSolve:
         np.testing.assert_array_equal(res.x[:, 0, :], m.points)
 
     def test_pinning_and_finiteness_on_generic_run(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
         gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
             :, None
@@ -708,7 +725,7 @@ class TestSolve:
 
     def test_flat_kernel_trajectories_straight(self):
         mu = 0.5
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, mu), 1)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 1)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
         gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
             :, None
@@ -730,7 +747,7 @@ class TestSolve:
         assert np.max(np.abs(res.x - chord)) < 200 * tol
 
     def test_deterministic_repeat(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         U = lambda p: np.cos(2 * np.pi * p[:, 0])
         gradU = lambda p: (-2 * np.pi * np.sin(2 * np.pi * p[:, 0]))[:, None]
         prob = make_problem(ker, U=U, gradU=gradU, N=4)
@@ -742,7 +759,7 @@ class TestSolve:
         np.testing.assert_array_equal(res1.x, res2.x)
 
     def test_diagnostics_jsonl(self, tmp_path):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 3)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=3)
         m = uniform_measure(4)
         cfg = SolverConfig(
@@ -805,6 +822,15 @@ class TestSolverConfigValidation:
             lam=np.float64(2.0), omega=1, theta=np.float32(0.5), tol=np.int64(0)
         )
         assert (cfg.lam, cfg.omega, cfg.theta, cfg.tol) == (2.0, 1, 0.5, 0)
+
+    @pytest.mark.parametrize("field", ["lam", "omega", "theta", "tol"])
+    def test_integers_beyond_float_range_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} is too large for a float"):
+            SolverConfig(**{"lam": 1.0, "omega": 0.1, field: 10**400})
+
+    def test_real_fields_stored_as_floats(self):
+        cfg = SolverConfig(lam=3, omega=np.float32(0.5), theta=1, tol=np.int64(0))
+        assert {type(v) for v in (cfg.lam, cfg.omega, cfg.theta, cfg.tol)} == {float}
 
     def test_numpy_integer_counts_allowed(self):
         cfg = SolverConfig(

@@ -5,8 +5,7 @@ import pytest
 
 from mfgspectral.kernel import (
     GaussianKernelSpec,
-    gaussian_spectral_1d,
-    gaussian_spectral_2d,
+    gaussian_spectral,
 )
 from mfgspectral.problem import (
     DiscreteMeasure,
@@ -25,7 +24,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def flat_kernel(mu=0.5):
-    return gaussian_spectral_1d(GaussianKernelSpec(sigma=0.2, mu=mu), 1)
+    return gaussian_spectral(GaussianKernelSpec(sigma=0.2, mu=mu), 1)
 
 
 def zero_fn(p):
@@ -78,13 +77,13 @@ def descend_alone(x0, a, problem, max_steps=5000, tol=1e-10):
 def paper_like_problem(dimension, N):
     """A crowd-averse instance with the paper's terminal costs, 1d or 2d."""
     if dimension == 1:
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8)
         U = lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2)
         gradU = lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2))[
             :, None
         ]
     else:
-        ker = gaussian_spectral_2d(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+        ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
         U = lambda p: 1.5 + 0.5 * (
             np.cos(6 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, 1])
         )
@@ -216,7 +215,7 @@ class TestSaddleValue:
     def test_quadratic_term_identity(self):
         # substituting a = K p turns the quadratic term into <p, K p>/2 * dt
         rng = np.random.default_rng(12)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 6)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6)
         m = discretize_measure(lambda p: np.ones(p.shape[0]), 7, 1)
         prob = make_problem(ker, N=5)
         x = stationary_trajectories(m, 5) + 0.0
@@ -239,7 +238,7 @@ class TestSaddleValue:
 class TestMomentVector:
     def test_constant_row_is_one(self):
         rng = np.random.default_rng(13)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
         m = discretize_measure(
             lambda p: 0.5 + np.sin(np.pi * p[:, 0]) ** 2, 6, 1
         )
@@ -251,7 +250,7 @@ class TestMomentVector:
     def test_stationary_constant_in_time(self):
         from mfgspectral.basis import eval_all
 
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 5)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
         m = discretize_measure(lambda p: np.ones(p.shape[0]), 6, 1)
         x = stationary_trajectories(m, 4)
         p = moment_vector(x, m, ker.basis)
@@ -260,7 +259,7 @@ class TestMomentVector:
             np.testing.assert_allclose(p[:, i], expect, atol=1e-14)
 
     def test_two_particle_value(self):
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 2)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 2)
         m = DiscreteMeasure(
             points=np.array([[0.1], [0.9]]), weights=np.array([0.5, 0.5])
         )
@@ -273,7 +272,7 @@ class TestMomentVector:
 
     def test_bounded_by_sqrt2(self):
         rng = np.random.default_rng(14)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.2, 0.5), 8)
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8)
         m = discretize_measure(lambda p: np.ones(p.shape[0]), 9, 1)
         x = stationary_trajectories(m, 6)
         x[:, 1:, :] += rng.normal(scale=3.0, size=(9, 6, 1))
@@ -338,7 +337,7 @@ class TestDiscreteG:
 
     def test_concavity_spot_check(self):
         rng = np.random.default_rng(15)
-        ker = gaussian_spectral_1d(GaussianKernelSpec(0.3, 0.5), 4)
+        ker = gaussian_spectral(GaussianKernelSpec(0.3, 0.5), 4)
         U = lambda p: 0.5 + 0.3 * np.sin(2 * np.pi * p[:, 0])
         gradU = lambda p: (0.6 * np.pi * np.cos(2 * np.pi * p[:, 0]))[:, None]
         prob = MFGProblem(
