@@ -237,8 +237,7 @@ def grad_all(basis: BasisSet, points) -> np.ndarray:
 class SliceTables:
     """Tables of a basis at every slice of a (Q, N, d) point cloud.
 
-    The shape of the cloud is fixed when the object is made, and kept as
-    ``shape``. All axes
+    The shape of the cloud is fixed when the object is made. All axes
     share one (rows, d, N, Q) buffer, rows = 2 * top + 1 for the highest
     frequency top over all axes: buffer[:, e, i] holds the 1d functions at
     the coordinates points[:, i, e] of slice i, each row written in order.
@@ -258,7 +257,6 @@ class SliceTables:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[2] != d:
             raise ValueError(f"points must have shape (Q, N, {d}), got {pts.shape}")
-        self.shape = pts.shape
         self._rows = rows = 2 * int(basis.frequencies.max()) + 1
         # the coefficients scatter into A = coeffs.T @ _scatter, laid out as
         # (N, d, rows[, rows]): entry (i, e, r1[, r2]) is the coefficient of
@@ -293,8 +291,9 @@ class SliceTables:
         on the layout.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.shape != self.shape:
-            raise ValueError(f"points must have shape {self.shape}, got {pts.shape}")
+        shape = self._buffer.shape[:0:-1]  # (Q, N, d)
+        if pts.shape != shape:
+            raise ValueError(f"points must have shape {shape}, got {pts.shape}")
         _axis_tables(pts.transpose(2, 1, 0), self._rows // 2, out=self._buffer)
 
     def moments(self, weights) -> np.ndarray:

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -194,9 +194,11 @@ class ExperimentConfig:
     density_slices: tuple
 
 
-# JSON key of the solver section -> SolverConfig field
-SOLVER_KEYS = {"lambda": "lam", "omega": "omega", "theta": "theta",
-               "max_iter": "max_iter", "tol": "tol", "record_every": "record_every"}
+# JSON key of the solver section -> SolverConfig field: each field's name,
+# but "lambda" for lam
+_SOLVER_KEYS = {
+    "lambda" if f.name == "lam" else f.name: f.name for f in fields(SolverConfig)
+}
 
 
 def _expect(condition, path, message):
@@ -257,18 +259,10 @@ def _function_from_coefficients(coeffs, dimension, path):
     def value(p):
         return eval_all(b, p) @ vec
 
-    tables = None
-
     def gradient(p):
-        # all points in one slice, of one coefficient column; kept tables
-        # are refilled in place while the point count holds
-        nonlocal tables
+        # all points in one slice, of one coefficient column
         pts = np.asarray(p, dtype=float)[:, None, :]
-        if tables is not None and tables.shape == pts.shape:
-            tables.rebuild(pts)
-        else:
-            tables = SliceTables(b, pts)
-        return tables.field_gradient(vec[:, None])[:, 0]
+        return SliceTables(b, pts).field_gradient(vec[:, None])[:, 0]
 
     return value, gradient
 
@@ -340,7 +334,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     try:  # SolverConfig owns the defaults and the checks of its fields
         solver = SolverConfig(**{
             field: solver_section[key]
-            for key, field in SOLVER_KEYS.items()
+            for key, field in _SOLVER_KEYS.items()
             if key in solver_section
         })
     except ValueError as exc:
