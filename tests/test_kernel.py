@@ -225,17 +225,47 @@ def asymmetric_1d(x, y):
     return np.exp(np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * (x - 2 * y)))
 
 
-def sheared_gaussian(sigma, mu):
-    # g((x1 - y1) + (x2 - y2)) g(x2 - y2): periodic, PSD and not separable
+def sheared_gaussian(sigma, mu, shear=1, axis=None):
+    # g((x1 - y1) + shear (x2 - y2)) g(x2 - y2): periodic, PSD and not
+    # separable; g is kernel_eval_direct's 1d Gaussian unless axis is given
     spec = GaussianKernelSpec(sigma=sigma, mu=mu)
+    g = axis or (lambda t: kernel_eval_direct(spec, t, 0.0))
 
     def kern(x, y):
         d = x - y
-        return kernel_eval_direct(spec, d[..., 0] + d[..., 1], 0.0) * kernel_eval_direct(
-            spec, d[..., 1], 0.0
-        )
+        return g(d[..., 0] + shear * d[..., 1]) * g(d[..., 1])
 
     return kern
+
+
+def wide_image_sum(sigma, mu, t):
+    # the periodic Gaussian written out over 2 max(3, ceil(1 + 4.3 sigma)) + 1
+    # images, which hold every image _gauss_axis sums for sigma <= 1.5
+    s = sigma / 2.0
+    frac = t - np.floor(t)
+    m = max(3, int(np.ceil(1.0 + 4.3 * sigma)))
+    total = np.zeros_like(frac)
+    for k in range(-m, m + 1):
+        total += np.exp(-((frac - k) ** 2) / (2.0 * s * s))
+    return mu / np.sqrt(2.0 * np.pi * s * s) * total
+
+
+def window_points():
+    # 110006 points: frac(t) spread over [0, 1), just above 0, just below 1
+    # and near 0.5, and |t| up to 1e9
+    rng = np.random.default_rng(31)
+    whole = rng.integers(-50, 50, size=(3, 10000))
+    near = rng.uniform(0, 1e-6, size=(3, 10000))
+    return np.concatenate(
+        [
+            rng.uniform(-3, 3, 60000),
+            rng.uniform(-1e9, 1e9, 20000),
+            whole[0] + near[0],
+            whole[1] - near[1],
+            whole[2] + 0.5 + (near[2] - 5e-7),
+            [0.0, 0.5, 1.0, -1.0, 1e9, -1e9],
+        ]
+    )
 
 
 class TestGaussAxis:
@@ -255,6 +285,45 @@ class TestGaussAxis:
         expect = 0.7 / np.sqrt(2.0 * np.pi * s * s) * total
         np.testing.assert_array_equal(_gauss_axis(spec, t), expect)
         np.testing.assert_array_equal(_gauss_axis(spec, t[:, 1::3, ::2]), expect[:, 1::3, ::2])
+
+    # 0.1999 | 0.2 and 0.3999 | 0.4 straddle steps of the 5 sigma window,
+    # 0.2325 | 0.2326 and 0.4651 | 0.4652 those of a 4.3 sigma one
+    @pytest.mark.parametrize(
+        "sigma",
+        [0.01, 0.1, 0.1999, 0.2, 0.2325, 0.2326, 0.3, 0.3999, 0.4, 0.4651, 0.4652, 1.0],
+    )
+    def test_window_bit_identical_to_wide_sum(self, sigma):
+        t = window_points()
+        spec = GaussianKernelSpec(sigma=sigma, mu=0.7)
+        np.testing.assert_array_equal(_gauss_axis(spec, t), wide_image_sum(sigma, 0.7, t))
+
+    @pytest.mark.parametrize("sigma", [0.987, 1.7, 2.5, 4.0])
+    def test_window_within_rounding_of_wide_sum(self, sigma):
+        # a different set or order of negligible images moves the last bit
+        # of rare values; for sigma > 1.5 the window is the wider one
+        t = window_points()
+        spec = GaussianKernelSpec(sigma=sigma, mu=0.7)
+        np.testing.assert_allclose(
+            _gauss_axis(spec, t), wide_image_sum(sigma, 0.7, t), rtol=4.5e-16, atol=0
+        )
+
+    def test_scalar_for_scalar_and_owned_array_otherwise(self):
+        # an owned result lets numpy reuse it for the caller's temporaries
+        spec = GaussianKernelSpec(sigma=0.3, mu=0.7)
+        assert type(kernel_eval_direct(spec, 0.3, 0.1)) is np.float64
+        assert kernel_eval_direct(spec, np.linspace(0, 1, 5), 0.1).base is None
+
+    @pytest.mark.parametrize("sigma, shear", [(0.2, 1), (0.2325, -1), (0.3999, 1)])
+    def test_sheared_coefficients_bit_identical_to_wide_sum(self, sigma, shear):
+        # the dense 2d quadrature of the benchmark's sheared kernel
+        b = basis_2d(8)
+        wide = sheared_gaussian(
+            sigma, 0.6, shear, axis=lambda t: wide_image_sum(sigma, 0.6, t)
+        )
+        np.testing.assert_array_equal(
+            fourier_coefficients(sheared_gaussian(sigma, 0.6, shear), b, 32),
+            fourier_coefficients(wide, b, 32),
+        )
 
 
 class TestFejerAverage:
@@ -430,12 +499,18 @@ class TestApplyOperators:
         rng = np.random.default_rng(11)
         kernels = [
             gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6),
+            gaussian_spectral(GaussianKernelSpec(0.3, 0.5, dimension=2), 4),
             translation_invariant_blocks([1.0, 0.3, 0.1], [0.0, 0.4, -0.05]),
             spectral_from_dense(
                 np.eye(4) + 0.1 * np.ones((4, 4)), basis_1d(4)
             ),
         ]
         for ker in kernels:
-            v = rng.normal(size=(ker.size, 3))
-            np.testing.assert_allclose(ker.apply_k(v), ker.k_mat @ v, atol=1e-12)
-            np.testing.assert_allclose(ker.apply_j(v), ker.j_mat @ v, atol=1e-12)
+            for shape in [(ker.size,), (ker.size, 3)]:
+                v = rng.normal(size=shape)
+                np.testing.assert_array_equal(ker.apply_k(v), ker.k_mat @ v)
+                np.testing.assert_array_equal(ker.apply_j(v), ker.j_mat @ v)
+            v = rng.normal(size=(ker.size, 2, 3))
+            np.testing.assert_allclose(
+                ker.apply_k(v), np.einsum("ij,jkl->ikl", ker.k_mat, v), atol=1e-12
+            )
