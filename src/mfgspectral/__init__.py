@@ -16,7 +16,6 @@ from .kernel import (
     gaussian_spectral,
     kernel_eval_direct,
     psd_check,
-    regularize,
     spectral_from_dense,
     translation_invariant_blocks,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "kernel_eval_direct",
     "moment_vector",
     "psd_check",
-    "regularize",
     "saddle_value",
     "solve",
     "spectral_from_dense",

@@ -36,7 +36,6 @@ from .kernel import (
     GaussianKernelSpec,
     SpectralKernel,
     gaussian_spectral,
-    regularize,
     spectral_from_dense,
 )
 from .pdhg import (
@@ -177,10 +176,7 @@ PRESETS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     dimension: int
-    kernel_type: str
-    sigma: float | None
-    mu: float | None
-    kernel_matrix: np.ndarray | None
+    kernel: GaussianKernelSpec | np.ndarray  # or a custom coefficient matrix
     eps: float | None
     r: int
     N: int
@@ -206,19 +202,13 @@ def _expect(condition, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
-def _get_number(section, key, path, positive=False):
+def _get_number(section, key, path):
+    # the JSON number itself: the library turns it into a float and checks it
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = section[key]
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{path}.{key}", "must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{path}.{key}: too large for a float") from None
-    if positive:
-        _expect(math.isfinite(value) and value > 0, f"{path}.{key}",
-                "must be positive and finite")
     return value
 
 
@@ -303,29 +293,28 @@ def validate_config(raw: dict) -> ExperimentConfig:
     n_steps = _get_int(raw, "N", "config", minimum=1)
     q = _get_int(raw, "Q", "config", minimum=1)
 
-    sigma = mu = None
-    matrix = None
     eps = None
     if "eps" in kernel_section:
         eps = _get_number(kernel_section, "eps", "config.kernel")
-        _expect(math.isfinite(eps) and eps >= 0, "config.kernel.eps",
-                "must be finite and nonnegative")
     if ktype == "gaussian":
-        sigma = _get_number(kernel_section, "sigma", "config.kernel", positive=True)
-        mu = _get_number(kernel_section, "mu", "config.kernel", positive=True)
+        try:  # GaussianKernelSpec owns the checks of sigma and mu
+            kernel = GaussianKernelSpec(
+                sigma=_get_number(kernel_section, "sigma", "config.kernel"),
+                mu=_get_number(kernel_section, "mu", "config.kernel"),
+                dimension=dimension,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config.kernel: {exc}") from exc
     else:
         entries = kernel_section.get("matrix")
         _expect(isinstance(entries, list) and entries, "config.kernel.matrix",
                 "must be a non-empty nested list")
         try:
-            matrix = np.asarray(entries, dtype=float)
+            kernel = np.asarray(entries, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.kernel.matrix: not numeric ({exc})") from exc
-        size = basis_1d(r).size if dimension == 1 else basis_2d(r).size
-        _expect(matrix.shape == (size, size), "config.kernel.matrix",
-                f"must be {size}x{size} for r={r} in dimension {dimension}")
-        _expect(np.all(np.isfinite(matrix)), "config.kernel.matrix",
-                "entries must be finite")
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError("config.kernel.matrix: too large for a float") from None
 
     solver_section = raw.get("solver")
     _expect(isinstance(solver_section, dict), "config.solver", "must be an object")
@@ -361,10 +350,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         dimension=dimension,
-        kernel_type=ktype,
-        sigma=sigma,
-        mu=mu,
-        kernel_matrix=matrix,
+        kernel=kernel,
         eps=eps,
         r=r,
         N=n_steps,
@@ -402,20 +388,18 @@ def load_config_source(source: str) -> dict:
 
 
 def build_kernel(cfg: ExperimentConfig) -> SpectralKernel:
-    if cfg.kernel_type == "gaussian":
-        spec = GaussianKernelSpec(sigma=cfg.sigma, mu=cfg.mu, dimension=cfg.dimension)
-        try:
-            ker = gaussian_spectral(spec, cfg.r)
-        except ValueError as exc:
-            raise ConfigError(f"config.kernel: {exc}") from exc
-        if cfg.eps:
-            ker = regularize(ker, cfg.eps)
-        return ker
-    b = basis_1d(cfg.r) if cfg.dimension == 1 else basis_2d(cfg.r)
-    try:
-        return spectral_from_dense(cfg.kernel_matrix, b, eps=cfg.eps)
+    try:  # the kernel module owns the checks of the matrix and of eps
+        if isinstance(cfg.kernel, GaussianKernelSpec):
+            ker = gaussian_spectral(cfg.kernel, cfg.r)
+            if not cfg.eps:  # eps shifts a Gaussian only when it is nonzero
+                return ker
+            matrix, basis = ker.k_mat, ker.basis
+        else:
+            matrix = cfg.kernel
+            basis = basis_1d(cfg.r) if cfg.dimension == 1 else basis_2d(cfg.r)
+        return spectral_from_dense(matrix, basis, eps=cfg.eps)
     except ValueError as exc:
-        raise ConfigError(f"config.kernel.matrix: {exc}") from exc
+        raise ConfigError(f"config.kernel: {exc}") from exc
 
 
 def build_problem(cfg: ExperimentConfig):

@@ -5,7 +5,8 @@ its dense coefficient matrix K together with the inverse J = K^-1 used by
 the solver. Translation-invariant kernels (periodic Gaussians, profiles
 with odd part) fill K with a diagonal or 2x2-block pattern and get J in
 closed form; general kernels obtained by quadrature get J by a refined
-LAPACK inverse, with optional eps*I regularization.
+LAPACK inverse. :func:`spectral_from_dense` is the one path that shifts K
+by eps*I and inverts it numerically, for dense and Gaussian kernels alike.
 
 The periodic Gaussian has one constructor for both dimensions,
 :func:`gaussian_spectral`, which reads the dimension from its spec. Its
@@ -23,6 +24,7 @@ values of the wrong shape or that are not finite.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -35,12 +37,24 @@ AUTO_EPS = 1e-6
 AUTO_EPS_TRIGGER = 1e-10
 
 
+def _as_real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` if it is a bool, not
+    a real number, or an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class GaussianKernelSpec:
     """Periodic Gaussian interaction kernel parameters.
 
     sigma controls the spread, mu the total interaction weight; the
-    d-dimensional kernel is the product of identical 1d factors.
+    d-dimensional kernel is the product of identical 1d factors. sigma and
+    mu are stored as floats; invalid values raise ValueError.
     """
 
     sigma: float
@@ -48,6 +62,8 @@ class GaussianKernelSpec:
     dimension: int = 1
 
     def __post_init__(self):
+        for name in ("sigma", "mu"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (math.isfinite(self.mu) and self.mu > 0):
@@ -239,7 +255,7 @@ def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarr
 
 
 def psd_check(coefficients: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric coefficient matrix."""
+    """Smallest eigenvalue of a coefficient matrix symmetric within 1e-12."""
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"matrix must be square, got {c.shape}")
@@ -258,12 +274,14 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     [[c, s], [-s, c]] on its cosine/sine pair, and its inverse
     [[c, -s], [s, c]] / (c^2 + s^2) to J; an even profile leaves K
     diagonal. Frequencies whose block determinant falls below 1e-14 are
-    dropped from the basis.
+    dropped from the basis; a moment that is not finite raises ValueError.
     """
     c = np.asarray(eta_cos, dtype=float)
     s = np.asarray(eta_sin, dtype=float)
     if c.shape != s.shape or c.ndim != 1 or c.size < 1:
         raise ValueError("moment arrays must be equal-length 1d vectors")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
+        raise ValueError("moments must be finite")
     if s[0] != 0.0:
         raise ValueError("sine moment at frequency 0 must be zero")
 
@@ -302,30 +320,33 @@ def _dense_inverse(k_mat: np.ndarray) -> np.ndarray:
 def spectral_from_dense(
     coefficients: np.ndarray, basis: BasisSet, eps: float | None = None
 ) -> SpectralKernel:
-    """Kernel from a symmetric coefficient matrix, inverted numerically.
+    """Kernel from a symmetric coefficient matrix, shifted by eps * Id and
+    inverted numerically.
 
     With eps=None a shift of 1e-6 is applied automatically when the
     smallest eigenvalue drops below 1e-10; an explicit eps (including 0) is
-    honored, with a warning when it leaves the matrix near-singular.
+    honored, with a warning when it leaves the matrix near-singular. The
+    symmetry test and the smallest eigenvalue are :func:`psd_check`'s; an
+    eps that is negative, NaN or infinite raises ValueError.
     """
+    if eps is not None:
+        eps = _as_real("eps", eps)
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (basis.size, basis.size):
         raise ValueError(
-            f"coefficient matrix shape {c.shape} does not match basis size "
-            f"{basis.size}"
+            f"matrix shape {c.shape} does not match basis size {basis.size}"
         )
     if not np.all(np.isfinite(c)):
-        raise ValueError("coefficient matrix must be finite")
-    asym = float(np.max(np.abs(c - c.T)))
-    if asym > 1e-10:
-        raise ValueError(f"dense kernels must be symmetric (asymmetry {asym:.3e})")
+        raise ValueError("matrix must be finite")
+    min_eig = psd_check(c)
     c = 0.5 * (c + c.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(c)))
     if eps is None:
         eps = AUTO_EPS if min_eig < AUTO_EPS_TRIGGER else 0.0
     elif min_eig + eps < AUTO_EPS_TRIGGER:
         warnings.warn(
-            f"coefficient matrix is near-singular (min eigenvalue {min_eig:.3e}) "
+            f"matrix is near-singular (min eigenvalue {min_eig:.3e}) "
             f"and eps={eps} leaves it so",
             RuntimeWarning,
             stacklevel=2,
@@ -334,17 +355,5 @@ def spectral_from_dense(
     try:
         j_mat = _dense_inverse(k_mat)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"coefficient matrix is singular: {exc}") from exc
-    return SpectralKernel(basis, k_mat, j_mat, eps=float(eps))
-
-
-def regularize(kernel: SpectralKernel, eps: float) -> SpectralKernel:
-    """Shift the coefficient matrix by eps * Id and rebuild the inverse."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0:
-        return kernel
-    k_mat = kernel.k_mat + eps * np.eye(kernel.size)
-    return SpectralKernel(
-        kernel.basis, k_mat, _dense_inverse(k_mat), eps=kernel.eps + eps
-    )
+        raise ValueError(f"matrix is singular: {exc}") from exc
+    return SpectralKernel(basis, k_mat, j_mat, eps=eps)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ from .basis import (
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
     lipschitz_bounds,
 )
-from .kernel import SpectralKernel
+from .kernel import SpectralKernel, _as_real
 from .problem import (
     DiscreteMeasure,
     DivergenceError,
@@ -83,13 +82,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("lam", "omega", "theta", "tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:  # an integer beyond the float range
-                raise ValueError(f"{name} is too large for a float") from None
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.omega) and self.omega > 0):

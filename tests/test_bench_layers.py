@@ -1,10 +1,12 @@
-"""The benchmark's traced layers must name functions that exist.
+"""The benchmark's traced layers and workloads must match the library.
 
 ``bench/layers.py`` patches library functions by module and attribute
 name; a refactor that drops or renames one of them would only surface
 when a traced benchmark run crashes. An import kept only for those
 patches carries ``# noqa: F401``, and such a marker must not outlive its
-reason. These tests read ``bench/`` and change nothing there.
+reason. ``bench/workloads.py`` reads ``ExperimentConfig`` fields and builds
+problems and kernel specs itself, so each workload's set-up must still
+run. These tests read ``bench/`` and change nothing there.
 """
 
 import ast
@@ -23,6 +25,22 @@ def layers(monkeypatch):
     import layers
 
     return layers
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["cli-1d-a", "cli-2d-a", "lib-2d-dense"])
+def test_workload_setup_runs(workloads, name):
+    # the bench's own constructors, at seed 0: config, kernel and problem
+    workload = workloads.WORKLOADS[name](0)
+    assert workload.setup() > 0.0
+    assert workload.dimension in (1, 2) and workload.bins >= 2
 
 
 def test_traced_names_resolve(layers):

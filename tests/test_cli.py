@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,13 +150,30 @@ class TestValidation:
         assert main(["solve", str(path)]) == 1
         assert "config error: config: cannot read" in capsys.readouterr().err
 
-    def test_wrong_matrix_shape(self, tmp_path):
+    def test_wrong_matrix_shape(self, tmp_path, capsys):
+        # spectral_from_dense checks the shape; the CLI names the field
         cfg = tiny_config(
             tmp_path / "out",
             kernel={"type": "custom-coefficients", "matrix": [[1.0]]},
         )
-        with pytest.raises(ConfigError, match="config.kernel.matrix"):
-            validate_config(cfg)
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.kernel: matrix shape (1, 1) does not match "
+            "basis size 2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_float_range_in_matrix(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "out")
+        matrix = np.eye(basis_1d(cfg["r"]).size).tolist()
+        matrix[0][0] = "LITERAL"
+        cfg["kernel"] = {"type": "custom-coefficients", "matrix": matrix}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', HUGE_INT))
+        assert main(["kernel-info", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.kernel.matrix: too large for a float\n"
+        )
 
     @pytest.mark.parametrize(
         "field, literal",
@@ -171,7 +192,8 @@ class TestValidation:
     )
     def test_non_finite_kernel_input(self, tmp_path, capsys, field, literal):
         # Python's json reads these literals as floats; each must be a
-        # config error naming the field, not a solve or a divergence
+        # config error naming the field, not a solve or a divergence. The
+        # kernel module checks the value, and the CLI reports its message.
         cfg = tiny_config(tmp_path / "out")
         if field == "matrix":
             matrix = np.eye(basis_1d(cfg["r"]).size).tolist()
@@ -182,7 +204,10 @@ class TestValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
         assert main(["solve", str(path)]) == 1
-        assert f"config error: config.kernel.{field}:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"config error: config.kernel: {field} "
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e309"])
     @pytest.mark.parametrize("field", ["M", "U"])
@@ -277,11 +302,36 @@ class TestKernelInfo:
         assert ker.eps == 0.0
         freqs = np.reshape(ker.basis.indices, (ker.size, -1)) // 2
         n2 = np.sum(freqs**2, axis=1).astype(float)
-        analytic = cfg.mu**cfg.dimension * np.exp(
-            -0.5 * (np.pi * cfg.sigma) ** 2 * n2
+        spec = cfg.kernel
+        analytic = spec.mu**spec.dimension * np.exp(
+            -0.5 * (np.pi * spec.sigma) ** 2 * n2
         )
         np.testing.assert_allclose(np.diag(ker.k_mat), analytic, rtol=1e-14)
         assert np.min(np.diag(ker.k_mat)) < 1e-21
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.5])
+    @pytest.mark.parametrize(
+        "preset", ["paper-1d-a", "paper-1d-c", "paper-2d-a", "paper-2d-c"]
+    )
+    def test_gaussian_eps_shift(self, preset, eps):
+        # spectral_from_dense shifts the analytic diagonal, bit for bit
+        raw = load_config_source(preset)
+        unshifted = build_kernel(validate_config(raw))
+        raw["kernel"]["eps"] = eps
+        ker = build_kernel(validate_config(raw))
+        assert ker.basis == unshifted.basis and ker.eps == eps
+        np.testing.assert_array_equal(
+            ker.k_mat, np.diag(np.diag(unshifted.k_mat) + eps)
+        )
+        gap = np.linalg.norm(ker.k_mat @ ker.j_mat - np.eye(ker.size))
+        assert gap < 1e-10
+
+    def test_near_singular_gaussian_shift_warns(self):
+        # paper-1d-c's smallest eigenvalue is ~1e-22
+        raw = load_config_source("paper-1d-c")
+        raw["kernel"]["eps"] = 1e-12
+        with pytest.warns(RuntimeWarning, match="near-singular"):
+            build_kernel(validate_config(raw))
 
     @pytest.mark.parametrize("command", ["solve", "kernel-info"])
     def test_underflowed_gaussian_is_config_error(self, tmp_path, capsys, command):
@@ -472,6 +522,30 @@ class TestRun:
         assert main(["solve", path]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["symmetry_defect"] is not None
+
+
+@pytest.mark.parametrize(
+    "argv", [["presets"], ["kernel-info", "paper-1d-a"]], ids=["presets", "kernel-info"]
+)
+def test_module_entry_point(argv):
+    # `python -m mfgspectral` runs __main__.py, which no in-process test does
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgspectral", *argv],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if argv == ["presets"]:
+        assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == (
+            sorted(PRESETS)
+        )
+    else:
+        assert json.loads(proc.stdout)["basis_size"] == 8
 
 
 def test_config_requires_kernel_type(tmp_path):

@@ -11,7 +11,6 @@ from mfgspectral.kernel import (
     gaussian_spectral,
     kernel_eval_direct,
     psd_check,
-    regularize,
     spectral_from_dense,
     translation_invariant_blocks,
 )
@@ -78,6 +77,26 @@ class TestGaussianSpectral:
     def test_non_finite_parameters(self, sigma, mu):
         with pytest.raises(ValueError, match="finite"):
             GaussianKernelSpec(sigma=sigma, mu=mu)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (10**400, "sigma is too large for a float"),
+            ("0.2", "sigma must be a real number, got '0.2'"),
+            (True, "sigma must be a real number, got True"),
+            (None, "sigma must be a real number, got None"),
+        ],
+    )
+    def test_non_real_sigma_rejected(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GaussianKernelSpec(sigma=value, mu=0.5)
+        with pytest.raises(ValueError, match=f"^{message.replace('sigma', 'mu')}$"):
+            GaussianKernelSpec(sigma=0.2, mu=value)
+
+    def test_fields_stored_as_floats(self):
+        spec = GaussianKernelSpec(sigma=np.float32(0.25), mu=1)
+        assert type(spec.sigma) is float and spec.sigma == 0.25
+        assert type(spec.mu) is float and spec.mu == 1.0
 
 
 class TestDirectEvaluation:
@@ -409,6 +428,16 @@ class TestTranslationInvariantBlocks:
         with pytest.raises(ValueError):
             translation_invariant_blocks([1.0, 0.5], [0.1, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["cos", "sin"])
+    def test_non_finite_moment_rejected(self, which, bad):
+        # unchecked, a NaN moment drops its frequency and an infinite one
+        # puts NaN into J
+        moments = {"cos": [1.0, 0.5], "sin": [0.0, 0.2]}
+        moments[which][1] = bad
+        with pytest.raises(ValueError, match="^moments must be finite$"):
+            translation_invariant_blocks(moments["cos"], moments["sin"])
+
     def test_matches_quadrature_of_displacement_kernel(self):
         # profile with known moments: c0 + 2 c1 cos + 2 s1 sin
         c0, c1, s1 = 0.9, 0.3, 0.2
@@ -427,21 +456,13 @@ class TestTranslationInvariantBlocks:
 
 
 class TestRegularize:
-    def test_zero_eps_is_identity(self):
-        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
-        assert regularize(ker, 0.0) is ker
+    """The eps * Id shift, which spectral_from_dense alone applies."""
 
     def test_diagonal_shift(self):
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
-        out = regularize(ker, 1e-3)
+        out = spectral_from_dense(ker.k_mat, ker.basis, eps=1e-3)
         np.testing.assert_allclose(np.diag(out.k_mat), np.diag(ker.k_mat) + 1e-3)
         assert out.eps == pytest.approx(1e-3)
-        assert frobenius_identity_gap(out) < 1e-10
-
-    def test_block_shift(self):
-        ker = translation_invariant_blocks([1.0, 0.3], [0.0, 0.4])
-        out = regularize(ker, 0.5)
-        np.testing.assert_allclose(out.k_mat[1:3, 1:3], [[0.8, 0.4], [-0.4, 0.8]])
         assert frobenius_identity_gap(out) < 1e-10
 
     def test_dense_min_eigenvalue_shifted(self):
@@ -456,8 +477,23 @@ class TestRegularize:
 
     def test_negative_eps_rejected(self):
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
-        with pytest.raises(ValueError):
-            regularize(ker, -1e-6)
+        with pytest.raises(ValueError, match="^eps must be nonnegative and finite"):
+            spectral_from_dense(ker.k_mat, ker.basis, eps=-1e-6)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            # unchecked, -0.5 turns K = I into 0.5 I; NaN and inf put NaN into J
+            (-0.5, "eps must be nonnegative and finite, got -0.5"),
+            (np.nan, "eps must be nonnegative and finite, got nan"),
+            (np.inf, "eps must be nonnegative and finite, got inf"),
+            (10**400, "eps is too large for a float"),
+            (True, "eps must be a real number, got True"),
+        ],
+    )
+    def test_bad_eps_rejected(self, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectral_from_dense(np.eye(2), basis_1d(2), eps=eps)
 
 
 class TestDenseConstruction:
@@ -485,6 +521,18 @@ class TestDenseConstruction:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             spectral_from_dense(np.array([[1.0, 0.2], [0.0, 1.0]]), basis_1d(2))
+
+    def test_symmetry_tolerance_is_psd_checks(self):
+        # one tolerance, psd_check's 1e-12, for every coefficient matrix
+        c = np.eye(2)
+        c[0, 1] = 1e-11
+        with pytest.raises(ValueError, match="^matrix is not symmetric"):
+            psd_check(c)
+        with pytest.raises(ValueError, match="^matrix is not symmetric"):
+            spectral_from_dense(c, basis_1d(2))
+        c[0, 1] = 1e-13
+        ker = spectral_from_dense(c, basis_1d(2))
+        np.testing.assert_array_equal(ker.k_mat, 0.5 * (c + c.T))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
