@@ -127,6 +127,7 @@ def _preset_1d(sigma, mu):
             "max_iter": 20000,
             "tol": 1e-8,
             "record_every": 50,
+            "momentum": 0.9,
         },
         "M": {"preset": "paper-1d"},
         "U": {"preset": "paper-1d"},
@@ -150,6 +151,7 @@ def _preset_2d(sigma, mu):
             "max_iter": 50000,
             "tol": 1e-5,
             "record_every": 100,
+            "momentum": 0.9,
         },
         "M": {"preset": "paper-2d"},
         "U": {"preset": "paper-2d"},
@@ -202,13 +204,17 @@ def _expect(condition, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(value):
+    # a JSON number: true and false are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get_number(section, key, path):
     # the JSON number itself: the library turns it into a float and checks it
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = section[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", "must be a number")
+    _expect(_is_number(value), f"{path}.{key}", "must be a number")
     return value
 
 
@@ -236,7 +242,7 @@ def _infer_2d_truncation(size, path):
 def _function_from_coefficients(coeffs, dimension, path):
     _expect(
         isinstance(coeffs, list) and len(coeffs) >= 1
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs),
+        and all(_is_number(v) for v in coeffs),
         path, "must be a non-empty list of numbers",
     )
     vec = np.asarray(coeffs, dtype=float)
@@ -307,12 +313,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"config.kernel: {exc}") from exc
     else:
         entries = kernel_section.get("matrix")
-        _expect(isinstance(entries, list) and entries, "config.kernel.matrix",
-                "must be a non-empty nested list")
+        _expect(isinstance(entries, list) and entries
+                and all(isinstance(row, list) for row in entries),
+                "config.kernel.matrix", "must be a non-empty nested list")
+        _expect(all(_is_number(v) for row in entries for v in row),
+                "config.kernel.matrix", "entries must be numbers")
         try:
             kernel = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.kernel.matrix: not numeric ({exc})") from exc
+        except ValueError as exc:  # rows of unequal length
+            raise ConfigError(f"config.kernel.matrix: not a matrix ({exc})") from exc
         except OverflowError:  # an integer beyond the float range
             raise ConfigError("config.kernel.matrix: too large for a float") from None
 

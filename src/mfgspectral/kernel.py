@@ -53,8 +53,9 @@ class GaussianKernelSpec:
     """Periodic Gaussian interaction kernel parameters.
 
     sigma controls the spread, mu the total interaction weight; the
-    d-dimensional kernel is the product of identical 1d factors. sigma and
-    mu are stored as floats; invalid values raise ValueError.
+    d-dimensional kernel is the product of identical 1d factors, of total
+    weight mu^d. sigma and mu are stored as floats; invalid values,
+    including a mu whose mu^d overflows, raise ValueError.
     """
 
     sigma: float
@@ -70,6 +71,12 @@ class GaussianKernelSpec:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        try:  # the total weight mu^d must be a float
+            self.mu**self.dimension
+        except OverflowError:
+            raise ValueError(
+                f"mu = {self.mu} overflows a float in mu^{self.dimension}"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +116,14 @@ class SpectralKernel:
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the symmetric part of K, ascending."""
-        return np.linalg.eigvalsh(0.5 * (self.k_mat + self.k_mat.T))
+        return np.linalg.eigvalsh(_symmetric_part(self.k_mat))
+
+
+def _symmetric_part(c: np.ndarray) -> np.ndarray:
+    # (c + c^T) / 2 with each term halved first, so entries near the float
+    # maximum do not overflow; halving is exact above the subnormals, so
+    # elsewhere this equals 0.5 * (c + c.T) bit for bit
+    return 0.5 * c + 0.5 * c.T
 
 
 def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
@@ -262,7 +276,7 @@ def psd_check(coefficients: np.ndarray) -> float:
     asym = float(np.max(np.abs(c - c.T))) if c.size else 0.0
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    return float(np.min(np.linalg.eigvalsh(0.5 * (c + c.T))))
+    return float(np.min(np.linalg.eigvalsh(_symmetric_part(c))))
 
 
 def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
@@ -341,7 +355,7 @@ def spectral_from_dense(
     if not np.all(np.isfinite(c)):
         raise ValueError("matrix must be finite")
     min_eig = psd_check(c)
-    c = 0.5 * (c + c.T)
+    c = _symmetric_part(c)
     if eps is None:
         eps = AUTO_EPS if min_eig < AUTO_EPS_TRIGGER else 0.0
     elif min_eig + eps < AUTO_EPS_TRIGGER:

@@ -31,6 +31,17 @@ shared kinetic solve reads (N, Q) rows of one coordinate, both of which
 this layout holds contiguously; the returned trajectories are
 C-contiguous again.
 
+With ``momentum`` m > 0 the trajectory step is Polyak's heavy ball: the
+new paths gain m v, v = x_k - x_{k-1} the last realized step, unless the
+preconditioned gradient step points against v, <(omega/Q) P grad A(x_k),
+v> > 0; that iteration takes the plain step, which restarts the velocity
+(gradient restart, O'Donoghue and Candes 2015). A fixed point has v = 0,
+so momentum changes the path to a fixed point but not the fixed points.
+The velocity holds slices 1..N only, in the (d, N, Q) memory of the
+kinetic solve's output, so its inner product with that output reads both
+contiguously. With m = 0 (the default) no extra operation runs and the
+iteration is the paper's PDHG.
+
 The step rule is :func:`step_check`'s alone, and :class:`SolverConfig`
 owns the iteration's defaults and range checks.
 
@@ -79,9 +90,10 @@ class SolverConfig:
     max_iter: int = 20000
     tol: float = 1e-8
     record_every: int = 50
+    momentum: float = 0.0  # heavy-ball weight of the trajectory step in [0, 1)
 
     def __post_init__(self):
-        for name in ("lam", "omega", "theta", "tol"):
+        for name in ("lam", "omega", "theta", "tol", "momentum"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
@@ -89,6 +101,8 @@ class SolverConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("max_iter", "record_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -207,6 +221,8 @@ def step_x(
     omega: float,
     prox=None,
     tables=None,
+    momentum: float = 0.0,
+    velocity=None,
 ) -> np.ndarray:
     """Preconditioned proximal step on the trajectory objective.
 
@@ -226,6 +242,12 @@ def step_x(
     pinned. The new paths keep the memory layout of ``x``: slice-major in,
     slice-major out (as in :func:`solve`), C order in, C order out; the
     values do not depend on the layout.
+
+    ``velocity``, when given with a nonzero ``momentum``, is the last
+    realized step of slices 1..N, shape (Q, N, d): the new paths gain
+    momentum * velocity unless <(omega / Q) P grad A(x), velocity> > 0,
+    where the gradient step points against it and the plain step is
+    taken (see the module docstring).
     """
     if prox is None:
         prox = prox_x_operator(problem.num_steps, problem.dt, omega / measure.count)
@@ -233,6 +255,14 @@ def step_x(
     x_new[:, 0, :] = x[:, 0, :]
     move = prox(action_gradient(x, a_new, problem, tables))
     np.subtract(x[:, 1:, :], move, out=x_new[:, 1:, :])
+    # einsum walks both operands in memory order and, unlike BLAS dot,
+    # starts no threads (waking them cost a paper-2d-a solve 12 ms on 2 CPUs)
+    if (
+        momentum
+        and velocity is not None
+        and np.einsum("qnd,qnd->", move, velocity) <= 0.0
+    ):
+        x_new[:, 1:, :] += momentum * velocity
     return x_new
 
 
@@ -282,7 +312,8 @@ def solve(
     x_step) in ``diagnostics``, also written as one JSON line to
     ``diagnostics_path`` when set. A non-finite or unbounded step raises
     :class:`~mfgspectral.problem.DivergenceError`, carrying the records
-    so far, before it is committed to the iterates. The iterates ``x``
+    so far, before it is committed to the iterates; with momentum the
+    check reads the paths after the heavy-ball term. The iterates ``x``
     live in slice-major (d, N+1, Q) memory throughout (see the module
     docstring), and the result holds a C-contiguous copy.
     """
@@ -301,6 +332,7 @@ def solve(
     prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
+    velocity = None  # the last realized step of slices 1..N, with momentum
     last_step = math.inf
     try:
         while iteration < config.max_iter and last_step > config.tol:
@@ -310,6 +342,7 @@ def solve(
             x_new = step_x(
                 x, a_new, problem, measure, config.omega,
                 prox=prox_x, tables=tables,
+                momentum=config.momentum, velocity=velocity,
             )
             # checked before the tables see x_new; NaN and inf fail too
             if not (
@@ -327,10 +360,12 @@ def solve(
             q = step_z(p_new, p, config.theta)
 
             a_step = float(np.max(np.abs(a_new - a)))
-            moved = x_new - x
+            moved = x_new[:, 1:] - x[:, 1:]  # slice 0 never moves
             x_step = float(
                 np.sqrt(np.max(np.sum(moved**2, axis=2)))
             )  # max particle displacement
+            if config.momentum:
+                velocity = moved
             a, x, p = a_new, x_new, p_new
             iteration += 1
             last_step = max(a_step, x_step)

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfgspectral.basis import basis_1d
+from mfgspectral.basis import SliceTables, basis_1d
 from mfgspectral.cli import (
     PRESETS,
     ConfigError,
@@ -18,7 +19,7 @@ from mfgspectral.cli import (
     main,
     validate_config,
 )
-from mfgspectral.pdhg import solve
+from mfgspectral.pdhg import DIVERGENCE_LIMIT, solve
 from mfgspectral.problem import DivergenceError
 
 ARTIFACTS = ["trajectories.csv", "diagnostics.jsonl", "metrics.json"]
@@ -86,10 +87,37 @@ class TestPresets:
             assert p["solver"]["lambda"] == lam
             assert p["solver"]["omega"] == omega
             assert p["solver"]["theta"] == theta
+            assert p["solver"]["momentum"] == 0.9
 
     def test_presets_validate(self):
         for name in PRESETS:
             validate_config(load_config_source(name))
+
+
+class TestIterationCeilings:
+    """Iteration counts of the bench's preset solves, capped.
+
+    The counts are deterministic, so unlike a wall-clock bound these
+    cannot flake. The heavy ball with restart takes 978, 991 and 252
+    iterations; plain PDHG takes 6393, 6486 and 542, and without the
+    restart paper-1d-b cycles to max_iter.
+    """
+
+    @pytest.mark.parametrize(
+        "preset, overrides, ceiling",
+        [
+            ("paper-1d-a", {}, 1200),
+            ("paper-1d-b", {}, 1500),
+            ("paper-2d-a", {"tol": 2e-4}, 350),
+        ],
+    )
+    def test_preset_converges_under_ceiling(self, preset, overrides, ceiling):
+        raw = load_config_source(preset)
+        raw["solver"].update(overrides)
+        cfg = validate_config(raw)
+        result = solve(*build_problem(cfg), cfg.solver)
+        assert result.converged
+        assert result.iterations <= ceiling
 
 
 class TestValidation:
@@ -119,6 +147,49 @@ class TestValidation:
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["solve", path, "--tol", "nan"]) == 1
         assert "config.solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "literal", ["1.0", "-0.1", "NaN", "Infinity", "true", '"0.9"']
+    )
+    def test_bad_momentum_exit_code(self, tmp_path, capsys, literal):
+        # SolverConfig checks the range and the type; the CLI names the section
+        cfg = tiny_config(tmp_path / "out")
+        cfg["solver"]["momentum"] = "LITERAL"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: config.solver: momentum "
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", ['"1.0"', "true", "null", "[1.0]"])
+    def test_matrix_entries_must_be_numbers(self, tmp_path, capsys, entry):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["kernel"] = {
+            "type": "custom-coefficients", "matrix": [["LITERAL", 0.0], [0.0, 1.0]]
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', entry))
+        assert main(["kernel-info", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.kernel.matrix: entries must be numbers\n"
+        )
+
+    @pytest.mark.parametrize("matrix", [[1.0, 0.0], [[1.0, 0.0], 1.0]])
+    def test_matrix_must_be_nested(self, tmp_path, matrix):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["kernel"] = {"type": "custom-coefficients", "matrix": matrix}
+        with pytest.raises(
+            ConfigError, match="^config.kernel.matrix: must be a non-empty nested list$"
+        ):
+            validate_config(cfg)
+
+    def test_ragged_matrix_is_config_error(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["kernel"] = {"type": "custom-coefficients", "matrix": [[1.0, 0.0], [1.0]]}
+        with pytest.raises(ConfigError, match="^config.kernel.matrix: not a matrix"):
+            validate_config(cfg)
 
     def test_legacy_seed_field_ignored(self, tmp_path):
         cfg = validate_config(tiny_config(tmp_path / "out", seed=0))
@@ -334,6 +405,20 @@ class TestKernelInfo:
             build_kernel(validate_config(raw))
 
     @pytest.mark.parametrize("command", ["solve", "kernel-info"])
+    def test_overflowed_gaussian_weight_is_config_error(
+        self, tmp_path, capsys, command
+    ):
+        # mu^2 = 1e400 is past the float range
+        raw = load_config_source("paper-2d-a")
+        raw["kernel"]["mu"] = 1e200
+        raw["output_dir"] = str(tmp_path / "out")
+        assert main([command, write_config(tmp_path, raw)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.kernel: mu = 1e+200 overflows a float in mu^2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "kernel-info"])
     def test_underflowed_gaussian_is_config_error(self, tmp_path, capsys, command):
         # mu^2 underflows to zero, so every 2d eigenvalue does too
         raw = load_config_source("paper-2d-a")
@@ -439,6 +524,31 @@ class TestRun:
         last = metrics["last_record"]
         assert last["iteration"] == caught.value.iteration // 10 * 10
         assert last == caught.value.diagnostics[-1]
+
+    def test_divergence_with_momentum_stops_before_the_tables(
+        self, tmp_path, monkeypatch
+    ):
+        # the heavy-ball term is added before the divergence check, so no
+        # unbounded or non-finite path reaches the basis tables
+        cfg = tiny_config(tmp_path / "out", U={"coefficients": [0.0, 1e6]})
+        cfg["solver"].update(max_iter=500, momentum=0.9)
+        config = validate_config(cfg)
+        problem, measure = build_problem(config)
+        seen = []
+        real = SliceTables.rebuild
+
+        def checked(tables, points):
+            seen.append(float(np.max(np.abs(points))))
+            return real(tables, points)
+
+        monkeypatch.setattr(SliceTables, "rebuild", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as caught:
+                solve(problem, measure, config.solver)
+        # the coefficient-list terminal gradient builds tables of its own
+        assert caught.value.iteration > 2 and seen
+        assert max(seen) <= DIVERGENCE_LIMIT
 
     def test_step_bound_violation_warns_once(self, tmp_path, capsys):
         # omega * lambda = 20 against a limit of about 0.81

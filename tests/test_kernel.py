@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestGaussianSpectral:
             GaussianKernelSpec(sigma=value, mu=0.5)
         with pytest.raises(ValueError, match=f"^{message.replace('sigma', 'mu')}$"):
             GaussianKernelSpec(sigma=0.2, mu=value)
+
+    def test_total_weight_overflow_rejected(self):
+        # mu^2 = 1e400 is past the float range; in 1d the same mu is usable
+        message = r"^mu = 1e\+200 overflows a float in mu\^2$"
+        with pytest.raises(ValueError, match=message):
+            GaussianKernelSpec(sigma=0.1, mu=1e200, dimension=2)
+        ker = gaussian_spectral(GaussianKernelSpec(sigma=0.1, mu=1e200), 3)
+        assert ker.k_mat[0, 0] == 1e200
 
     def test_fields_stored_as_floats(self):
         spec = GaussianKernelSpec(sigma=np.float32(0.25), mu=1)
@@ -540,6 +549,18 @@ class TestDenseConstruction:
         c[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             spectral_from_dense(c, basis_1d(3))
+
+    def test_entries_near_float_max_do_not_overflow(self):
+        # the symmetric part halves each term before the sum: 1e308 + 1e308
+        # would overflow to inf and leave J all NaN
+        c = np.diag([1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ker = spectral_from_dense(c, basis_1d(2))
+            np.testing.assert_array_equal(ker.k_mat, c)
+            np.testing.assert_array_equal(ker.j_mat, np.diag([1e-308, 1.0]))
+            np.testing.assert_array_equal(ker.eigenvalues(), [1.0, 1e308])
+            assert psd_check(c) == 1.0
 
 
 class TestApplyOperators:

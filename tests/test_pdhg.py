@@ -254,6 +254,48 @@ class TestStepX:
         out = step_x(x, np.zeros((3, 4)), prob, m, omega=1.0 / 12.0)
         np.testing.assert_array_equal(out, x)
 
+    def test_stationary_with_momentum(self):
+        # unforced, a zero velocity adds exact zeros
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
+        m = uniform_measure(5)
+        prob = make_problem(ker, N=4)
+        x = stationary(m, 4)
+        out = step_x(
+            x, np.zeros((3, 4)), prob, m, omega=1.0 / 12.0,
+            momentum=0.9, velocity=np.zeros((5, 4, 1)),
+        )
+        np.testing.assert_array_equal(out, x)
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_momentum_along_and_against_the_gradient_step(self, dimension):
+        # a velocity along the plain step is added; one against it is not
+        if dimension == 1:
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
+        else:
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 4)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
+        )
+        m = discretize_measure(
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 4, dimension
+        )
+        x = stationary(m, 4)
+        a = np.random.default_rng(5).normal(size=(ker.size, 4))
+        plain = step_x(x, a, prob, m, 0.5)
+        step = plain[:, 1:] - x[:, 1:]
+        assert np.any(step != 0.0)
+        along = step_x(x, a, prob, m, 0.5, momentum=0.9, velocity=step)
+        expect = plain.copy()
+        expect[:, 1:] += 0.9 * step
+        np.testing.assert_array_equal(along, expect)
+        against = step_x(x, a, prob, m, 0.5, momentum=0.9, velocity=-step)
+        np.testing.assert_array_equal(against, plain)
+        # with momentum 0 the velocity is not read
+        np.testing.assert_array_equal(
+            step_x(x, a, prob, m, 0.5, momentum=0.0, velocity=step), plain
+        )
+
     def test_single_particle_single_step_formula(self):
         mu = 0.5
         ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 2)
@@ -529,6 +571,21 @@ class TestFixedPointResidual:
 
 
 class TestSolve:
+    @staticmethod
+    def _forced_problem(dimension):
+        if dimension == 1:
+            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6)
+        else:
+            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
+        prob = make_problem(
+            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
+            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=5,
+        )
+        m = discretize_measure(
+            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 5, dimension
+        )
+        return ker, prob, m
+
     def test_flat_kernel_constant_terminal(self):
         mu = 0.5
         ker = gaussian_spectral(GaussianKernelSpec(0.2, mu), 1)
@@ -646,17 +703,7 @@ class TestSolve:
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_two_iterations_by_hand(self, theta, dimension):
         # the solve extrapolates moments, not trajectories
-        if dimension == 1:
-            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 6)
-        else:
-            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 6)
-        prob = make_problem(
-            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
-            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=5,
-        )
-        m = discretize_measure(
-            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 5, dimension
-        )
+        ker, prob, m = self._forced_problem(dimension)
         lam, omega, dt = 3.0, 0.5, prob.dt
         cfg = SolverConfig(lam=lam, omega=omega, theta=theta, max_iter=2, tol=0.0)
         res = solve(prob, m, cfg)
@@ -672,6 +719,66 @@ class TestSolve:
         assert not np.array_equal(x2, x1)
         np.testing.assert_array_equal(res.a, a2)
         np.testing.assert_array_equal(res.x, x2)
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_momentum_zero_matches_reference_loop(self, dimension):
+        # the plain PDHG loop, written out: momentum 0 adds no operation
+        ker, prob, m = self._forced_problem(dimension)
+        lam, omega, theta, dt, k = 3.0, 0.5, 1.0, prob.dt, 40
+        res = solve(prob, m, SolverConfig(
+            lam=lam, omega=omega, theta=theta, max_iter=k, tol=0.0, momentum=0.0
+        ))
+        a = np.zeros((ker.size, 5))
+        x = np.repeat(m.points[:, None, :], 6, axis=1)
+        p = q = moment_vector(x, m, ker.basis)
+        for _ in range(k):
+            a = step_a(a, q, ker, dt, lam)
+            x = step_x(x, a, prob, m, omega)
+            p_new = moment_vector(x, m, ker.basis)
+            p, q = p_new, step_z(p_new, p, theta)
+        np.testing.assert_array_equal(res.a, a)
+        np.testing.assert_array_equal(res.x, x)
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_momentum_matches_heavy_ball_loop(self, dimension):
+        # the first step is plain; then each step adds 0.9 times the last
+        # realized step unless the plain step points against it
+        ker, prob, m = self._forced_problem(dimension)
+        # at omega = 0.5 plain steps of these 5 particles alternate in sign
+        lam, omega, dt, k = 3.0, 0.2, prob.dt, 60
+        res = solve(prob, m, SolverConfig(
+            lam=lam, omega=omega, max_iter=k, tol=0.0, momentum=0.9
+        ))
+        a = np.zeros((ker.size, 5))
+        x = np.repeat(m.points[:, None, :], 6, axis=1)
+        p = q = moment_vector(x, m, ker.basis)
+        velocity = None
+        taken = []
+        for _ in range(k):
+            a = step_a(a, q, ker, dt, lam)
+            x_new = step_x(x, a, prob, m, omega)
+            if velocity is not None:
+                along = float(np.sum((x_new[:, 1:] - x[:, 1:]) * velocity)) >= 0.0
+                taken.append(along)
+                if along:
+                    x_new[:, 1:] += 0.9 * velocity
+            velocity = x_new[:, 1:] - x[:, 1:]
+            x = x_new
+            p_new = moment_vector(x, m, ker.basis)
+            p, q = p_new, step_z(p_new, p, 1.0)
+        assert any(taken) and not all(taken)  # both branches ran
+        np.testing.assert_array_equal(res.a, a)
+        np.testing.assert_array_equal(res.x, x)
+
+    def test_momentum_keeps_unforced_stationary_paths(self):
+        # flat kernel, no terminal cost: the heavy ball never moves
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 1)
+        prob = make_problem(ker, N=5)
+        m = uniform_measure(8)
+        cfg = SolverConfig(lam=3.0, omega=0.5, max_iter=50, tol=0.0, momentum=0.9)
+        res = solve(prob, m, cfg)
+        np.testing.assert_array_equal(res.x, stationary(m, 5))
+        assert all(r["x_step"] == 0.0 for r in res.diagnostics)
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_slice_major_inside_c_order_result(self, monkeypatch, dimension):
@@ -837,6 +944,18 @@ class TestSolverConfigValidation:
             lam=1.0, omega=0.1, max_iter=np.int64(7), record_every=np.int32(2)
         )
         assert (cfg.max_iter, cfg.record_every) == (7, 2)
+
+    @pytest.mark.parametrize(
+        "value", [1.0, -0.1, math.nan, math.inf, True, "0.9"]
+    )
+    def test_bad_momentum_rejected(self, value):
+        with pytest.raises(ValueError, match="^momentum "):
+            SolverConfig(lam=1.0, omega=0.1, momentum=value)
+
+    def test_momentum_defaults_to_zero(self):
+        assert SolverConfig(lam=1.0, omega=0.1).momentum == 0.0
+        cfg = SolverConfig(lam=1.0, omega=0.1, momentum=np.float32(0.5))
+        assert type(cfg.momentum) is float and cfg.momentum == 0.5
 
     def test_zero_and_infinite_tol_allowed(self):
         assert SolverConfig(lam=1.0, omega=0.1, tol=0.0).tol == 0.0
