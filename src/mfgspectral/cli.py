@@ -113,7 +113,7 @@ TERMINAL_PRESETS = {
 }
 
 
-def _preset_1d(sigma, mu):
+def _preset_1d(sigma, mu, momentum):
     return {
         "dimension": 1,
         "kernel": {"type": "gaussian", "sigma": sigma, "mu": mu},
@@ -127,7 +127,7 @@ def _preset_1d(sigma, mu):
             "max_iter": 20000,
             "tol": 1e-8,
             "record_every": 50,
-            "momentum": 0.9,
+            "momentum": momentum,
         },
         "M": {"preset": "paper-1d"},
         "U": {"preset": "paper-1d"},
@@ -137,7 +137,7 @@ def _preset_1d(sigma, mu):
     }
 
 
-def _preset_2d(sigma, mu):
+def _preset_2d(sigma, mu, momentum):
     return {
         "dimension": 2,
         "kernel": {"type": "gaussian", "sigma": sigma, "mu": mu},
@@ -151,7 +151,7 @@ def _preset_2d(sigma, mu):
             "max_iter": 50000,
             "tol": 1e-5,
             "record_every": 100,
-            "momentum": 0.9,
+            "momentum": momentum,
         },
         "M": {"preset": "paper-2d"},
         "U": {"preset": "paper-2d"},
@@ -161,13 +161,17 @@ def _preset_2d(sigma, mu):
     }
 
 
+# momentum: of {0, 0.5, 0.7, 0.8, 0.9, 0.95}, the value with the fewest
+# iterations at the preset's tol, except on paper-1d-a (0.95 ends at a 10x
+# larger residual) and paper-2d-a, which also runs at tol 2e-4, where 0.9
+# takes 252 iterations, 0.95 takes 551 and 0 takes 542
 PRESETS = {
-    "paper-1d-a": _preset_1d(0.2, 0.5),
-    "paper-1d-b": _preset_1d(0.2, 1.5),
-    "paper-1d-c": _preset_1d(0.8, 0.5),
-    "paper-2d-a": _preset_2d(0.1, 0.75),
-    "paper-2d-b": _preset_2d(0.1, 0.5),
-    "paper-2d-c": _preset_2d(1.0, 0.5),
+    "paper-1d-a": _preset_1d(0.2, 0.5, 0.9),
+    "paper-1d-b": _preset_1d(0.2, 1.5, 0.95),
+    "paper-1d-c": _preset_1d(0.8, 0.5, 0.95),
+    "paper-2d-a": _preset_2d(0.1, 0.75, 0.9),
+    "paper-2d-b": _preset_2d(0.1, 0.5, 0.8),
+    "paper-2d-c": _preset_2d(1.0, 0.5, 0.95),
 }
 
 

@@ -32,15 +32,18 @@ this layout holds contiguously; the returned trajectories are
 C-contiguous again.
 
 With ``momentum`` m > 0 the trajectory step is Polyak's heavy ball: the
-new paths gain m v, v = x_k - x_{k-1} the last realized step, unless the
-preconditioned gradient step points against v, <(omega/Q) P grad A(x_k),
-v> > 0; that iteration takes the plain step, which restarts the velocity
-(gradient restart, O'Donoghue and Candes 2015). A fixed point has v = 0,
-so momentum changes the path to a fixed point but not the fixed points.
-The velocity holds slices 1..N only, in the (d, N, Q) memory of the
-kinetic solve's output, so its inner product with that output reads both
-contiguously. With m = 0 (the default) no extra operation runs and the
-iteration is the paper's PDHG.
+plain step's paths gain m v, v = x_k - x_{k-1} the last realized step,
+while the plain step points along v, <x_plain - x_k, v> > 0; otherwise
+the iteration keeps the plain step, which restarts the velocity (gradient
+restart, O'Donoghue and Candes 2015). A fixed point has v = 0, so
+momentum changes the path to a fixed point but not the fixed points. The
+recorded ``x_step``, which the stop test reads, is the larger particle
+displacement of the plain and the realized step, so a converged solve
+certifies what the plain iteration's does: neither step moved a particle
+by more than the tolerance. The velocity holds slices 1..N only, in the
+(d, N, Q) memory of the plain step, so their inner product reads both
+contiguously. With m = 0 (the default) the two steps are one, no extra
+operation runs and the iteration is the paper's PDHG.
 
 The step rule is :func:`step_check`'s alone, and :class:`SolverConfig`
 owns the iteration's defaults and range checks.
@@ -221,8 +224,6 @@ def step_x(
     omega: float,
     prox=None,
     tables=None,
-    momentum: float = 0.0,
-    velocity=None,
 ) -> np.ndarray:
     """Preconditioned proximal step on the trajectory objective.
 
@@ -242,12 +243,6 @@ def step_x(
     pinned. The new paths keep the memory layout of ``x``: slice-major in,
     slice-major out (as in :func:`solve`), C order in, C order out; the
     values do not depend on the layout.
-
-    ``velocity``, when given with a nonzero ``momentum``, is the last
-    realized step of slices 1..N, shape (Q, N, d): the new paths gain
-    momentum * velocity unless <(omega / Q) P grad A(x), velocity> > 0,
-    where the gradient step points against it and the plain step is
-    taken (see the module docstring).
     """
     if prox is None:
         prox = prox_x_operator(problem.num_steps, problem.dt, omega / measure.count)
@@ -255,14 +250,6 @@ def step_x(
     x_new[:, 0, :] = x[:, 0, :]
     move = prox(action_gradient(x, a_new, problem, tables))
     np.subtract(x[:, 1:, :], move, out=x_new[:, 1:, :])
-    # einsum walks both operands in memory order and, unlike BLAS dot,
-    # starts no threads (waking them cost a paper-2d-a solve 12 ms on 2 CPUs)
-    if (
-        momentum
-        and velocity is not None
-        and np.einsum("qnd,qnd->", move, velocity) <= 0.0
-    ):
-        x_new[:, 1:, :] += momentum * velocity
     return x_new
 
 
@@ -293,6 +280,11 @@ def fixed_point_residual(
 def _residual(a: np.ndarray, p: np.ndarray, kernel: SpectralKernel) -> float:
     # fixed_point_residual given the basis moments p of x
     return float(np.max(np.abs(a - kernel.apply_k(p))))
+
+
+def _max_displacement(step: np.ndarray) -> float:
+    # the largest Euclidean length of one particle's step at one slice
+    return float(np.sqrt(np.max(np.sum(step**2, axis=2))))
 
 
 def solve(
@@ -332,7 +324,7 @@ def solve(
     prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
-    velocity = None  # the last realized step of slices 1..N, with momentum
+    velocity = np.zeros_like(x[:, 1:])  # the last realized step of slices 1..N
     last_step = math.inf
     try:
         while iteration < config.max_iter and last_step > config.tol:
@@ -340,10 +332,16 @@ def solve(
                 a, q, problem.kernel, problem.dt, config.lam, prox=prox_a
             )
             x_new = step_x(
-                x, a_new, problem, measure, config.omega,
-                prox=prox_x, tables=tables,
-                momentum=config.momentum, velocity=velocity,
+                x, a_new, problem, measure, config.omega, prox=prox_x, tables=tables
             )
+            moved = x_new[:, 1:] - x[:, 1:]  # the plain step; slice 0 never moves
+            realized = moved
+            # einsum walks both operands in memory order and, unlike BLAS dot,
+            # starts no threads (waking them cost a paper-2d-a solve 12 ms on 2 CPUs)
+            if config.momentum and np.einsum("qnd,qnd->", moved, velocity) > 0.0:
+                realized = config.momentum * velocity
+                x_new[:, 1:] += realized
+                realized += moved
             # checked before the tables see x_new; NaN and inf fail too
             if not (
                 np.max(np.abs(a_new)) <= DIVERGENCE_LIMIT
@@ -355,17 +353,14 @@ def solve(
                     diagnostics=records,
                     iteration=iteration + 1,
                 )
+            a_step = float(np.max(np.abs(a_new - a)))
+            x_step = _max_displacement(moved)
+            if realized is not moved:  # the heavy ball went on
+                x_step = max(x_step, _max_displacement(realized))
+            velocity = realized
             tables.rebuild(x_new[:, 1:])
             p_new = tables.moments(measure.weights)
             q = step_z(p_new, p, config.theta)
-
-            a_step = float(np.max(np.abs(a_new - a)))
-            moved = x_new[:, 1:] - x[:, 1:]  # slice 0 never moves
-            x_step = float(
-                np.sqrt(np.max(np.sum(moved**2, axis=2)))
-            )  # max particle displacement
-            if config.momentum:
-                velocity = moved
             a, x, p = a_new, x_new, p_new
             iteration += 1
             last_step = max(a_step, x_step)

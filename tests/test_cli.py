@@ -68,15 +68,15 @@ class TestPresets:
     def test_parameter_table(self):
         # golden values for the built-in experiment presets
         table = {
-            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0),
-            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0),
-            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0),
-            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 0.5, 1.0),
-            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0),
-            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0),
+            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.9),
+            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95),
+            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95),
+            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 0.5, 1.0, 0.9),
+            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.8),
+            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.95),
         }
         assert set(PRESETS) == set(table)
-        for name, (d, sigma, mu, r, n, q, lam, omega, theta) in table.items():
+        for name, (d, sigma, mu, r, n, q, lam, omega, theta, momentum) in table.items():
             p = PRESETS[name]
             assert p["dimension"] == d
             assert p["kernel"]["sigma"] == sigma
@@ -87,7 +87,7 @@ class TestPresets:
             assert p["solver"]["lambda"] == lam
             assert p["solver"]["omega"] == omega
             assert p["solver"]["theta"] == theta
-            assert p["solver"]["momentum"] == 0.9
+            assert p["solver"]["momentum"] == momentum
 
     def test_presets_validate(self):
         for name in PRESETS:
@@ -95,29 +95,31 @@ class TestPresets:
 
 
 class TestIterationCeilings:
-    """Iteration counts of the bench's preset solves, capped.
+    """Iteration counts and final residuals of three preset solves, capped.
 
     The counts are deterministic, so unlike a wall-clock bound these
-    cannot flake. The heavy ball with restart takes 978, 991 and 252
-    iterations; plain PDHG takes 6393, 6486 and 542, and without the
-    restart paper-1d-b cycles to max_iter.
+    cannot flake. The heavy ball with restart takes 978, 813 and 252
+    iterations and ends at residuals 1.7e-9, 4.1e-8 and 6.6e-4; plain PDHG
+    takes 6393, 6486 and 542, and without the restart paper-1d-b cycles
+    to max_iter.
     """
 
     @pytest.mark.parametrize(
-        "preset, overrides, ceiling",
+        "preset, overrides, ceiling, residual",
         [
-            ("paper-1d-a", {}, 1200),
-            ("paper-1d-b", {}, 1500),
-            ("paper-2d-a", {"tol": 2e-4}, 350),
+            ("paper-1d-a", {}, 1200, 1e-8),
+            ("paper-1d-b", {}, 1500, 1e-7),
+            ("paper-2d-a", {"tol": 2e-4}, 350, 3e-3),
         ],
     )
-    def test_preset_converges_under_ceiling(self, preset, overrides, ceiling):
+    def test_preset_converges_under_ceiling(self, preset, overrides, ceiling, residual):
         raw = load_config_source(preset)
         raw["solver"].update(overrides)
         cfg = validate_config(raw)
         result = solve(*build_problem(cfg), cfg.solver)
         assert result.converged
         assert result.iterations <= ceiling
+        assert result.diagnostics[-1]["residual"] <= residual
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -253,48 +254,6 @@ class TestStepX:
         x = stationary(m, 4)
         out = step_x(x, np.zeros((3, 4)), prob, m, omega=1.0 / 12.0)
         np.testing.assert_array_equal(out, x)
-
-    def test_stationary_with_momentum(self):
-        # unforced, a zero velocity adds exact zeros
-        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
-        m = uniform_measure(5)
-        prob = make_problem(ker, N=4)
-        x = stationary(m, 4)
-        out = step_x(
-            x, np.zeros((3, 4)), prob, m, omega=1.0 / 12.0,
-            momentum=0.9, velocity=np.zeros((5, 4, 1)),
-        )
-        np.testing.assert_array_equal(out, x)
-
-    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
-    def test_momentum_along_and_against_the_gradient_step(self, dimension):
-        # a velocity along the plain step is added; one against it is not
-        if dimension == 1:
-            ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
-        else:
-            ker = gaussian_spectral(GaussianKernelSpec(0.1, 0.75, dimension=2), 4)
-        prob = make_problem(
-            ker, U=lambda p: np.sum(np.cos(2 * np.pi * p), axis=1),
-            gradU=lambda p: -2 * np.pi * np.sin(2 * np.pi * p), N=4,
-        )
-        m = discretize_measure(
-            lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 4, dimension
-        )
-        x = stationary(m, 4)
-        a = np.random.default_rng(5).normal(size=(ker.size, 4))
-        plain = step_x(x, a, prob, m, 0.5)
-        step = plain[:, 1:] - x[:, 1:]
-        assert np.any(step != 0.0)
-        along = step_x(x, a, prob, m, 0.5, momentum=0.9, velocity=step)
-        expect = plain.copy()
-        expect[:, 1:] += 0.9 * step
-        np.testing.assert_array_equal(along, expect)
-        against = step_x(x, a, prob, m, 0.5, momentum=0.9, velocity=-step)
-        np.testing.assert_array_equal(against, plain)
-        # with momentum 0 the velocity is not read
-        np.testing.assert_array_equal(
-            step_x(x, a, prob, m, 0.5, momentum=0.0, velocity=step), plain
-        )
 
     def test_single_particle_single_step_formula(self):
         mu = 0.5
@@ -741,34 +700,60 @@ class TestSolve:
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_momentum_matches_heavy_ball_loop(self, dimension):
-        # the first step is plain; then each step adds 0.9 times the last
-        # realized step unless the plain step points against it
+        # each step adds 0.9 times the last realized step while the plain
+        # step points along it; x_step is the larger of the two steps
         ker, prob, m = self._forced_problem(dimension)
         # at omega = 0.5 plain steps of these 5 particles alternate in sign
         lam, omega, dt, k = 3.0, 0.2, prob.dt, 60
         res = solve(prob, m, SolverConfig(
-            lam=lam, omega=omega, max_iter=k, tol=0.0, momentum=0.9
+            lam=lam, omega=omega, max_iter=k, tol=0.0, momentum=0.9, record_every=1
         ))
         a = np.zeros((ker.size, 5))
         x = np.repeat(m.points[:, None, :], 6, axis=1)
         p = q = moment_vector(x, m, ker.basis)
-        velocity = None
-        taken = []
+        velocity = np.zeros_like(x[:, 1:])
+        taken, x_steps = [], []
         for _ in range(k):
             a = step_a(a, q, ker, dt, lam)
             x_new = step_x(x, a, prob, m, omega)
-            if velocity is not None:
-                along = float(np.sum((x_new[:, 1:] - x[:, 1:]) * velocity)) >= 0.0
-                taken.append(along)
-                if along:
-                    x_new[:, 1:] += 0.9 * velocity
-            velocity = x_new[:, 1:] - x[:, 1:]
-            x = x_new
+            plain = x_new[:, 1:] - x[:, 1:]
+            realized = plain
+            if float(np.sum(plain * velocity)) > 0.0:
+                realized = 0.9 * velocity + plain
+                x_new[:, 1:] += 0.9 * velocity
+            taken.append(realized is not plain)
+            x_steps.append(max(np.linalg.norm(plain, axis=2).max(),
+                               np.linalg.norm(realized, axis=2).max()))
+            velocity, x = realized, x_new
             p_new = moment_vector(x, m, ker.basis)
             p, q = p_new, step_z(p_new, p, 1.0)
-        assert any(taken) and not all(taken)  # both branches ran
+        assert any(taken) and not all(taken[1:])  # both branches ran
         np.testing.assert_array_equal(res.a, a)
         np.testing.assert_array_equal(res.x, x)
+        np.testing.assert_allclose(
+            [r["x_step"] for r in res.diagnostics], x_steps, rtol=1e-9
+        )
+
+    def test_momentum_stop_bounds_plain_and_realized_steps(self):
+        # the converged solve's last step: realized from the (k-1)-iteration
+        # run, plain from one more written-out step of that run
+        ker, prob, m = self._forced_problem(1)
+        lam, omega, theta, tol = 3.0, 0.1, 1.0, 1e-7
+        cfg = SolverConfig(lam=lam, omega=omega, theta=theta, tol=tol, momentum=0.9)
+        res = solve(prob, m, cfg)
+        assert res.converged and res.iterations > 2
+        before = [
+            solve(prob, m, dataclasses.replace(cfg, max_iter=res.iterations - i))
+            for i in (1, 2)
+        ]
+        p1, p2 = (moment_vector(r.x, m, ker.basis) for r in before)
+        a = step_a(before[0].a, p1 + theta * (p1 - p2), ker, prob.dt, lam)
+        plain = step_x(before[0].x, a, prob, m, omega) - before[0].x
+        realized = res.x - before[0].x
+        assert res.diagnostics[-1]["x_step"] <= tol
+        for step in (plain, realized):
+            assert np.linalg.norm(step, axis=2).max() <= tol * (1 + 1e-6)
+        assert np.max(np.abs(realized - plain)) > 0.0  # the heavy ball went on
 
     def test_momentum_keeps_unforced_stationary_paths(self):
         # flat kernel, no terminal cost: the heavy ball never moves
