@@ -137,7 +137,7 @@ def _preset_1d(sigma, mu, momentum):
     }
 
 
-def _preset_2d(sigma, mu, momentum):
+def _preset_2d(sigma, mu, momentum, omega=0.5):
     return {
         "dimension": 2,
         "kernel": {"type": "gaussian", "sigma": sigma, "mu": mu},
@@ -146,7 +146,7 @@ def _preset_2d(sigma, mu, momentum):
         "Q": 20,
         "solver": {
             "lambda": 1.0,
-            "omega": 0.5,
+            "omega": omega,
             "theta": 1.0,
             "max_iter": 50000,
             "tol": 1e-5,
@@ -162,14 +162,20 @@ def _preset_2d(sigma, mu, momentum):
 
 
 # momentum: of {0, 0.5, 0.7, 0.8, 0.9, 0.95}, the value with the fewest
-# iterations at the preset's tol, except on paper-1d-a (0.95 ends at a 10x
-# larger residual) and paper-2d-a, which also runs at tol 2e-4, where 0.9
-# takes 252 iterations, 0.95 takes 551 and 0 takes 542
+# iterations at the preset's tol, except on paper-1d-a and paper-2d-a.
+# paper-1d-a takes the fewest of 0.90-0.95 in steps of 0.01 (978, 894, 798,
+# 719, 614, 471 iterations) that ends below residual 1e-8, one step short
+# of 0.95, which ends at 1.6e-8. paper-2d-a also runs at tol 2e-4; on a
+# grid of omega in [0.5, 1.5] by momentum in [0.85, 0.92] it takes the pair
+# with the fewest iterations at both tol 2e-4 and 1e-5 that ends at an F no
+# higher than omega 1/2 does: omega 1 at 0.9 (205 and 1911 iterations; 252
+# and 3917 at omega 1/2). The 1d presets keep omega 1/2: paper-1d-a cycles
+# to max_iter at 0.75.
 PRESETS = {
-    "paper-1d-a": _preset_1d(0.2, 0.5, 0.9),
+    "paper-1d-a": _preset_1d(0.2, 0.5, 0.94),
     "paper-1d-b": _preset_1d(0.2, 1.5, 0.95),
     "paper-1d-c": _preset_1d(0.8, 0.5, 0.95),
-    "paper-2d-a": _preset_2d(0.1, 0.75, 0.9),
+    "paper-2d-a": _preset_2d(0.1, 0.75, 0.9, omega=1.0),
     "paper-2d-b": _preset_2d(0.1, 0.5, 0.8),
     "paper-2d-c": _preset_2d(1.0, 0.5, 0.95),
 }

@@ -75,7 +75,7 @@ def straightness_metric(x: np.ndarray):
 
 def _wrapped_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # torus distance over the last axis, broadcasting the others
-    delta = np.abs(p - q) % 1.0
+    delta = np.fmod(np.abs(p - q), 1.0)
     delta = np.minimum(delta, 1.0 - delta)
     return np.sqrt(np.sum(delta**2, axis=-1))
 
@@ -103,13 +103,16 @@ def symmetry_defect(x: np.ndarray, measure: DiscreteMeasure) -> float:
 
 
 def format_float(v: float) -> str:
+    """One CSV value; ``_write_csv`` writes the same bytes in one pass."""
     return f"{v:.17g}"
 
 
 def _write_csv(path, header: str, rows: np.ndarray) -> None:
-    lines = [header] + [",".join(map(format_float, row)) for row in rows.tolist()]
+    # one %-format over the whole table: "%.17g" % v == format_float(v)
+    row = "\n" + ",".join(["%.17g"] * rows.shape[1])
+    body = (row * rows.shape[0]) % tuple(rows.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + body + "\n")
 
 
 def write_trajectories_csv(path, x: np.ndarray) -> None:

@@ -3,7 +3,9 @@ import pytest
 
 from mfgspectral.postprocess import (
     DensitySnapshot,
+    _wrapped_distance,
     density_histogram,
+    format_float,
     straightness_metric,
     symmetry_defect,
     write_density_csv,
@@ -189,6 +191,23 @@ class TestSymmetryDefect:
         x = np.repeat(m.points[:, None, :], 2, axis=1)
         assert symmetry_defect(x, m) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_wrapped_distance_matches_remainder_form_bit_for_bit(self):
+        # fmod of the nonnegative |p - q| is the floored remainder % 1.0
+        rng = np.random.default_rng(0)
+        p = rng.uniform(-30.0, 30.0, size=(1000, 2))
+        q = rng.uniform(-30.0, 30.0, size=(1000, 2))
+        edges = np.array(
+            [0.0, -0.0, 5e-324, 1e-17, 0.5, 1.0, -1.0, 2.5, 1e6 + 0.25, 2.0**52]
+        )
+        p = np.concatenate([p, np.stack([edges, edges[::-1]], axis=1)])
+        q = np.concatenate([q, np.stack([-edges, edges], axis=1)])
+        delta = np.abs(p - q) % 1.0
+        delta = np.minimum(delta, 1.0 - delta)
+        reference = np.sqrt(np.sum(delta**2, axis=-1))
+        np.testing.assert_array_equal(
+            _wrapped_distance(p, q).view(np.uint64), reference.view(np.uint64)
+        )
+
 
 class TestWriters:
     def test_trajectories_csv(self, tmp_path):
@@ -231,6 +250,30 @@ class TestWriters:
             "0.75,0.25,2\n"
             "0.75,0.75,3\n"
         )
+
+    def test_csv_bytes_match_format_float(self, tmp_path):
+        # the one-pass writer and the per-value reference agree on every
+        # edge of the float range
+        values = np.array(
+            [-0.0, 5e-324, 1e-300, 1.0 / 3.0, 2.0**60, 1e16, np.inf, -np.inf, np.nan]
+        )
+        x = np.stack([values, values[::-1]], axis=1)[:, None, :].repeat(2, axis=1)
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(path, x)
+        q = len(values)
+        lines = ["t,particle,x1,x2"] + [
+            ",".join(map(format_float, (t, i + 1.0, *x[i, n])))
+            for n, t in enumerate((0.0, 1.0))
+            for i in range(q)
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        snap = DensitySnapshot(time_index=0, bins=q, values=values)
+        write_density_csv(path, snap)
+        centers = snap.bin_centers()
+        lines = ["bin_center,density"] + [
+            f"{format_float(c)},{format_float(v)}" for c, v in zip(centers, values)
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_metrics_json_round_trip(self, tmp_path):
         import json
