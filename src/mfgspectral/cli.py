@@ -7,7 +7,8 @@ experiment configurations. A config argument is either the name of a
 built-in preset or a path to a JSON file with the same structure. Runs
 are deterministic: identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 configuration error, 2 solver divergence. The
+Exit codes: 0 success, 1 configuration error (an output directory or
+artifact that cannot be created among them), 2 solver divergence. The
 ``status`` field of ``metrics.json`` reads ``converged``, ``max_iter`` or,
 after a divergence, ``diverged``.
 """
@@ -228,16 +229,13 @@ def _get_number(section, key, path):
     return value
 
 
-def _get_int(section, key, path, minimum=None, allow_missing=False, default=None):
+def _get_int(section, key, path, minimum):
     if key not in section:
-        if allow_missing:
-            return default
         raise ConfigError(f"{path}.{key}: missing required field")
     value = section[key]
     _expect(isinstance(value, int) and not isinstance(value, bool),
             f"{path}.{key}", "must be an integer")
-    if minimum is not None:
-        _expect(value >= minimum, f"{path}.{key}", f"must be at least {minimum}")
+    _expect(value >= minimum, f"{path}.{key}", f"must be at least {minimum}")
     return int(value)
 
 
@@ -358,8 +356,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     output_dir = raw.get("output_dir", "out")
     _expect(isinstance(output_dir, str) and output_dir, "config.output_dir",
             "must be a non-empty string")
-    bins = _get_int(raw, "bins", "config", minimum=2, allow_missing=True,
-                    default=100 if dimension == 1 else 50)
+    bins = (_get_int(raw, "bins", "config", minimum=2) if "bins" in raw
+            else 100 if dimension == 1 else 50)
     slices = raw.get("density_slices", [0, n_steps // 2, n_steps])
     _expect(isinstance(slices, list) and slices
             and all(isinstance(i, int) and not isinstance(i, bool) for i in slices),
@@ -462,12 +460,7 @@ def run(cfg: ExperimentConfig) -> int:
             file=sys.stderr,
         )
     step_metrics = {k: steps[k] for k in ("a_squared", "step_bound_ok")}
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"config.output_dir: cannot create {cfg.output_dir} ({exc.strerror})"
-        ) from exc
+    os.makedirs(cfg.output_dir, exist_ok=True)
     diagnostics_path = os.path.join(cfg.output_dir, "diagnostics.jsonl")
     metrics_path = os.path.join(cfg.output_dir, "metrics.json")
     try:
@@ -490,12 +483,6 @@ def run(cfg: ExperimentConfig) -> int:
             os.path.join(cfg.output_dir, f"density_t{i}.csv"), snap
         )
 
-    # a single-step trajectory coincides with its chord
-    straightness = straightness_metric(result.x)[1] if cfg.N >= 2 else 0.0
-    try:
-        defect = symmetry_defect(result.x, measure)
-    except ValueError:
-        defect = None
     metrics = {
         "status": "converged" if result.converged else "max_iter",
         "iterations": result.iterations,
@@ -504,8 +491,8 @@ def run(cfg: ExperimentConfig) -> int:
             result.a, result.x, problem.kernel, measure
         ),
         "final_saddle_value": saddle_value(result.a, result.x, problem, measure),
-        "straightness_max": straightness,
-        "symmetry_defect": defect,
+        "straightness_max": straightness_metric(result.x)[1],
+        "symmetry_defect": symmetry_defect(result.x, measure),
         **step_metrics,
     }
     write_metrics_json(metrics_path, metrics)
@@ -588,6 +575,15 @@ def main(argv=None) -> int:
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the output directory or an artifact in it
+        if exc.filename is None:  # not a path, e.g. a full standard output
+            raise
+        print(
+            f"config error: config.output_dir: cannot create {exc.filename} "
+            f"({exc.strerror})",
+            file=sys.stderr,
+        )
         return 1
     except DivergenceError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)

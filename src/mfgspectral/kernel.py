@@ -271,9 +271,9 @@ def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarr
 def psd_check(coefficients: np.ndarray) -> float:
     """Smallest eigenvalue of a coefficient matrix symmetric within 1e-12."""
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"matrix must be square, got {c.shape}")
-    asym = float(np.max(np.abs(c - c.T))) if c.size else 0.0
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got {c.shape}")
+    asym = float(np.max(np.abs(c - c.T)))
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
     return float(np.min(np.linalg.eigvalsh(_symmetric_part(c))))

@@ -61,11 +61,12 @@ def straightness_metric(x: np.ndarray):
     """Chord deviation per particle and its maximum.
 
     For each particle the chord runs from its first to its last position;
-    the metric is the largest Euclidean gap to that chord over time.
+    the metric is the largest Euclidean gap to that chord over time, so
+    exactly 0 for one time step.
     """
     n = x.shape[1] - 1
-    if n < 2:
-        raise ValueError("straightness needs at least 2 time steps")
+    if n < 1:
+        raise ValueError("straightness needs at least 1 time step")
     s = np.arange(n + 1) / n
     chord = (1.0 - s)[None, :, None] * x[:, :1, :] + s[None, :, None] * x[:, -1:, :]
     gaps = np.sqrt(np.sum((x - chord) ** 2, axis=2))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -625,31 +626,36 @@ class TestRun:
         assert metrics["converged"] is True and metrics["status"] == "converged"
         assert metrics["iterations"] < 60
 
-    def test_symmetry_defect_none_for_asymmetric_setup(self, tmp_path):
+    def test_symmetry_defect_is_number_for_asymmetric_weights(self, tmp_path):
         # custom M breaks the mirror symmetry of the weights, not the grid;
         # defect is still computable, so it must be a number
         out = tmp_path / "sym"
         cfg = tiny_config(out, M={"coefficients": [1.0, 0.2]})
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == 0
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["symmetry_defect"] is not None
+        defect = json.loads((out / "metrics.json").read_text())["symmetry_defect"]
+        assert isinstance(defect, float) and math.isfinite(defect)
 
 
-@pytest.mark.parametrize(
-    "argv", [["presets"], ["kernel-info", "paper-1d-a"]], ids=["presets", "kernel-info"]
-)
-def test_module_entry_point(argv):
+def run_module(argv, stdout=subprocess.PIPE):
     # `python -m mfgspectral` runs __main__.py, which no in-process test does
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mfgspectral", *argv],
-        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+        timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [["presets"], ["kernel-info", "paper-1d-a"]], ids=["presets", "kernel-info"]
+)
+def test_module_entry_point(argv):
+    proc = run_module(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     if argv == ["presets"]:
@@ -658,6 +664,33 @@ def test_module_entry_point(argv):
         )
     else:
         assert json.loads(proc.stdout)["basis_size"] == 8
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    ["diagnostics.jsonl", "trajectories.csv", "density_t0.csv", "metrics.json"],
+)
+def test_unwritable_artifact_is_config_error(tmp_path, artifact):
+    # a directory at an artifact's name: one error line and no traceback
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    proc = run_module(["solve", write_config(tmp_path, tiny_config(out))])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(
+        f"config error: config.output_dir: cannot create {out / artifact}"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_not_an_output_dir_error():
+    # an OSError that names no path is not blamed on config.output_dir
+    with open("/dev/full", "w") as full:
+        proc = run_module(["presets"], stdout=full)
+    assert proc.returncode != 0
+    assert "No space left on device" in proc.stderr
+    assert "config.output_dir" not in proc.stderr
 
 
 def test_config_requires_kernel_type(tmp_path):

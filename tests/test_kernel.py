@@ -401,6 +401,10 @@ class TestPsdCheck:
         with pytest.raises(ValueError):
             psd_check(m)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"square and non-empty, got \(0, 0\)"):
+            psd_check(np.zeros((0, 0)))
+
 
 class TestTranslationInvariantBlocks:
     def test_even_profile_is_diagonal(self):

@@ -118,9 +118,15 @@ class TestStraightness:
         _, moved = straightness_metric(shifted)
         assert moved == pytest.approx(base, rel=1e-12)
 
-    def test_needs_two_steps(self):
-        with pytest.raises(ValueError):
-            straightness_metric(np.zeros((2, 2, 1)))
+    def test_one_step_is_exact_zero(self):
+        # the chord of a single step is the trajectory itself
+        x = np.random.default_rng(3).normal(size=(3, 2, 2))
+        per, worst = straightness_metric(x)
+        assert np.array_equal(per, np.zeros(3)) and worst == 0.0
+
+    def test_single_slice_raises(self):
+        with pytest.raises(ValueError, match="at least 1 time step"):
+            straightness_metric(np.zeros((2, 1, 1)))
 
 
 class TestSymmetryDefect:
