@@ -8,9 +8,11 @@ built-in preset or a path to a JSON file with the same structure. Runs
 are deterministic: identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 configuration error (an output directory or
-artifact that cannot be created among them), 2 solver divergence. The
-``status`` field of ``metrics.json`` reads ``converged``, ``max_iter`` or,
-after a divergence, ``diverged``.
+artifact that cannot be created among them) or a standard output that
+cannot be written, 2 solver divergence. The ``status`` field of
+``metrics.json`` reads ``converged``, ``max_iter`` or, after a divergence,
+``diverged``; a ``metrics.json`` left by an earlier run in the same
+directory is removed before the solve starts.
 """
 
 from __future__ import annotations
@@ -114,50 +116,36 @@ TERMINAL_PRESETS = {
 }
 
 
-def _preset_1d(sigma, mu, momentum):
+# what the paper's 1d and 2d studies do not share
+_STUDIES = {
+    1: {"Q": 50, "lambda": 3.0, "max_iter": 20000, "tol": 1e-8,
+        "record_every": 50, "bins": 100},
+    2: {"Q": 20, "lambda": 1.0, "max_iter": 50000, "tol": 1e-5,
+        "record_every": 100, "bins": 50},
+}
+
+
+def _preset(dimension, sigma, mu, momentum, omega=0.5):
+    study = _STUDIES[dimension]
     return {
-        "dimension": 1,
+        "dimension": dimension,
         "kernel": {"type": "gaussian", "sigma": sigma, "mu": mu},
         "r": 8,
         "N": 20,
-        "Q": 50,
+        "Q": study["Q"],
         "solver": {
-            "lambda": 3.0,
-            "omega": 0.5,
-            "theta": 1.0,
-            "max_iter": 20000,
-            "tol": 1e-8,
-            "record_every": 50,
-            "momentum": momentum,
-        },
-        "M": {"preset": "paper-1d"},
-        "U": {"preset": "paper-1d"},
-        "output_dir": "out",
-        "bins": 100,
-        "density_slices": [0, 10, 20],
-    }
-
-
-def _preset_2d(sigma, mu, momentum, omega=0.5):
-    return {
-        "dimension": 2,
-        "kernel": {"type": "gaussian", "sigma": sigma, "mu": mu},
-        "r": 8,
-        "N": 20,
-        "Q": 20,
-        "solver": {
-            "lambda": 1.0,
+            "lambda": study["lambda"],
             "omega": omega,
             "theta": 1.0,
-            "max_iter": 50000,
-            "tol": 1e-5,
-            "record_every": 100,
+            "max_iter": study["max_iter"],
+            "tol": study["tol"],
+            "record_every": study["record_every"],
             "momentum": momentum,
         },
-        "M": {"preset": "paper-2d"},
-        "U": {"preset": "paper-2d"},
+        "M": {"preset": f"paper-{dimension}d"},
+        "U": {"preset": f"paper-{dimension}d"},
         "output_dir": "out",
-        "bins": 50,
+        "bins": study["bins"],
         "density_slices": [0, 10, 20],
     }
 
@@ -173,12 +161,12 @@ def _preset_2d(sigma, mu, momentum, omega=0.5):
 # and 3917 at omega 1/2). The 1d presets keep omega 1/2: paper-1d-a cycles
 # to max_iter at 0.75.
 PRESETS = {
-    "paper-1d-a": _preset_1d(0.2, 0.5, 0.94),
-    "paper-1d-b": _preset_1d(0.2, 1.5, 0.95),
-    "paper-1d-c": _preset_1d(0.8, 0.5, 0.95),
-    "paper-2d-a": _preset_2d(0.1, 0.75, 0.9, omega=1.0),
-    "paper-2d-b": _preset_2d(0.1, 0.5, 0.8),
-    "paper-2d-c": _preset_2d(1.0, 0.5, 0.95),
+    "paper-1d-a": _preset(1, 0.2, 0.5, 0.94),
+    "paper-1d-b": _preset(1, 0.2, 1.5, 0.95),
+    "paper-1d-c": _preset(1, 0.8, 0.5, 0.95),
+    "paper-2d-a": _preset(2, 0.1, 0.75, 0.9, omega=1.0),
+    "paper-2d-b": _preset(2, 0.1, 0.5, 0.8),
+    "paper-2d-c": _preset(2, 1.0, 0.5, 0.95),
 }
 
 
@@ -463,6 +451,8 @@ def run(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     diagnostics_path = os.path.join(cfg.output_dir, "diagnostics.jsonl")
     metrics_path = os.path.join(cfg.output_dir, "metrics.json")
+    if os.path.lexists(metrics_path):  # an earlier run's record, not this one's
+        os.remove(metrics_path)
     try:
         result = solve(problem, measure, cfg.solver, diagnostics_path=diagnostics_path)
     except DivergenceError as exc:
@@ -559,6 +549,7 @@ def _apply_overrides(raw: dict, args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = 0
         if args.command == "presets":
             for name in sorted(PRESETS):
                 k = PRESETS[name]["kernel"]
@@ -566,19 +557,25 @@ def main(argv=None) -> int:
                     f"{name}: dimension={PRESETS[name]['dimension']} "
                     f"sigma={k['sigma']} mu={k['mu']}"
                 )
-            return 0
-        raw = _apply_overrides(load_config_source(args.config), args)
-        cfg = validate_config(raw)
-        if args.command == "kernel-info":
-            print(json.dumps(kernel_info(cfg), indent=2, sort_keys=True))
-            return 0
-        return run(cfg)
+        else:
+            raw = _apply_overrides(load_config_source(args.config), args)
+            cfg = validate_config(raw)
+            if args.command == "kernel-info":
+                print(json.dumps(kernel_info(cfg), indent=2, sort_keys=True))
+            else:
+                code = run(cfg)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # the output directory or an artifact in it
-        if exc.filename is None:  # not a path, e.g. a full standard output
-            raise
+    except OSError as exc:  # standard output, or a path in the output directory
+        if exc.filename is None:  # not a path: a full or closed standard output
+            print(f"error: cannot write standard output ({exc.strerror})",
+                  file=sys.stderr)
+            # what stays buffered goes to devnull at exit, not to a second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         print(
             f"config error: config.output_dir: cannot create {exc.filename} "
             f"({exc.strerror})",

@@ -67,28 +67,30 @@ class TestPresets:
             assert name in out
 
     def test_parameter_table(self):
-        # golden values for the built-in experiment presets
+        # golden values for the built-in experiment presets, float types too
+        one = (20000, 1e-8, 50, 100, [0, 10, 20], {"preset": "paper-1d"},
+               {"preset": "paper-1d"}, "out")
+        two = (50000, 1e-5, 100, 50, [0, 10, 20], {"preset": "paper-2d"},
+               {"preset": "paper-2d"}, "out")
         table = {
-            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.94),
-            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95),
-            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95),
-            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 1.0, 1.0, 0.9),
-            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.8),
-            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.95),
+            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.94, *one),
+            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95, *one),
+            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95, *one),
+            "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 1.0, 1.0, 0.9, *two),
+            "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.8, *two),
+            "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.95, *two),
         }
         assert set(PRESETS) == set(table)
-        for name, (d, sigma, mu, r, n, q, lam, omega, theta, momentum) in table.items():
-            p = PRESETS[name]
-            assert p["dimension"] == d
-            assert p["kernel"]["sigma"] == sigma
-            assert p["kernel"]["mu"] == mu
-            assert p["r"] == r
-            assert p["N"] == n
-            assert p["Q"] == q
-            assert p["solver"]["lambda"] == lam
-            assert p["solver"]["omega"] == omega
-            assert p["solver"]["theta"] == theta
-            assert p["solver"]["momentum"] == momentum
+        for name, row in table.items():
+            p, s = PRESETS[name], PRESETS[name]["solver"]
+            values = (
+                p["dimension"], p["kernel"]["sigma"], p["kernel"]["mu"], p["r"],
+                p["N"], p["Q"], s["lambda"], s["omega"], s["theta"], s["momentum"],
+                s["max_iter"], s["tol"], s["record_every"], p["bins"],
+                p["density_slices"], p["M"], p["U"], p["output_dir"],
+            )
+            assert values == row, name
+            assert [type(v) for v in values] == [type(v) for v in row], name
 
     def test_presets_validate(self):
         for name in PRESETS:
@@ -488,6 +490,19 @@ class TestRun:
         xs = {line.split(",")[2] for line in lines}
         assert xs == {"0.5"}
 
+    def test_failed_rerun_leaves_no_earlier_metrics(self, tmp_path, capsys):
+        # a run that fails to write an artifact must not sit next to the
+        # converged record of an earlier run in the same directory
+        out = tmp_path / "rerun"
+        path = write_config(tmp_path, tiny_config(out))
+        assert main(["solve", path, "--tol", "0.5"]) == 0
+        assert json.loads((out / "metrics.json").read_text())["converged"] is True
+        (out / "trajectories.csv").unlink()
+        (out / "trajectories.csv").mkdir()
+        assert main(["solve", path, "--max-iter", "3"]) == 1
+        assert "cannot create" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_unusable_output_dir_is_config_error(self, tmp_path, capsys, below):
         blocker = tmp_path / "blocker"
@@ -637,15 +652,17 @@ class TestRun:
         assert isinstance(defect, float) and math.isfinite(defect)
 
 
-def run_module(argv, stdout=subprocess.PIPE):
-    # `python -m mfgspectral` runs __main__.py, which no in-process test does
+def run_module(argv, stdout=subprocess.PIPE, flags=()):
+    # `python -m mfgspectral` runs __main__.py, which no in-process test does;
+    # standard output is buffered, as in a shell, unless flags hold "-u"
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "mfgspectral", *argv],
+        [sys.executable, *flags, "-m", "mfgspectral", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, cwd=root,
         timeout=60,
     )
@@ -684,13 +701,27 @@ def test_unwritable_artifact_is_config_error(tmp_path, artifact):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_is_not_an_output_dir_error():
-    # an OSError that names no path is not blamed on config.output_dir
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["presets"],
+        ["kernel-info", "paper-1d-a"],
+        ["solve", "paper-1d-c", "--output-dir", "{tmp}/out"],
+    ],
+    ids=["presets", "kernel-info", "solve"],
+)
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+def test_unwritable_stdout_is_not_an_output_dir_error(tmp_path, argv, flags):
+    # an OSError that names no path is standard output's, reported in one
+    # line; a buffered write fails at the flush, and nothing more at exit
     with open("/dev/full", "w") as full:
-        proc = run_module(["presets"], stdout=full)
-    assert proc.returncode != 0
-    assert "No space left on device" in proc.stderr
-    assert "config.output_dir" not in proc.stderr
+        proc = run_module(
+            [a.format(tmp=tmp_path) for a in argv], stdout=full, flags=flags
+        )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line == "error: cannot write standard output (No space left on device)"
 
 
 def test_config_requires_kernel_type(tmp_path):
