@@ -7,12 +7,12 @@ experiment configurations. A config argument is either the name of a
 built-in preset or a path to a JSON file with the same structure. Runs
 are deterministic: identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 configuration error (an output directory or
-artifact that cannot be created among them) or a standard output that
-cannot be written, 2 solver divergence. The ``status`` field of
+Exit codes: 0 success, 1 configuration error (any failed write in the
+output directory, a full disk included, among them) or a failed print to
+standard output, 2 solver divergence. The ``status`` field of
 ``metrics.json`` reads ``converged``, ``max_iter`` or, after a divergence,
-``diverged``; a ``metrics.json`` left by an earlier run in the same
-directory is removed before the solve starts.
+``diverged``; the artifacts of an earlier run in the same directory are
+removed before the solve starts, ``metrics.json`` first.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import copy
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -437,7 +438,7 @@ def kernel_info(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run(cfg: ExperimentConfig) -> int:
+def run(cfg: ExperimentConfig) -> str:
     problem, measure = build_problem(cfg)
     steps = step_check(cfg.solver, measure, problem.basis, problem.dt)
     if not steps["step_bound_ok"]:
@@ -449,10 +450,14 @@ def run(cfg: ExperimentConfig) -> int:
         )
     step_metrics = {k: steps[k] for k in ("a_squared", "step_bound_ok")}
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # an earlier run's artifacts go, its record first, so none sits beside this run's
+    earlier = sorted(os.listdir(cfg.output_dir), key=lambda n: (n != "metrics.json", n))
+    for name in earlier:
+        if re.fullmatch(r"(metrics\.json|diagnostics\.jsonl|trajectories\.csv"
+                        r"|density_t[0-9]+\.csv)", name):
+            os.remove(os.path.join(cfg.output_dir, name))
     diagnostics_path = os.path.join(cfg.output_dir, "diagnostics.jsonl")
     metrics_path = os.path.join(cfg.output_dir, "metrics.json")
-    if os.path.lexists(metrics_path):  # an earlier run's record, not this one's
-        os.remove(metrics_path)
     try:
         result = solve(problem, measure, cfg.solver, diagnostics_path=diagnostics_path)
     except DivergenceError as exc:
@@ -493,11 +498,10 @@ def run(cfg: ExperimentConfig) -> int:
             "converged",
             file=sys.stderr,
         )
-    print(
+    return (
         f"solved in {result.iterations} iterations "
         f"(converged={result.converged}); artifacts in {cfg.output_dir}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -548,43 +552,39 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code = 0
+    try:  # the work: an OSError here is the output directory's
         if args.command == "presets":
-            for name in sorted(PRESETS):
-                k = PRESETS[name]["kernel"]
-                print(
-                    f"{name}: dimension={PRESETS[name]['dimension']} "
-                    f"sigma={k['sigma']} mu={k['mu']}"
-                )
+            text = "\n".join(
+                f"{name}: dimension={p['dimension']} "
+                f"sigma={p['kernel']['sigma']} mu={p['kernel']['mu']}"
+                for name, p in sorted(PRESETS.items())
+            )
         else:
             raw = _apply_overrides(load_config_source(args.config), args)
             cfg = validate_config(raw)
             if args.command == "kernel-info":
-                print(json.dumps(kernel_info(cfg), indent=2, sort_keys=True))
+                text = json.dumps(kernel_info(cfg), indent=2, sort_keys=True)
             else:
-                code = run(cfg)
-        sys.stdout.flush()  # a buffered write fails here, not at exit
-        return code
+                text = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # standard output, or a path in the output directory
-        if exc.filename is None:  # not a path: a full or closed standard output
-            print(f"error: cannot write standard output ({exc.strerror})",
-                  file=sys.stderr)
-            # what stays buffered goes to devnull at exit, not to a second error
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
-        print(
-            f"config error: config.output_dir: cannot create {exc.filename} "
-            f"({exc.strerror})",
-            file=sys.stderr,
-        )
+    except OSError as exc:  # a full disk names no file
+        print(f"config error: config.output_dir: cannot create "
+              f"{exc.filename or cfg.output_dir} ({exc.strerror})", file=sys.stderr)
         return 1
     except DivergenceError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return 2
+    try:  # the printing: an OSError here is standard output's
+        print(text, flush=True)  # a buffered write fails here, not at exit
+    except OSError as exc:
+        print(f"error: cannot write standard output ({exc.strerror})",
+              file=sys.stderr)
+        # what stays buffered goes to devnull at exit, not to a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from mfgspectral.cli import (
     kernel_info,
     load_config_source,
     main,
+    run,
     validate_config,
 )
 from mfgspectral.pdhg import DIVERGENCE_LIMIT, solve
@@ -131,6 +133,24 @@ class TestValidation:
         del cfg["kernel"]["sigma"]
         with pytest.raises(ConfigError, match="config.kernel.sigma"):
             validate_config(cfg)
+
+    def test_missing_integer_field_exit_code(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "out")
+        del cfg["N"]
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.N: missing required field\n"
+        )
+
+    def test_invalid_2d_coefficient_count(self, tmp_path, capsys):
+        # 4 is no q(q-1)/2, the size of the 2d basis of truncation q
+        cfg = tiny_config(tmp_path / "out", dimension=2, M={"preset": "paper-2d"},
+                          U={"coefficients": [1.0, 0.0, 0.0, 0.0]})
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.U.coefficients: length 4 is not a valid 2d "
+            "coefficient count q(q-1)/2\n"
+        )
 
     def test_bad_dimension(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", dimension=3)
@@ -490,6 +510,47 @@ class TestRun:
         xs = {line.split(",")[2] for line in lines}
         assert xs == {"0.5"}
 
+    def test_run_returns_its_summary_line(self, tmp_path, capsys):
+        # main prints it; run itself writes nothing to standard output
+        out = tmp_path / "direct"
+        line = run(validate_config(tiny_config(out)))
+        assert line == f"solved in 60 iterations (converged=False); artifacts in {out}"
+        assert capsys.readouterr().out == ""
+
+    def test_2d_coefficient_functions(self, tmp_path):
+        # M of truncation q = 3 (3 coefficients) and U of q = 4 (6 coefficients)
+        out = tmp_path / "coefficients-2d"
+        cfg = tiny_config(out, dimension=2, M={"coefficients": [1.0, 0.2, 0.1]},
+                          U={"coefficients": [1.0, 0.1, 0.2, 0.0, 0.3, 0.1]})
+        assert main(["solve", write_config(tmp_path, cfg)]) == 0
+        for name in ARTIFACTS + ["density_t0.csv", "density_t2.csv", "density_t4.csv"]:
+            assert (out / name).exists(), name
+        assert json.loads((out / "metrics.json").read_text())["iterations"] == 60
+
+    def test_rerun_removes_earlier_density_slices(self, tmp_path):
+        # an earlier run's density CSVs go; a name not of digits is the user's
+        out = tmp_path / "slices"
+        path = write_config(tmp_path, tiny_config(out))
+        assert main(["solve", path, "--tol", "0.5"]) == 0
+        (out / "density_t1b.csv").write_text("kept")
+        assert main(["solve", path, "--density-slices", "1,3"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "density_t1.csv", "density_t1b.csv", "density_t3.csv",
+            "diagnostics.jsonl", "metrics.json", "trajectories.csv",
+        ]
+
+    def test_diverged_rerun_leaves_only_its_record(self, tmp_path, capsys):
+        # no trajectories or densities of the earlier run beside "diverged"
+        out = tmp_path / "rerun"
+        path = write_config(tmp_path, tiny_config(out))
+        assert main(["solve", path, "--tol", "0.5"]) == 0
+        cfg = tiny_config(out, U={"coefficients": [0.0, 1e6]})
+        cfg["solver"]["max_iter"] = 500
+        assert main(["solve", write_config(tmp_path, cfg, "diverge.json")]) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["diagnostics.jsonl", "metrics.json"]
+        assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
+
     def test_failed_rerun_leaves_no_earlier_metrics(self, tmp_path, capsys):
         # a run that fails to write an artifact must not sit next to the
         # converged record of an earlier run in the same directory
@@ -652,9 +713,10 @@ class TestRun:
         assert isinstance(defect, float) and math.isfinite(defect)
 
 
-def run_module(argv, stdout=subprocess.PIPE, flags=()):
-    # `python -m mfgspectral` runs __main__.py, which no in-process test does;
-    # standard output is buffered, as in a shell, unless flags hold "-u"
+def run_module(argv, stdout=subprocess.PIPE, flags=(), module="mfgspectral"):
+    # `python -m mfgspectral` runs __main__.py and `-m mfgspectral.cli` the
+    # __main__ block of cli.py, which no in-process test does; standard
+    # output is buffered, as in a shell, unless flags hold "-u"
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
@@ -662,7 +724,7 @@ def run_module(argv, stdout=subprocess.PIPE, flags=()):
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, *flags, "-m", "mfgspectral", *argv],
+        [sys.executable, *flags, "-m", module, *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, cwd=root,
         timeout=60,
     )
@@ -672,15 +734,16 @@ def run_module(argv, stdout=subprocess.PIPE, flags=()):
     "argv", [["presets"], ["kernel-info", "paper-1d-a"]], ids=["presets", "kernel-info"]
 )
 def test_module_entry_point(argv):
-    proc = run_module(argv)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    if argv == ["presets"]:
-        assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == (
-            sorted(PRESETS)
-        )
-    else:
-        assert json.loads(proc.stdout)["basis_size"] == 8
+    for module in ("mfgspectral", "mfgspectral.cli"):
+        proc = run_module(argv, module=module)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if argv == ["presets"]:
+            assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == (
+                sorted(PRESETS)
+            )
+        else:
+            assert json.loads(proc.stdout)["basis_size"] == 8
 
 
 @pytest.mark.parametrize(
@@ -722,6 +785,24 @@ def test_unwritable_stdout_is_not_an_output_dir_error(tmp_path, argv, flags):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line == "error: cannot write standard output (No space left on device)"
+
+
+def test_full_disk_is_an_output_dir_error(tmp_path, capsys, monkeypatch):
+    # an artifact write that fails after its file opened names no file; it
+    # was raised during the work, so it is the output directory's
+    def full_disk(path, x):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("mfgspectral.cli.write_trajectories_csv", full_disk)
+    out = tmp_path / "out"
+    assert main(["solve", write_config(tmp_path, tiny_config(out))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == (
+        f"config error: config.output_dir: cannot create {out} "
+        "(No space left on device)"
+    )
 
 
 def test_config_requires_kernel_type(tmp_path):
