@@ -153,7 +153,8 @@ def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
     factors, so the sine and cosine of one frequency share an eigenvalue.
     """
     b = basis_1d(r) if spec.dimension == 1 else basis_2d(r)
-    exponent = np.sum((math.pi * spec.sigma * b.frequencies) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # an infinite exponent leaves eigenvalue 0
+        exponent = np.sum((math.pi * spec.sigma * b.frequencies) ** 2, axis=1)
     return _diagonal_kernel(b, spec.mu**spec.dimension * np.exp(-0.5 * exponent))
 
 

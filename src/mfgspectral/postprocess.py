@@ -2,9 +2,9 @@
 
 Density snapshots are mass-preserving histograms on the wrapped torus;
 trajectory metrics (straightness, mirror-symmetry defect) work on the
-unwrapped coordinates. The symmetry defect compares each particle with
-the reflection of its partner under x -> 1 - x: the particle at its
-mirror grid point when the two weights agree, else the particle itself.
+unwrapped coordinates. The symmetry defect compares particle i with the
+reflection under x -> 1 - x of its partner: particle Q - 1 - i, which the
+grid must list at i's mirror point, when the weights agree, else i itself.
 CSV/JSON writers use fixed column order and 17-significant-digit floats
 so identical runs produce identical bytes.
 """
@@ -84,19 +84,19 @@ def _wrapped_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def symmetry_defect(x: np.ndarray, measure: DiscreteMeasure) -> float:
     """Worst torus distance of a particle to its partner's mirror image.
 
-    Particle i's partner is the particle j at the grid point 1 - points[i]
-    (mod 1) if the weights agree within GRID_MATCH_TOL, else i itself; the
-    defect is the maximum over i and slices t of the distance from x[i, t]
-    to 1 - x[j, t]. Needs a mirror-symmetric grid (true for the interior
-    grids of discretize_measure) and one trajectory per particle.
+    The grid must list mirror pairs at i and Q - 1 - i, as discretize_measure
+    does: points[Q - 1 - i] within GRID_MATCH_TOL of 1 - points[i] (mod 1),
+    else ValueError. Particle i's partner j is Q - 1 - i if the weights
+    agree within GRID_MATCH_TOL, else i itself; the defect is the maximum
+    over i and slices t of the distance from x[i, t] to 1 - x[j, t].
     """
     if x.shape[0] != measure.count:
         raise ValueError(f"x has {x.shape[0]} particles, the measure {measure.count}")
     points, weights = measure.points, measure.weights
-    grid_dist = _wrapped_distance(points[:, None], np.mod(1.0 - points, 1.0))
-    own, mirror = np.arange(measure.count), grid_dist.argmin(axis=1)
-    if np.any(grid_dist[own, mirror] > GRID_MATCH_TOL):
-        raise ValueError("particle grid is not symmetric under x -> 1 - x")
+    own, mirror = np.arange(measure.count), np.arange(measure.count)[::-1]
+    grid_gap = _wrapped_distance(points, np.mod(1.0 - points[mirror], 1.0))
+    if np.any(grid_gap > GRID_MATCH_TOL):
+        raise ValueError("grid must list mirror pairs (x -> 1 - x) at i and Q - 1 - i")
     w_tol = GRID_MATCH_TOL * max(float(weights.max()), 1.0)
     partner = np.where(np.abs(weights - weights[mirror]) <= w_tol, mirror, own)
     pos = np.mod(x, 1.0)

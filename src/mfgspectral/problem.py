@@ -71,7 +71,9 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
     """Sample a density on the interior grid alpha/(Q+1) and normalize.
 
     For dimension 2 the grid is the tensor square of the 1d grid, listed
-    with the first coordinate slowest (lexicographic).
+    with the first coordinate slowest (lexicographic). Either way the
+    mirror image 1 - p of point i is point Q^d - 1 - i, the listing rule
+    :func:`~mfgspectral.postprocess.symmetry_defect` pairs particles by.
     """
     if Q < 1:
         raise ValueError(f"Q must be positive, got {Q}")

@@ -168,6 +168,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config.density_slices"):
             validate_config(cfg)
 
+    def test_non_integer_density_slices_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["solve", path, "--density-slices", "0,x"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --density-slices: invalid literal for int() with "
+            "base 10: 'x'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({}, "needs either 'preset' or 'coefficients'"),
+            # validation passes; discretize_measure's error is wrapped
+            ({"coefficients": [0.0]},
+             "density vanishes on the whole grid; measure is degenerate"),
+        ],
+        ids=["empty", "zero-density"],
+    )
+    def test_unusable_density_section(self, tmp_path, capsys, section, message):
+        cfg = tiny_config(tmp_path / "out", M=section)
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: config.M: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nan_tol_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["solve", path, "--tol", "nan"]) == 1

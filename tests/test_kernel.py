@@ -7,6 +7,7 @@ import pytest
 from mfgspectral.basis import basis_1d, basis_2d, eval_all
 from mfgspectral.kernel import (
     GaussianKernelSpec,
+    SpectralKernel,
     fejer_average,
     fourier_coefficients,
     gaussian_spectral,
@@ -63,7 +64,17 @@ class TestGaussianSpectral:
         assert frobenius_identity_gap(ker) < 1e-10
         assert ker.basis.indices[0] == 1
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_huge_sigma_keeps_only_the_constant_silently(self, dimension):
+        # (pi sigma n)^2 overflows to inf for n >= 1, so those eigenvalues are
+        # exactly 0 and dropped; the overflow is intended and not warned of
+        ker = gaussian_spectral(GaussianKernelSpec(1e300, 0.5, dimension), 4)
+        assert ker.basis.indices == ((1,) if dimension == 1 else ((1, 1),))
+        np.testing.assert_array_equal(ker.k_mat, [[0.5**dimension]])
+
     def test_invalid_parameters(self):
+        with pytest.raises(ValueError, match="^dimension must be 1 or 2, got 3$"):
+            GaussianKernelSpec(0.2, 0.5, dimension=3)
         with pytest.raises(ValueError):
             GaussianKernelSpec(sigma=-0.1, mu=0.5)
         with pytest.raises(ValueError):
@@ -139,6 +150,12 @@ class TestDirectEvaluation:
             spec1, x[:, 1], y[:, 1]
         )
         np.testing.assert_allclose(kernel_eval_direct(spec2, x, y), expect, rtol=1e-13)
+
+    def test_2d_needs_coordinate_pairs(self):
+        spec = GaussianKernelSpec(sigma=0.4, mu=0.7, dimension=2)
+        message = "^2d kernel requires coordinate pairs in the last axis$"
+        with pytest.raises(ValueError, match=message):
+            kernel_eval_direct(spec, np.zeros(5), np.zeros(5))
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0])
     def test_truncated_expansion_matches_direct(self, sigma):
@@ -384,6 +401,14 @@ class TestFejerAverage:
         with pytest.raises(ValueError):
             fejer_average(c, 1, basis_1d(5))
 
+    def test_matrix_shape_checked(self):
+        message = r"^coefficient matrix must be square, got \(5, 4\)$"
+        with pytest.raises(ValueError, match=message):
+            fejer_average(np.ones((5, 4)), 3, basis_1d(5))
+        message = "^coefficient matrix does not match basis size$"
+        with pytest.raises(ValueError, match=message):
+            fejer_average(np.eye(4), 3, basis_1d(5))
+
 
 class TestPsdCheck:
     def test_identity(self):
@@ -436,6 +461,11 @@ class TestTranslationInvariantBlocks:
     def test_all_degenerate_rejected(self):
         with pytest.raises(ValueError):
             translation_invariant_blocks([0.0, 0.0], [0.0, 0.0])
+
+    def test_unequal_moment_lengths_rejected(self):
+        message = "^moment arrays must be equal-length 1d vectors$"
+        with pytest.raises(ValueError, match=message):
+            translation_invariant_blocks([1.0, 0.5], [0.0])
 
     def test_nonzero_sine_moment_at_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -568,6 +598,11 @@ class TestDenseConstruction:
 
 
 class TestApplyOperators:
+    def test_matrix_shape_checked(self):
+        message = r"^k_mat shape \(3, 3\) does not match basis size 2$"
+        with pytest.raises(ValueError, match=message):
+            SpectralKernel(basis_1d(2), np.eye(3), np.eye(3))
+
     def test_apply_matches_matrices(self):
         rng = np.random.default_rng(11)
         kernels = [

@@ -556,6 +556,14 @@ class TestSolve:
         np.testing.assert_allclose(res.a, mu, atol=1e-10)
         np.testing.assert_allclose(res.x, stationary(m, 5), atol=1e-12)
 
+    def test_measure_dimension_mismatch_rejected(self):
+        _, prob, _ = self._forced_problem(1)
+        _, _, m2 = self._forced_problem(2)
+        with pytest.raises(
+            ValueError, match="^measure dimension does not match the problem$"
+        ):
+            solve(prob, m2, SolverConfig(lam=3.0, omega=0.5, max_iter=1))
+
     def test_infinite_tolerance_returns_initial_state(self):
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=4)
@@ -881,6 +889,8 @@ class TestSolverConfigValidation:
             SolverConfig(lam=1.0, omega=0.1, theta=1.5)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, omega=0.1, record_every=0)
+        with pytest.raises(ValueError, match="^max_iter must be nonnegative, got -1$"):
+            SolverConfig(lam=1.0, omega=0.1, max_iter=-1)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfgspectral.postprocess import (
+    GRID_MATCH_TOL,
     DensitySnapshot,
     _wrapped_distance,
     density_histogram,
@@ -196,6 +199,40 @@ class TestSymmetryDefect:
         m = measure_from([1.0 / 3.0, 2.0 / 3.0], [0.25, 0.75])
         x = np.repeat(m.points[:, None, :], 2, axis=1)
         assert symmetry_defect(x, m) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_discretize_measure_lists_mirror_at_reversed_index(self):
+        # the listing rule symmetry_defect pairs by: 1 - p_i is p_(Q^d - 1 - i)
+        uniform = lambda p: np.ones(p.shape[0])
+        grids = [(q, 1) for q in range(1, 31)] + [(q, 2) for q in range(1, 13)]
+        for q, d in grids:
+            pts = discretize_measure(uniform, q, d).points
+            gap = _wrapped_distance(pts, np.mod(1.0 - pts[::-1], 1.0))
+            assert gap.max() <= GRID_MATCH_TOL, (q, d)
+
+    def test_symmetric_grid_in_another_order_rejected(self):
+        # {0.25, 0.5, 0.75} is mirror symmetric as a set, but 0.25's mirror
+        # is not listed at index Q - 1 - 0
+        m = measure_from([0.25, 0.75, 0.5], [1.0 / 3.0] * 3)
+        x = np.repeat(m.points[:, None, :], 2, axis=1)
+        with pytest.raises(ValueError, match="at i and Q - 1 - i"):
+            symmetry_defect(x, m)
+
+    def test_memory_stays_linear_in_particles(self):
+        # paper-2d-a shape (Q = 400, N = 20): memory linear in Q; one
+        # (Q, Q, 2) table of point pairs alone would take 2.6 MB
+        m = discretize_measure(
+            lambda p: 1.0 + 0.5 * np.cos(2 * np.pi * (p[:, 0] + p[:, 1])), 20, 2
+        )
+        rng = np.random.default_rng(3)
+        x = np.repeat(m.points[:, None, :], 21, axis=1)
+        x += rng.normal(scale=0.01, size=x.shape)
+        tracemalloc.start()
+        try:
+            symmetry_defect(x, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     def test_wrapped_distance_matches_remainder_form_bit_for_bit(self):
         # fmod of the nonnegative |p - q| is the floored remainder % 1.0

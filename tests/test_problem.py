@@ -142,8 +142,24 @@ class TestDiscretizeMeasure:
         with pytest.raises(ValueError):
             discretize_measure(lambda p: np.ones(p.shape[0]), 3, 3)
 
+    def test_density_values_checked(self):
+        message = r"^density must return one value per grid point, got shape \(3, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            discretize_measure(lambda p: np.ones((p.shape[0], 1)), 3, 1)
+        message = "^density produced non-finite values on the grid$"
+        with pytest.raises(ValueError, match=message):
+            discretize_measure(lambda p: np.full(p.shape[0], np.nan), 3, 1)
+
 
 class TestMeasureInvariants:
+    def test_shape_validation(self):
+        message = r"^points must have shape \(Q, d\), got \(2, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]))
+        message = "^weights must match the number of points$"
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(points=np.array([[0.2], [0.8]]), weights=np.array([1.0]))
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(points=np.array([[0.5]]), weights=np.array([0.8]))
@@ -233,6 +249,19 @@ class TestSaddleValue:
             saddle_value(np.zeros((1, 3)), stationary_trajectories(m, 4), prob, m)
         with pytest.raises(ValueError):
             saddle_value(np.zeros((1, 4)), stationary_trajectories(m, 3), prob, m)
+
+    def test_start_off_the_grid_rejected(self):
+        m = discretize_measure(lambda p: np.ones(p.shape[0]), 4, 1)
+        prob = make_problem(flat_kernel(), N=4)
+        x = stationary_trajectories(m, 4)
+        x[0, 0, 0] += 0.01
+        message = "^initial trajectory slice must equal the particle grid$"
+        with pytest.raises(ValueError, match=message):
+            saddle_value(np.zeros((1, 4)), x, prob, m)
+
+    def test_num_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="^num_steps must be positive, got 0$"):
+            make_problem(flat_kernel(), N=0)
 
 
 class TestMomentVector:
