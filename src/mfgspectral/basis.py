@@ -323,7 +323,9 @@ class SliceTables:
         constants, over the table rows of every component. In 1d component
         1 is sum_k T1[k] A[k]; in 2d both components are sum_k T1[k]
         (A_e T2)[k], one batched matmul for the two A_e T2 and one einsum
-        that multiplies by T1 and sums over k in the same pass.
+        that multiplies by T1 and sums over k in the same pass. A particle
+        gets the same bits alone as in any batch: numpy would take gemv for
+        one column, so a lone particle's T2 goes into the matmul twice.
         """
         coeffs = np.asarray(coeffs, dtype=float)
         rows, (d, n, q) = self._rows, self._buffer.shape[1:]
@@ -331,11 +333,12 @@ class SliceTables:
         t1, out = self._axes[0], np.empty((d, n, q))
         if d == 1:
             np.einsum("nrq,nr->nq", t1, scattered, out=out[0])
-        else:
-            terms = self._scratch((n, 2 * rows, q))
-            np.matmul(scattered.reshape(n, 2 * rows, rows), self._axes[1], out=terms)
+        else:  # a lone particle goes in twice: gemm, as for any batch
+            t2 = self._axes[1] if q > 1 else np.repeat(self._axes[1], 2, axis=2)
+            terms = self._scratch((n, 2 * rows, t2.shape[2]))
+            np.matmul(scattered.reshape(n, 2 * rows, rows), t2, out=terms)
             np.einsum(
-                "nerq,nrq->neq", terms.reshape(n, 2, rows, q), t1,
+                "nerq,nrq->neq", terms[..., :q].reshape(n, 2, rows, q), t1,
                 out=out.transpose(1, 0, 2),
             )
         return out.transpose(2, 1, 0)

@@ -153,8 +153,10 @@ def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
     factors, so the sine and cosine of one frequency share an eigenvalue.
     """
     b = basis_1d(r) if spec.dimension == 1 else basis_2d(r)
-    with np.errstate(over="ignore"):  # an infinite exponent leaves eigenvalue 0
-        exponent = np.sum((math.pi * spec.sigma * b.frequencies) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf exponent: eigenvalue 0
+        # frequency 0 gets exponent 0, also where pi * sigma is inf (inf * 0 is NaN)
+        scaled = np.where(b.frequencies > 0, math.pi * spec.sigma * b.frequencies, 0)
+        exponent = np.sum(scaled**2, axis=1)
     return _diagonal_kernel(b, spec.mu**spec.dimension * np.exp(-0.5 * exponent))
 
 

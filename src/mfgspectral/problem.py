@@ -217,14 +217,6 @@ def action_gradient(
     return grad
 
 
-def _batch_gradient(x, a, problem: MFGProblem) -> np.ndarray:
-    # numpy contracts one particle with other kernels than several (gemv, not
-    # gemm; pairwise, not running sums), so a lone particle goes in twice
-    if len(x) == 1:
-        return action_gradient(np.concatenate([x, x]), a, problem)[:1]
-    return action_gradient(x, a, problem)
-
-
 def best_response(a: np.ndarray, x0, problem: MFGProblem):
     """Each particle's best path and value against the coefficient paths ``a``.
 
@@ -233,10 +225,12 @@ def best_response(a: np.ndarray, x0, problem: MFGProblem):
     trial step, first dt/4 (stable for the kinetic term) and halved
     whenever it would raise that particle's action, so each value is the
     action of a real path: an upper bound on the particle's discrete value,
-    the same in a batch of any size. A particle stops after 5000 accepted
-    steps or once a step moves it less than 1e-10; each round evaluates
-    only the particles still descending. Returns the (Q, N+1, d) paths and
-    their (Q,) actions.
+    the same in a batch of any size, as :func:`action` and
+    :func:`action_gradient` are (the trajectory step's kinetic solve,
+    :func:`~mfgspectral.pdhg.prox_x_operator`, is not). A particle stops
+    after 5000 accepted steps or once a step moves it less than 1e-10; each
+    round evaluates only the particles still descending. Returns the
+    (Q, N+1, d) paths and their (Q,) actions.
     """
     a = np.asarray(a, dtype=float)
     start = np.asarray(x0, dtype=float)
@@ -247,7 +241,7 @@ def best_response(a: np.ndarray, x0, problem: MFGProblem):
         )
     x = np.repeat(start[:, None, :], problem.num_steps + 1, axis=1)
     values = action(x, a, problem)
-    grad = _batch_gradient(x, a, problem)
+    grad = action_gradient(x, a, problem)
     step = np.full(len(start), problem.dt / 4.0)
     accepted = np.zeros(len(start), dtype=int)
     active = np.arange(len(start))
@@ -265,7 +259,7 @@ def best_response(a: np.ndarray, x0, problem: MFGProblem):
         far = step[moved] * np.max(np.abs(grad[moved]), axis=(1, 2)) >= 1e-10
         going = moved[far & (accepted[moved] < 5000)]
         if going.size:
-            grad[going] = _batch_gradient(x[going], a, problem)
+            grad[going] = action_gradient(x[going], a, problem)
         active = np.sort(np.concatenate([active[~take], going]))
     return x, values
 

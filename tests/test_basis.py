@@ -259,8 +259,8 @@ def test_eval_and_grad_all_match_closed_form(b, count):
          11, 3),
         (basis_2d(5), 125, 20),
         (basis_2d(8), 400, 20),  # the paper-2d shapes
-        (basis_1d(5), 1, 3),  # one particle: numpy takes its gemv paths
-        (basis_2d(5), 1, 3),
+        (basis_1d(5), 1, 3),  # one particle: the 1d contraction runs as for
+        (basis_2d(5), 1, 3),  # any Q; the 2d matmul gets it twice (gemm, not gemv)
         (basis_1d(5), 11, 1),  # one slice
         (basis_2d(5), 11, 1),
         # per-axis tops 0 and 3 (then 3 and 1): the shorter axis' padded
@@ -291,6 +291,27 @@ def test_slice_contractions_match_point_tables(b, q, n):
         tables.field_gradient(coeffs), np.einsum("qikd,ki->qid", grads, coeffs),
         rtol=0, atol=1e-12,
     )
+
+
+@pytest.mark.parametrize(
+    "b",
+    [basis_1d(1), basis_1d(8), basis_1d(16),
+     basis_2d(2), basis_2d(4), basis_2d(8), basis_2d(16)],
+    ids=["1d-r1", "1d-r8", "1d-r16", "2d-r2", "2d-r4", "2d-r8", "2d-r16"],
+)
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 9, 17, 63])
+def test_field_gradient_does_not_depend_on_the_batch(b, size):
+    # bit for bit: a particle's gradient rows are the same in a sub-batch of
+    # any size, a lone particle included, as in the whole 64-particle batch
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-1, 2, size=(64, 7, b.dimension))
+    coeffs = rng.normal(size=(b.size, 7))
+    full = SliceTables(b, pts).field_gradient(coeffs)
+    for start in (0, 64 - size):
+        batch = slice(start, start + size)
+        np.testing.assert_array_equal(
+            SliceTables(b, pts[batch]).field_gradient(coeffs), full[batch]
+        )
 
 
 def test_slice_contractions_check_point_shape():

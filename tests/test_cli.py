@@ -726,6 +726,20 @@ class TestRun:
         assert metrics["converged"] is True and metrics["status"] == "converged"
         assert metrics["iterations"] < 60
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--max-iter", "3"]], ids=["converged", "max-iter-3"]
+    )
+    def test_metrics_agree_with_the_last_record(self, tmp_path, flags):
+        # one final state: metrics.json's residual and saddle value are the
+        # ones the last diagnostics.jsonl line records
+        out = tmp_path / "record"
+        assert main(["solve", "paper-1d-c", "--output-dir", str(out), *flags]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        last = json.loads((out / "diagnostics.jsonl").read_text().splitlines()[-1])
+        assert metrics["iterations"] == last["iteration"]
+        assert metrics["fixed_point_residual"] == last["residual"]
+        assert metrics["final_saddle_value"] == last["saddle_value"]
+
     def test_symmetry_defect_is_number_for_asymmetric_weights(self, tmp_path):
         # custom M breaks the mirror symmetry of the weights, not the grid;
         # defect is still computable, so it must be a number

@@ -64,11 +64,18 @@ class TestGaussianSpectral:
         assert frobenius_identity_gap(ker) < 1e-10
         assert ker.basis.indices[0] == 1
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_huge_sigma_keeps_only_the_constant_silently(self, dimension):
+    @pytest.mark.parametrize(
+        "dimension, sigma",
+        [(1, 1e300), (2, 1e300), (1, 5.8e307), (2, 5.8e307), (1, 1.7e308),
+         (2, 1.7e308)],
+        ids=["1", "2", "1-5.8e307", "2-5.8e307", "1-1.7e308", "2-1.7e308"],
+    )
+    def test_huge_sigma_keeps_only_the_constant_silently(self, dimension, sigma):
         # (pi sigma n)^2 overflows to inf for n >= 1, so those eigenvalues are
-        # exactly 0 and dropped; the overflow is intended and not warned of
-        ker = gaussian_spectral(GaussianKernelSpec(1e300, 0.5, dimension), 4)
+        # exactly 0 and dropped; the overflow is intended and not warned of.
+        # From about 5.7e307 pi sigma itself is inf, and frequency 0 must
+        # still get exponent 0 (not inf * 0 = NaN) to keep mu^d
+        ker = gaussian_spectral(GaussianKernelSpec(sigma, 0.5, dimension), 4)
         assert ker.basis.indices == ((1,) if dimension == 1 else ((1, 1),))
         np.testing.assert_array_equal(ker.k_mat, [[0.5**dimension]])
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mfgspectral.cli import build_problem, load_config_source, validate_config
 from mfgspectral.kernel import (
     GaussianKernelSpec,
     gaussian_spectral,
@@ -420,6 +421,22 @@ class TestAction:
                 shift[:, i + 1, e] = h
                 fd = (action(x + shift, a, prob) - action(x - shift, a, prob)) / (2 * h)
                 np.testing.assert_allclose(grad[:, i, e], fd, rtol=1e-6, atol=1e-6)
+
+
+    def test_lone_particle_gradient_equals_its_batch_row(self):
+        # bit for bit on the paper-2d-a measure (Q = 400): a particle's action
+        # gradient does not depend on which particles share its batch
+        prob, m = build_problem(validate_config(load_config_source("paper-2d-a")))
+        rng = np.random.default_rng(24)
+        n, d = prob.num_steps, prob.dimension
+        x = stationary_trajectories(m, n)
+        x[:, 1:, :] += rng.normal(scale=0.1, size=(m.count, n, d))
+        a = rng.normal(scale=0.5, size=(prob.basis.size, n))
+        batch = action_gradient(x, a, prob)
+        for alpha in rng.choice(m.count, size=20, replace=False):
+            np.testing.assert_array_equal(
+                action_gradient(x[alpha : alpha + 1], a, prob)[0], batch[alpha]
+            )
 
 
 class TestBestResponse:
