@@ -136,6 +136,18 @@ def lipschitz_bounds(basis: BasisSet) -> np.ndarray:
     return np.sqrt(np.sum(np.prod(factors, axis=2) ** 2, axis=1))
 
 
+def hessian_bounds(basis: BasisSet) -> np.ndarray:
+    """Vector of bounds on the Hessian's spectral norm, in basis order.
+
+    Function n gets (2 pi)^2 |n|^2 prod_e S_e, with S_e the sup-norm of
+    factor e (sqrt(2) at a nonzero frequency, else 1); in 1d that is the
+    exact constant sqrt(2) (2 pi (k//2))^2.
+    """
+    freqs = basis.frequencies
+    sup = np.where(freqs == 0, 1.0, SQRT2)
+    return TWO_PI**2 * np.sum(freqs**2, axis=1) * np.prod(sup, axis=1)
+
+
 def _as_points(basis: BasisSet, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

@@ -35,6 +35,7 @@ from .basis import (
     basis_2d,
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
+    hessian_bounds,
 )
 from .kernel import (
     GaussianKernelSpec,
@@ -111,9 +112,11 @@ DENSITY_PRESETS = {
     "paper-2d": (_density_2d, 2),
 }
 
+# each terminal cost with its gradient and the spectral-norm bound of its
+# Hessian: (4 pi)^2 for paper-1d, 0.5 (6 pi)^2 for paper-2d
 TERMINAL_PRESETS = {
-    "paper-1d": (_terminal_1d, _terminal_grad_1d, 1),
-    "paper-2d": (_terminal_2d, _terminal_grad_2d, 2),
+    "paper-1d": (_terminal_1d, _terminal_grad_1d, 16.0 * np.pi**2, 1),
+    "paper-2d": (_terminal_2d, _terminal_grad_2d, 18.0 * np.pi**2, 2),
 }
 
 
@@ -151,20 +154,22 @@ def _preset(dimension, sigma, mu, momentum, omega=0.5):
     }
 
 
-# momentum: of {0, 0.5, 0.7, 0.8, 0.9, 0.95}, the value with the fewest
-# iterations at the preset's tol, except on paper-1d-a and paper-2d-a.
-# paper-1d-a takes the fewest of 0.90-0.95 in steps of 0.01 (978, 894, 798,
-# 719, 614, 471 iterations) that ends below residual 1e-8, one step short
-# of 0.95, which ends at 1.6e-8. paper-2d-a also runs at tol 2e-4; on a
-# grid of omega in [0.5, 1.5] by momentum in [0.85, 0.92] it takes the pair
-# with the fewest iterations at both tol 2e-4 and 1e-5 that ends at an F no
-# higher than omega 1/2 does: omega 1 at 0.9 (205 and 1911 iterations; 252
-# and 3917 at omega 1/2). The 1d presets keep omega 1/2: paper-1d-a cycles
-# to max_iter at 0.75.
+# momentum: paper-2d-b and paper-2d-c take the value of {0, 0.5, 0.7, 0.8,
+# 0.9, 0.95} with the fewest iterations at the preset's tol. paper-2d-a also
+# runs at tol 2e-4; on a grid of omega in [0.5, 1.5] by momentum in [0.85,
+# 0.92] it takes the pair with the fewest iterations at both tol 2e-4 and
+# 1e-5 that ends at an F no higher than omega 1/2 does: omega 1 at 0.9 (205
+# and 1911 iterations; 252 and 3917 at omega 1/2). The 1d presets, whose
+# terminal step is held to 1 / (16 pi^2), take on the grid omega in {0.5,
+# 0.75, ..., 1.75} (omega * lambda < 5.757 up to 1.75) by momentum in {0.60,
+# 0.61, ..., 0.95} the pair with the fewest iterations whose residual, and
+# that of each grid neighbour, ends below the cap (1e-8, 1e-7, 1e-8); a tie
+# goes to the pair with the lower worst neighbour. All take omega 1.75:
+# 325 iterations at 0.91, 367 at 0.92 and 132 at 0.8, F unchanged.
 PRESETS = {
-    "paper-1d-a": _preset(1, 0.2, 0.5, 0.94),
-    "paper-1d-b": _preset(1, 0.2, 1.5, 0.95),
-    "paper-1d-c": _preset(1, 0.8, 0.5, 0.95),
+    "paper-1d-a": _preset(1, 0.2, 0.5, 0.91, omega=1.75),
+    "paper-1d-b": _preset(1, 0.2, 1.5, 0.92, omega=1.75),
+    "paper-1d-c": _preset(1, 0.8, 0.5, 0.8, omega=1.75),
     "paper-2d-a": _preset(2, 0.1, 0.75, 0.9, omega=1.0),
     "paper-2d-b": _preset(2, 0.1, 0.5, 0.8),
     "paper-2d-c": _preset(2, 1.0, 0.5, 0.95),
@@ -187,6 +192,7 @@ class ExperimentConfig:
     density_fn: Callable
     terminal_fn: Callable
     terminal_grad_fn: Callable
+    terminal_curvature: float
     output_dir: str
     bins: int
     density_slices: tuple
@@ -236,7 +242,8 @@ def _infer_2d_truncation(size, path):
     return q
 
 
-def _function_from_coefficients(coeffs, dimension, path):
+def _coefficient_basis(coeffs, dimension, path):
+    # the basis a checked coefficient list expands in, with its vector
     _expect(
         isinstance(coeffs, list) and len(coeffs) >= 1
         and all(_is_number(v) for v in coeffs),
@@ -245,10 +252,16 @@ def _function_from_coefficients(coeffs, dimension, path):
     vec = np.asarray(coeffs, dtype=float)
     _expect(np.all(np.isfinite(vec)), path, "entries must be finite")
     if dimension == 1:
-        b = basis_1d(len(vec))
-    else:
-        b = basis_2d(_infer_2d_truncation(len(vec), path))
+        return basis_1d(len(vec)), vec
+    return basis_2d(_infer_2d_truncation(len(vec), path)), vec
 
+
+def _density_from_coefficients(b, vec):
+    return (lambda p: eval_all(b, p) @ vec,)
+
+
+def _terminal_from_coefficients(b, vec):
+    # value, gradient and Hessian bound, as a TERMINAL_PRESETS row gives them
     def value(p):
         return eval_all(b, p) @ vec
 
@@ -257,12 +270,12 @@ def _function_from_coefficients(coeffs, dimension, path):
         pts = np.asarray(p, dtype=float)[:, None, :]
         return SliceTables(b, pts).field_gradient(vec[:, None])[:, 0]
 
-    return value, gradient
+    return value, gradient, float(np.abs(vec) @ hessian_bounds(b))
 
 
-def _resolve_function(section, dimension, path, presets):
+def _resolve_function(section, dimension, path, presets, from_coefficients):
     # the functions of a preset entry (all but its trailing dimension), or
-    # the value and gradient of a coefficient list
+    # those from_coefficients builds of a coefficient list
     _expect(isinstance(section, dict), path, "must be an object")
     if "preset" in section:
         name = section["preset"]
@@ -273,9 +286,9 @@ def _resolve_function(section, dimension, path, presets):
                 f"preset {name!r} is {dim}-dimensional")
         return functions
     if "coefficients" in section:
-        return _function_from_coefficients(
+        return from_coefficients(*_coefficient_basis(
             section["coefficients"], dimension, f"{path}.coefficients"
-        )
+        ))
     raise ConfigError(f"{path}: needs either 'preset' or 'coefficients'")
 
 
@@ -335,11 +348,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.solver: {exc}") from exc
 
-    density_fn = _resolve_function(
-        raw.get("M", {}), dimension, "config.M", DENSITY_PRESETS
-    )[0]
-    terminal_fn, terminal_grad_fn = _resolve_function(
-        raw.get("U", {}), dimension, "config.U", TERMINAL_PRESETS
+    (density_fn,) = _resolve_function(
+        raw.get("M", {}), dimension, "config.M", DENSITY_PRESETS,
+        _density_from_coefficients,
+    )
+    terminal_fn, terminal_grad_fn, terminal_curvature = _resolve_function(
+        raw.get("U", {}), dimension, "config.U", TERMINAL_PRESETS,
+        _terminal_from_coefficients,
     )
 
     output_dir = raw.get("output_dir", "out")
@@ -365,6 +380,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         density_fn=density_fn,
         terminal_fn=terminal_fn,
         terminal_grad_fn=terminal_grad_fn,
+        terminal_curvature=terminal_curvature,
         output_dir=output_dir,
         bins=bins,
         density_slices=tuple(slices),
@@ -420,6 +436,7 @@ def build_problem(cfg: ExperimentConfig):
         terminal_cost=cfg.terminal_fn,
         terminal_grad=cfg.terminal_grad_fn,
         num_steps=cfg.N,
+        terminal_curvature=cfg.terminal_curvature,
     )
     return problem, measure
 
@@ -448,7 +465,10 @@ def run(cfg: ExperimentConfig) -> str:
             "the iteration may diverge",
             file=sys.stderr,
         )
-    step_metrics = {k: steps[k] for k in ("a_squared", "step_bound_ok")}
+    step_metrics = {
+        **{k: steps[k] for k in ("a_squared", "step_bound_ok")},
+        "terminal_curvature": problem.terminal_curvature,
+    }
     os.makedirs(cfg.output_dir, exist_ok=True)
     # an earlier run's artifacts go, its record first, so none sits beside this run's
     earlier = sorted(os.listdir(cfg.output_dir), key=lambda n: (n != "metrics.json", n))

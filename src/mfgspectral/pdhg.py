@@ -8,7 +8,12 @@ The trajectory step gives particle alpha the step tau_alpha = omega / (Q
 c_alpha) (diagonal preconditioning), takes the kinetic term implicitly and
 the coupling and terminal terms at the incoming iterate; since tau_alpha
 c_alpha = omega / Q for every particle, all particles and axes share one
-N x N kinetic inverse, also computed once per solve.
+N x N kinetic inverse, also computed once per solve. A forward step on the
+terminal cost U is stable only up to about 1 / Lip(grad U), so the last
+slice, the only one U acts on, takes per unit weight the step min(omega /
+Q, 1 / c), c the problem's ``terminal_curvature``: a majorize-minimize
+step that keeps the fixed points and the shared inverse, and with c <=
+Q / omega is the plain step bit for bit.
 
 The trajectories enter the coefficient step only through their moments
 p(x), on which the coupling a . p is linear, so the extrapolation
@@ -191,23 +196,31 @@ def step_a(
     return prox(a + lam * dt * q)
 
 
-def prox_x_operator(num_steps: int, dt: float, step: float):
-    """Invert (Id + (step / dt) L) once; returns grad -> step * inverse @ grad.
+def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0.0):
+    """Invert (Id + (step / dt) L + D) once; returns grad -> step * inverse @ grad.
 
     L is the N x N Laplacian of the kinetic term over slices 1..N, with
-    slice 0 pinned and a free end at slice N; ``step`` must be nonnegative
-    and finite. The applier takes (Q, N, d) arrays and multiplies every
-    particle's path on every axis by the scaled inverse, as d batched
-    (N, N) x (N, Q) matrix products on (d, N, Q) memory; it returns the
-    (Q, N, d) view of that memory. A slice-major gradient (see
+    slice 0 pinned and a free end at slice N. D is zero but for its last
+    entry, max(0, step * curvature - 1), so slice N, where a terminal cost
+    whose gradient is ``curvature``-Lipschitz acts, takes the step
+    min(step, 1 / curvature) and every other slice ``step``; with
+    step * curvature <= 1 the matrix is Id + (step / dt) L exactly.
+    ``step`` and ``curvature`` must be nonnegative and finite. The applier
+    takes (Q, N, d) arrays and multiplies every particle's path on every
+    axis by the scaled inverse, as d batched (N, N) x (N, Q) matrix
+    products on (d, N, Q) memory; it returns the (Q, N, d) view of that
+    memory. A slice-major gradient (see
     :func:`solve`) is read in place, and a C-order one is copied first, so
     both layouts give the same result bit for bit.
     """
-    if not (math.isfinite(step) and step >= 0):
-        raise ValueError(f"step must be nonnegative and finite, got {step}")
+    for name, value in (("step", step), ("curvature", curvature)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     lap = 2.0 * np.eye(num_steps) - np.eye(num_steps, k=1) - np.eye(num_steps, k=-1)
     lap[-1, -1] = 1.0
-    inverse = step * np.linalg.inv(np.eye(num_steps) + (step / dt) * lap)
+    system = np.eye(num_steps) + (step / dt) * lap
+    system[-1, -1] += max(0.0, step * curvature - 1.0)
+    inverse = step * np.linalg.inv(system)
 
     def apply(grad: np.ndarray) -> np.ndarray:
         columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
@@ -231,21 +244,28 @@ def step_x(
     kinetic term implicit and the coupling and terminal terms evaluated at
     the incoming iterate, so that per unit weight the new paths satisfy
 
-        (Q / omega) (x - x_new) = L x_new / dt + grad(coupling + terminal)(x),
+        s_i (x - x_new) = L x_new / dt + grad(coupling + terminal)(x),
 
-    L x_new taking the pinned slice 0 as its left neighbor. It is computed
-    as x - (omega / Q) P grad A(x), with grad A the unweighted action
-    gradient (:func:`~mfgspectral.problem.action_gradient`, which reads the
-    coupling from ``tables`` when given) and P = (Id + omega / (Q dt) L)^-1
-    shared by all particles, so an unforced stationary path stays
+    L x_new taking the pinned slice 0 as its left neighbor, s_i = Q / omega
+    on slices i < N and s_N = max(Q / omega, c) on the last, c the
+    problem's ``terminal_curvature``: the explicit terminal step is held
+    to 1 / c. It is computed as x - (omega / Q) P grad A(x), with grad A
+    the unweighted action gradient
+    (:func:`~mfgspectral.problem.action_gradient`, which reads the
+    coupling from ``tables`` when given) and P = (Id + omega / (Q dt) L +
+    D)^-1 shared by all particles, D the last-slice term of
+    :func:`prox_x_operator`, so an unforced stationary path stays
     bit-exact; ``prox`` applies (omega / Q) P, as built by
-    ``prox_x_operator(N, dt, omega / Q)`` when not given. Slice 0 stays
+    ``prox_x_operator(N, dt, omega / Q, c)`` when not given. Slice 0 stays
     pinned. The new paths keep the memory layout of ``x``: slice-major in,
     slice-major out (as in :func:`solve`), C order in, C order out; the
     values do not depend on the layout.
     """
     if prox is None:
-        prox = prox_x_operator(problem.num_steps, problem.dt, omega / measure.count)
+        prox = prox_x_operator(
+            problem.num_steps, problem.dt, omega / measure.count,
+            problem.terminal_curvature,
+        )
     x_new = np.empty_like(x)  # in the memory layout of x
     x_new[:, 0, :] = x[:, 0, :]
     move = prox(action_gradient(x, a_new, problem, tables))
@@ -321,7 +341,9 @@ def solve(
     p = q = tables.moments(measure.weights)  # p(x0), also the first q
     records = []
     prox_a = prox_a_operator(problem.kernel, config.lam * problem.dt)
-    prox_x = prox_x_operator(n, problem.dt, config.omega / measure.count)
+    prox_x = prox_x_operator(
+        n, problem.dt, config.omega / measure.count, problem.terminal_curvature
+    )
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
     velocity = np.zeros_like(x[:, 1:])  # the last realized step of slices 1..N

@@ -11,6 +11,7 @@ the discrete objective is right-point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .basis import (
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel
+from .kernel import SpectralKernel, _as_real
 
 
 class DivergenceError(RuntimeError):
@@ -100,17 +101,32 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
 
 @dataclass(frozen=True, eq=False)
 class MFGProblem:
-    """A mean-field game instance with quadratic kinetic cost on [0, 1]."""
+    """A mean-field game instance with quadratic kinetic cost on [0, 1].
+
+    ``terminal_curvature`` is an upper bound on the spectral norm of the
+    Hessian of the terminal cost U, that is, a Lipschitz constant of
+    ``terminal_grad``; 0 means none is known. The trajectory step takes U
+    explicitly and shortens its last slice's step to at most 1 /
+    ``terminal_curvature`` (see :func:`~mfgspectral.pdhg.prox_x_operator`).
+    It is stored as a float and must be finite and nonnegative.
+    """
 
     kernel: SpectralKernel
     initial_density: Callable  # (n, d) -> (n,)
     terminal_cost: Callable  # (n, d) -> (n,)
     terminal_grad: Callable  # (n, d) -> (n, d)
     num_steps: int
+    terminal_curvature: float = 0.0
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be positive, got {self.num_steps}")
+        curvature = _as_real("terminal_curvature", self.terminal_curvature)
+        if not (math.isfinite(curvature) and curvature >= 0):
+            raise ValueError(
+                f"terminal_curvature must be nonnegative and finite, got {curvature}"
+            )
+        object.__setattr__(self, "terminal_curvature", curvature)
 
     @property
     def basis(self) -> BasisSet:

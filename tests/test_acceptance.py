@@ -180,14 +180,20 @@ def test_criterion_6_fejer_psd_preservation():
 
 def test_criterion_7_gradient_oracle():
     # the trajectory step is a preconditioned proximal step: per unit weight
-    # it satisfies (Q / omega)(x - x_new) = L x_new / dt + grad(coupling +
+    # it satisfies s_i (x - x_new) = L x_new / dt + grad(coupling +
     # terminal)(x), the kinetic gradient taken at the new iterate and the
-    # rest at the old one; both gradients are checked by central differences
+    # rest at the old one, with s_i = Q / omega on slices i < N and
+    # max(Q / omega, c) on slice N, c the terminal cost's curvature bound;
+    # both gradients are checked by central differences
     rng = np.random.default_rng(101)
     raw = load_config_source("paper-1d-a")
     cfg = validate_config(raw)
     problem, measure = build_problem(cfg)
     omega = cfg.solver.omega
+    n = problem.num_steps
+    scales = np.full(n + 1, measure.count / omega)
+    scales[n] = max(scales[n], problem.terminal_curvature)
+    assert scales[n] > measure.count / omega  # the preset caps its last slice
     h = 1e-6
 
     def particle_terms(path, a, alpha):
@@ -228,10 +234,10 @@ def test_criterion_7_gradient_oracle():
         a = rng.normal(scale=0.4, size=(problem.basis.size, problem.num_steps))
         x_new = step_x(x, a, problem, measure, omega)
         gaps, scale = [], 0.0
-        for _ in range(10):  # spot-check random coordinates of the identity
+        # spot-check random coordinates of the identity, slice N each time
+        for i in [n] + [int(v) for v in rng.integers(1, n + 1, size=10)]:
             alpha = int(rng.integers(0, measure.count))
-            i = int(rng.integers(1, problem.num_steps + 1))
-            lhs = measure.count / omega * (x[alpha, i, 0] - x_new[alpha, i, 0])
+            lhs = scales[i] * (x[alpha, i, 0] - x_new[alpha, i, 0])
             expect = central_difference(x_new[alpha], a, alpha, i, 0)
             expect += central_difference(x[alpha], a, alpha, i, 1)
             gaps.append(abs(lhs - expect))

@@ -13,6 +13,7 @@ from mfgspectral.basis import (
     basis_2d,
     eval_all,
     grad_all,
+    hessian_bounds,
     lipschitz_bounds,
     tensor_indices,
 )
@@ -471,6 +472,24 @@ def test_lipschitz_bounds_match_product_formula():
     np.testing.assert_allclose(lipschitz_bounds(b2), expect, rtol=1e-14, atol=0)
     b1 = basis_1d(9)
     assert lipschitz_bounds(b1).tolist() == [lip(k) for k in b1.indices]
+
+
+def test_hessian_bounds_match_product_formula():
+    def sup(k):
+        return 1.0 if k == 1 else SQRT2
+
+    b2 = basis_2d(6)
+    expect = [
+        (2.0 * math.pi) ** 2 * ((k // 2) ** 2 + (kp // 2) ** 2) * sup(k) * sup(kp)
+        for k, kp in b2.indices
+    ]
+    np.testing.assert_allclose(hessian_bounds(b2), expect, rtol=1e-14, atol=0)
+    # in 1d the exact sup of |phi_k''|
+    b1 = basis_1d(9)
+    t = np.linspace(0.0, 1.0, 4001)
+    h = 1e-4
+    second = (eval_all(b1, t + h) - 2.0 * eval_all(b1, t) + eval_all(b1, t - h)) / h**2
+    np.testing.assert_allclose(hessian_bounds(b1), np.abs(second).max(axis=0), rtol=1e-4)
 
 
 def test_frequencies_are_half_indices():

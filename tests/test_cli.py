@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgspectral.basis import SliceTables, basis_1d
+from mfgspectral.basis import SliceTables, basis_1d, basis_2d
 from mfgspectral.cli import (
     PRESETS,
     ConfigError,
@@ -55,6 +56,17 @@ def tiny_config(output_dir, **overrides):
     return cfg
 
 
+def diverging_config(output_dir, lam):
+    # the implicit kinetic step is stable at any omega, and a terminal cost
+    # is held back by its own curvature bound; a huge kernel with a long
+    # coefficient step is what blows up: |a| passes DIVERGENCE_LIMIT at
+    # iteration 1 with lambda 1e9 and at iteration 43 with lambda 1e5
+    kernel = {"type": "custom-coefficients", "matrix": [[1e7, 0.0], [0.0, 1e7]]}
+    cfg = tiny_config(output_dir, kernel=kernel)
+    cfg["solver"].update({"lambda": lam, "max_iter": 500})
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -75,9 +87,9 @@ class TestPresets:
         two = (50000, 1e-5, 100, 50, [0, 10, 20], {"preset": "paper-2d"},
                {"preset": "paper-2d"}, "out")
         table = {
-            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.94, *one),
-            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95, *one),
-            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 0.5, 1.0, 0.95, *one),
+            "paper-1d-a": (1, 0.2, 0.5, 8, 20, 50, 3.0, 1.75, 1.0, 0.91, *one),
+            "paper-1d-b": (1, 0.2, 1.5, 8, 20, 50, 3.0, 1.75, 1.0, 0.92, *one),
+            "paper-1d-c": (1, 0.8, 0.5, 8, 20, 50, 3.0, 1.75, 1.0, 0.8, *one),
             "paper-2d-a": (2, 0.1, 0.75, 8, 20, 20, 1.0, 1.0, 1.0, 0.9, *two),
             "paper-2d-b": (2, 0.1, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.8, *two),
             "paper-2d-c": (2, 1.0, 0.5, 8, 20, 20, 1.0, 0.5, 1.0, 0.95, *two),
@@ -103,17 +115,15 @@ class TestIterationCeilings:
     """Iteration counts and final residuals of three preset solves, capped.
 
     The counts are deterministic, so unlike a wall-clock bound these
-    cannot flake. The heavy ball with restart takes 614, 813 and 205
-    iterations and ends at residuals 1.8e-9, 4.1e-8 and 9.9e-4; plain PDHG
-    (omega 1/2) takes 6393, 6486 and 542, and without the restart
-    paper-1d-b cycles to max_iter.
+    cannot flake. The presets take 325, 367 and 205 iterations and end at
+    residuals 7.9e-9, 3.7e-8 and 9.9e-4; the ceilings are about 15% above.
     """
 
     @pytest.mark.parametrize(
         "preset, overrides, ceiling, residual",
         [
-            ("paper-1d-a", {}, 700, 1e-8),
-            ("paper-1d-b", {}, 1500, 1e-7),
+            ("paper-1d-a", {}, 375, 1e-8),
+            ("paper-1d-b", {}, 420, 1e-7),
             ("paper-2d-a", {"tol": 2e-4}, 240, 3e-3),
         ],
     )
@@ -125,6 +135,66 @@ class TestIterationCeilings:
         assert result.converged
         assert result.iterations <= ceiling
         assert result.diagnostics[-1]["residual"] <= residual
+
+
+def config_with_u(dimension, u_section):
+    raw = load_config_source(f"paper-{dimension}d-a")
+    raw["U"] = u_section
+    return validate_config(raw)
+
+
+def hessian_norm(gradient, points, h=1e-5):
+    # the largest spectral norm, over the points, of the Hessian of U taken
+    # by central differences of its gradient
+    hessian = np.empty(points.shape + (points.shape[1],))
+    for e in range(points.shape[1]):
+        bump = np.zeros(points.shape[1])
+        bump[e] = h
+        hessian[:, :, e] = (gradient(points + bump) - gradient(points - bump)) / (2 * h)
+    return float(np.max(np.linalg.norm(hessian, ord=2, axis=(1, 2))))
+
+
+def grid_points(dimension, size):
+    line = np.arange(size) / size
+    return np.stack(np.meshgrid(*[line] * dimension, indexing="ij"), -1).reshape(
+        -1, dimension
+    )
+
+
+class TestTerminalCurvature:
+    """The CLI bounds the Hessian of every terminal cost it builds."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_preset_bound_is_tight(self, dimension):
+        cfg = config_with_u(dimension, {"preset": f"paper-{dimension}d"})
+        norm = hessian_norm(cfg.terminal_grad_fn, grid_points(dimension, 48))
+        assert norm <= cfg.terminal_curvature <= 1.01 * norm
+        assert build_problem(cfg)[0].terminal_curvature == cfg.terminal_curvature
+
+    @pytest.mark.parametrize("dimension, count", [(1, 1), (1, 9), (2, 1), (2, 10)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coefficient_bound_holds(self, dimension, count, seed):
+        coefficients = np.random.default_rng(seed).uniform(-1.0, 1.0, count)
+        cfg = config_with_u(dimension, {"coefficients": coefficients.tolist()})
+        norm = hessian_norm(cfg.terminal_grad_fn, grid_points(dimension, 48))
+        assert norm <= cfg.terminal_curvature
+        if count == 1:  # a constant
+            assert cfg.terminal_curvature == 0.0
+
+    @pytest.mark.parametrize(
+        "dimension, count, position",
+        [(1, 9, j) for j in range(1, 9)] + [(2, 10, j) for j in range(1, 10)],
+    )
+    def test_lone_function_bound(self, dimension, count, position):
+        # tight for a function that varies along one axis, within 2x for a
+        # product of two varying factors
+        coefficients = np.zeros(count)
+        coefficients[position] = -0.7
+        cfg = config_with_u(dimension, {"coefficients": coefficients.tolist()})
+        norm = hessian_norm(cfg.terminal_grad_fn, grid_points(dimension, 48))
+        freqs = (basis_1d(9) if dimension == 1 else basis_2d(5)).frequencies
+        slack = 1.01 if np.count_nonzero(freqs[position]) == 1 else 2.01
+        assert norm <= cfg.terminal_curvature <= slack * norm
 
 
 class TestValidation:
@@ -379,7 +449,7 @@ class TestKernelInfo:
         # ascending; the constant mode carries the largest eigenvalue, mu
         assert info["eigenvalues"][-1] == pytest.approx(0.5)
         assert info["step_bound_ok"] is True
-        assert info["omega_lambda"] == pytest.approx(1.5)
+        assert info["omega_lambda"] == pytest.approx(5.25)
 
     def test_gaussian_2d(self):
         cfg = validate_config(load_config_source("paper-2d-b"))
@@ -398,7 +468,7 @@ class TestKernelInfo:
         data = json.loads(capsys.readouterr().out)
         assert {k: data[k] for k in STEP_KEYS} == {
             "a_squared": 0.17370503745917276,
-            "omega_lambda": 1.5,
+            "omega_lambda": 5.25,
             "omega_lambda_limit": 5.756885434223736,
             "step_bound_ok": True,
         }
@@ -500,6 +570,7 @@ class TestRun:
         assert metrics["status"] == "max_iter" and metrics["converged"] is False
         assert np.isfinite(metrics["fixed_point_residual"])
         assert np.isfinite(metrics["final_saddle_value"])
+        assert metrics["terminal_curvature"] == 16.0 * np.pi**2
 
     def test_density_mass(self, tmp_path):
         out = tmp_path / "run2"
@@ -568,8 +639,7 @@ class TestRun:
         out = tmp_path / "rerun"
         path = write_config(tmp_path, tiny_config(out))
         assert main(["solve", path, "--tol", "0.5"]) == 0
-        cfg = tiny_config(out, U={"coefficients": [0.0, 1e6]})
-        cfg["solver"]["max_iter"] = 500
+        cfg = diverging_config(out, lam=1e9)
         assert main(["solve", write_config(tmp_path, cfg, "diverge.json")]) == 2
         assert "diverged" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["diagnostics.jsonl", "metrics.json"]
@@ -600,11 +670,7 @@ class TestRun:
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "diverge"
-        # the implicit kinetic step is stable at any omega; a huge terminal
-        # cost is what blows up
-        cfg = tiny_config(out, U={"coefficients": [0.0, 1e6]})
-        cfg["solver"]["max_iter"] = 500
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, diverging_config(out, lam=1e9))
         assert main(["solve", path]) == 2
         assert "diverged" in capsys.readouterr().err
         # partial diagnostics were streamed before the failure
@@ -612,10 +678,9 @@ class TestRun:
         assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
 
     def test_divergence_writes_metrics(self, tmp_path, capsys):
-        # passes the step check; the huge terminal cost diverges after
-        # several recorded iterations
-        cfg = tiny_config(tmp_path / "diverged", U={"coefficients": [0.0, 1e6]})
-        cfg["solver"].update(max_iter=500, record_every=10)
+        # diverges after several recorded iterations
+        cfg = diverging_config(tmp_path / "diverged", lam=1e5)
+        cfg["solver"]["record_every"] = 10
         problem, measure = build_problem(validate_config(cfg))
         with pytest.raises(DivergenceError) as caught:
             solve(problem, measure, validate_config(cfg).solver)
@@ -624,6 +689,7 @@ class TestRun:
         metrics = json.loads((tmp_path / "diverged" / "metrics.json").read_text())
         assert metrics["status"] == "diverged" and metrics["converged"] is False
         assert metrics["iterations"] == caught.value.iteration
+        assert metrics["terminal_curvature"] == problem.terminal_curvature
         last = metrics["last_record"]
         assert last["iteration"] == caught.value.iteration // 10 * 10
         assert last == caught.value.diagnostics[-1]
@@ -632,11 +698,16 @@ class TestRun:
         self, tmp_path, monkeypatch
     ):
         # the heavy-ball term is added before the divergence check, so no
-        # unbounded or non-finite path reaches the basis tables
+        # unbounded or non-finite path reaches the basis tables. A huge
+        # terminal cost stays bounded under its curvature bound; dropping
+        # the bound makes its explicit step far too long, and the paths
+        # diverge after a few iterations
         cfg = tiny_config(tmp_path / "out", U={"coefficients": [0.0, 1e6]})
         cfg["solver"].update(max_iter=500, momentum=0.9)
         config = validate_config(cfg)
         problem, measure = build_problem(config)
+        assert np.max(np.abs(solve(problem, measure, config.solver).x)) < 1.0
+        problem = dataclasses.replace(problem, terminal_curvature=0.0)
         seen = []
         real = SliceTables.rebuild
 
@@ -649,7 +720,7 @@ class TestRun:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as caught:
                 solve(problem, measure, config.solver)
-        # the coefficient-list terminal gradient builds tables of its own
+        # the coefficient-list terminal gradient rebuilds tables of its own
         assert caught.value.iteration > 2 and seen
         assert max(seen) <= DIVERGENCE_LIMIT
 

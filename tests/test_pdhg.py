@@ -439,6 +439,27 @@ class TestProxX:
         with pytest.raises(ValueError, match="step"):
             prox_x_operator(3, 0.5, step)
 
+    @pytest.mark.parametrize("curvature", [-0.1, -math.inf, math.inf, math.nan])
+    def test_bad_curvature_rejected(self, curvature):
+        with pytest.raises(ValueError, match="curvature"):
+            prox_x_operator(3, 0.5, 0.1, curvature)
+
+    def test_curvature_shortens_only_the_last_slice(self):
+        # (Id + (step / dt) L + D)^-1 with D = (step c - 1) e_N e_N^T: the
+        # last slice's own step is 1 / c instead of step
+        n, dt, step, c = 6, 0.2, 0.05, 158.0
+        lap = np.diag([2.0] * (n - 1) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
+        system = np.eye(n) + (step / dt) * lap
+        system[-1, -1] += step * c - 1.0
+        grad = np.random.default_rng(23).normal(size=(4, n, 1))
+        expect = np.einsum("ij,qjd->qid", step * np.linalg.inv(system), grad)
+        out = prox_x_operator(n, dt, step, c)(grad)
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
+        # with no kinetic coupling the last slice moves by grad / c
+        lone = prox_x_operator(n, 1e300, step, c)(grad)
+        np.testing.assert_allclose(lone[:, -1], grad[:, -1] / c, rtol=1e-15)
+        np.testing.assert_allclose(lone[:, :-1], step * grad[:, :-1], rtol=1e-15)
+
 
 def test_coupling_terms_build_no_basis_tensors():
     # paper-2d shapes: Q = 400 particles, N = 20 slices, 28 functions, d = 2
@@ -845,6 +866,50 @@ class TestSolve:
         # trajectory lag at stagnation is step_norm / contraction_rate,
         # about 120x the step tolerance for these parameters
         assert np.max(np.abs(res.x - chord)) < 200 * tol
+
+    @staticmethod
+    def _curved_flat_problem(curvature):
+        # the flat-kernel set-up above, whose U = 1 + sin(4 pi x + pi / 2)
+        # has a gradient of Lipschitz constant (4 pi)^2
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 1)
+        return MFGProblem(
+            kernel=ker,
+            initial_density=lambda p: np.ones(p.shape[0]),
+            terminal_cost=lambda p: 1.0 + np.sin(4 * np.pi * p[:, 0] + np.pi / 2),
+            terminal_grad=lambda p: (
+                4 * np.pi * np.cos(4 * np.pi * p[:, 0] + np.pi / 2)
+            )[:, None],
+            num_steps=8,
+            terminal_curvature=curvature,
+        )
+
+    def test_curvature_cap_converges_where_the_plain_step_cycles(self):
+        # at omega 0.5 the explicit terminal step omega / Q = 1 / 24 is far
+        # above 1 / (4 pi)^2: without the cap the solve cycles, with it the
+        # paths converge to straight lines
+        m = uniform_measure(12)
+        tol = 1e-9
+        cfg = SolverConfig(lam=3.0, omega=0.5, max_iter=2000, tol=tol)
+        res = solve(self._curved_flat_problem(16 * np.pi**2), m, cfg)
+        assert res.converged and res.iterations < 400
+        np.testing.assert_allclose(res.a, 0.5, atol=1e-9)
+        s = np.linspace(0.0, 1.0, 9)
+        chord = (1 - s)[None, :, None] * res.x[:, :1] + s[None, :, None] * res.x[:, -1:]
+        assert np.max(np.abs(res.x - chord)) < 200 * tol
+        plain = solve(self._curved_flat_problem(0.0), m, cfg)
+        assert not plain.converged and plain.iterations == 2000
+
+    def test_curvature_below_q_over_omega_keeps_the_bits(self):
+        # c <= Q / omega leaves the step as it was, bit for bit
+        m = uniform_measure(12)
+        cfg = SolverConfig(lam=3.0, omega=0.5, max_iter=50, tol=0.0, momentum=0.5)
+        plain = solve(self._curved_flat_problem(0.0), m, cfg)
+        for c in (1.0, 12.0, 24.0):
+            res = solve(self._curved_flat_problem(c), m, cfg)
+            np.testing.assert_array_equal(res.x, plain.x)
+            np.testing.assert_array_equal(res.a, plain.a)
+        capped = solve(self._curved_flat_problem(25.0), m, cfg)
+        assert not np.array_equal(capped.x, plain.x)
 
     def test_deterministic_repeat(self):
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)

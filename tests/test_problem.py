@@ -265,6 +265,34 @@ class TestSaddleValue:
             make_problem(flat_kernel(), N=0)
 
 
+class TestTerminalCurvature:
+    def curved(self, value):
+        return MFGProblem(
+            kernel=flat_kernel(),
+            initial_density=lambda p: np.ones(p.shape[0]),
+            terminal_cost=zero_fn,
+            terminal_grad=zero_grad,
+            num_steps=4,
+            terminal_curvature=value,
+        )
+
+    def test_defaults_to_zero(self):
+        assert make_problem(flat_kernel()).terminal_curvature == 0.0
+
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3), np.float32(2.5), 158.0])
+    def test_stored_as_float(self, value):
+        curvature = self.curved(value).terminal_curvature
+        assert type(curvature) is float and curvature == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, False, "1",
+                  None, 10**400],
+    )
+    def test_bad_values_rejected(self, value):
+        with pytest.raises(ValueError, match="terminal_curvature"):
+            self.curved(value)
+
+
 class TestMomentVector:
     def test_constant_row_is_one(self):
         rng = np.random.default_rng(13)
