@@ -25,7 +25,6 @@ from .pdhg import (
     fixed_point_residual,
     solve,
     step_a,
-    step_check,
     step_x,
     step_z,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "solve",
     "spectral_from_dense",
     "step_a",
-    "step_check",
     "step_x",
     "step_z",
     "straightness_metric",

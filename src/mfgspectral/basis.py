@@ -122,20 +122,6 @@ def basis_2d(r: int) -> BasisSet:
     return BasisSet(dimension=2, truncation=r, indices=tuple(tensor_indices(r)))
 
 
-def lipschitz_bounds(basis: BasisSet) -> np.ndarray:
-    """Vector of Lipschitz constants in basis order.
-
-    A product of factors with Lipschitz constants L_e and sup-norms S_e gets
-    sqrt(sum_i L_i^2 prod_{e != i} S_e^2), which dominates |grad|; in 1d
-    that is the exact constant L = 2*sqrt(2)*pi*(k//2).
-    """
-    freqs = basis.frequencies
-    lip, sup = SQRT2 * TWO_PI * freqs, np.where(freqs == 0, 1.0, SQRT2)
-    # factors[j, i, e]: factor e of gradient component i of function j
-    factors = np.where(np.eye(basis.dimension, dtype=bool), lip[:, None], sup[:, None])
-    return np.sqrt(np.sum(np.prod(factors, axis=2) ** 2, axis=1))
-
-
 def hessian_bounds(basis: BasisSet) -> np.ndarray:
     """Vector of bounds on the Hessian's spectral norm, in basis order.
 

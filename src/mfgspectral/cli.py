@@ -43,12 +43,7 @@ from .kernel import (
     gaussian_spectral,
     spectral_from_dense,
 )
-from .pdhg import (
-    SolverConfig,
-    fixed_point_residual,
-    solve,
-    step_check,
-)
+from .pdhg import SolverConfig, fixed_point_residual, solve
 from .problem import (
     DivergenceError,
     MFGProblem,
@@ -161,11 +156,11 @@ def _preset(dimension, sigma, mu, momentum, omega=0.5):
 # 1e-5 that ends at an F no higher than omega 1/2 does: omega 1 at 0.9 (205
 # and 1911 iterations; 252 and 3917 at omega 1/2). The 1d presets, whose
 # terminal step is held to 1 / (16 pi^2), take on the grid omega in {0.5,
-# 0.75, ..., 1.75} (omega * lambda < 5.757 up to 1.75) by momentum in {0.60,
-# 0.61, ..., 0.95} the pair with the fewest iterations whose residual, and
-# that of each grid neighbour, ends below the cap (1e-8, 1e-7, 1e-8); a tie
-# goes to the pair with the lower worst neighbour. All take omega 1.75:
-# 325 iterations at 0.91, 367 at 0.92 and 132 at 0.8, F unchanged.
+# 0.75, ..., 1.75} by momentum in {0.60, 0.61, ..., 0.95} the pair with the
+# fewest iterations whose residual, and that of each grid neighbour, ends
+# below the cap (1e-8, 1e-7, 1e-8); a tie goes to the pair with the lower
+# worst neighbour. All take omega 1.75: 325 iterations at 0.91, 367 at 0.92
+# and 132 at 0.8, F unchanged.
 PRESETS = {
     "paper-1d-a": _preset(1, 0.2, 0.5, 0.91, omega=1.75),
     "paper-1d-b": _preset(1, 0.2, 1.5, 0.92, omega=1.75),
@@ -442,8 +437,8 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def kernel_info(cfg: ExperimentConfig) -> dict:
-    problem, measure = build_problem(cfg)
-    kernel = problem.kernel
+    # the whole problem is built, so kernel-info rejects the configs solve does
+    kernel = build_problem(cfg)[0].kernel
     eigenvalues = kernel.eigenvalues()
     return {
         "dimension": cfg.dimension,
@@ -451,24 +446,11 @@ def kernel_info(cfg: ExperimentConfig) -> dict:
         "epsilon": kernel.eps,
         "eigenvalues": eigenvalues.tolist(),
         "min_eigenvalue": float(eigenvalues[0]),
-        **step_check(cfg.solver, measure, kernel.basis, problem.dt),
     }
 
 
 def run(cfg: ExperimentConfig) -> str:
     problem, measure = build_problem(cfg)
-    steps = step_check(cfg.solver, measure, problem.basis, problem.dt)
-    if not steps["step_bound_ok"]:
-        print(
-            f"warning: omega*lambda = {steps['omega_lambda']:.6g} "
-            f"exceeds 1/A^2 = {steps['omega_lambda_limit']:.6g}; "
-            "the iteration may diverge",
-            file=sys.stderr,
-        )
-    step_metrics = {
-        **{k: steps[k] for k in ("a_squared", "step_bound_ok")},
-        "terminal_curvature": problem.terminal_curvature,
-    }
     os.makedirs(cfg.output_dir, exist_ok=True)
     # an earlier run's artifacts go, its record first, so none sits beside this run's
     earlier = sorted(os.listdir(cfg.output_dir), key=lambda n: (n != "metrics.json", n))
@@ -486,7 +468,7 @@ def run(cfg: ExperimentConfig) -> str:
             "iterations": exc.iteration,
             "converged": False,
             "last_record": exc.diagnostics[-1] if exc.diagnostics else None,
-            **step_metrics,
+            "terminal_curvature": problem.terminal_curvature,
         }
         write_metrics_json(metrics_path, metrics)
         raise
@@ -508,7 +490,7 @@ def run(cfg: ExperimentConfig) -> str:
         "final_saddle_value": saddle_value(result.a, result.x, problem, measure),
         "straightness_max": straightness_metric(result.x)[1],
         "symmetry_defect": symmetry_defect(result.x, measure),
-        **step_metrics,
+        "terminal_curvature": problem.terminal_curvature,
     }
     write_metrics_json(metrics_path, metrics)
     if not result.converged:
@@ -554,12 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
+    # a config or solver section that is no object fails as in validate_config
+    _expect(isinstance(raw, dict), "config", "must be a JSON object")
     if getattr(args, "output_dir", None):
         raw["output_dir"] = args.output_dir
-    if getattr(args, "max_iter", None) is not None:
-        raw.setdefault("solver", {})["max_iter"] = args.max_iter
-    if getattr(args, "tol", None) is not None:
-        raw.setdefault("solver", {})["tol"] = args.tol
+    for key in ("max_iter", "tol"):
+        value = getattr(args, key, None)
+        if value is not None:
+            section = raw.setdefault("solver", {})
+            _expect(isinstance(section, dict), "config.solver", "must be an object")
+            section[key] = value
     if getattr(args, "density_slices", None):
         try:
             raw["density_slices"] = [

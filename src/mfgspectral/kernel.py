@@ -48,6 +48,13 @@ def _as_real(name: str, value) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer; bools are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianKernelSpec:
     """Periodic Gaussian interaction kernel parameters.

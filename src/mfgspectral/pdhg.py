@@ -50,8 +50,7 @@ by more than the tolerance. The velocity holds slices 1..N only, in the
 contiguously. With m = 0 (the default) the two steps are one, no extra
 operation runs and the iteration is the paper's PDHG.
 
-The step rule is :func:`step_check`'s alone, and :class:`SolverConfig`
-owns the iteration's defaults and range checks.
+:class:`SolverConfig` owns the iteration's defaults and range checks.
 
 All reductions use a fixed summation order, so repeated runs are
 bit-reproducible.
@@ -66,12 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    BasisSet,
     SliceTables,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
-    lipschitz_bounds,
 )
-from .kernel import SpectralKernel, _as_real
+from .kernel import SpectralKernel, _as_real, _check_int
 from .problem import (
     DiscreteMeasure,
     DivergenceError,
@@ -112,9 +109,7 @@ class SolverConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("max_iter", "record_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not self.tol >= 0.0:  # also rejects NaN; +inf stops at once
@@ -136,30 +131,6 @@ class SolverResult:
     iterations: int
     converged: bool
     diagnostics: list[dict]
-
-
-def step_check(
-    config: SolverConfig, measure: DiscreteMeasure, basis: BasisSet, dt: float
-) -> dict:
-    """Check omega * lam < 1 / A^2, A^2 the preconditioned coupling bound.
-
-    A^2 = dt^2 * sum Lip^2 * sum_alpha c_alpha^2 tau_alpha / omega, which
-    with tau_alpha = omega / (Q c_alpha) and weights summing to 1 is
-    dt^2 * sum Lip^2 / Q. Returns ``a_squared``, ``omega_lambda``,
-    ``omega_lambda_limit`` (1 / A^2, None for A^2 = 0) and ``step_bound_ok``
-    (vacuously true then). The coupling is not bilinear, so the bound is a
-    heuristic: a violation is reported, never fatal.
-    """
-    lips = lipschitz_bounds(basis)
-    a_squared = float(dt**2 * np.sum(lips**2) / measure.count)
-    omega_lambda = config.omega * config.lam
-    limit = 1.0 / a_squared if a_squared > 0 else None
-    return {
-        "a_squared": a_squared,
-        "omega_lambda": omega_lambda,
-        "omega_lambda_limit": limit,
-        "step_bound_ok": limit is None or omega_lambda < limit,
-    }
 
 
 def prox_a_operator(kernel: SpectralKernel, lam_dt: float):
@@ -371,7 +342,7 @@ def solve(
             ):
                 raise DivergenceError(
                     f"solver diverged at iteration {iteration + 1}; "
-                    "check the step-size bound",
+                    "try a smaller omega or lambda",
                     diagnostics=records,
                     iteration=iteration + 1,
                 )

@@ -4,9 +4,10 @@ the discrete action of every trajectory with its batched best response.
 Trajectories live on the universal cover (unwrapped real coordinates, shape
 (Q, N+1, d) with slice 0 pinned to the particle grid); basis and cost
 evaluations are periodic, so no wrapping is ever needed inside the solver.
-Coefficient paths are plain (r, N) arrays whose column i approximates the
-coefficients at time (i+1)/N; index 0 is unused because every quadrature in
-the discrete objective is right-point.
+Coefficient paths are plain (size, N) arrays, size the kernel's basis
+size (for a full family r in 1d and r(r-1)/2 in 2d, so 28 at r = 8),
+whose column i approximates the coefficients at time (i+1)/N; index 0 is
+unused because every quadrature in the discrete objective is right-point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .basis import (
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel, _as_real
+from .kernel import SpectralKernel, _as_real, _check_int
 
 
 class DivergenceError(RuntimeError):
@@ -109,6 +110,7 @@ class MFGProblem:
     explicitly and shortens its last slice's step to at most 1 /
     ``terminal_curvature`` (see :func:`~mfgspectral.pdhg.prox_x_operator`).
     It is stored as a float and must be finite and nonnegative.
+    ``num_steps`` must be a positive Python or numpy integer.
     """
 
     kernel: SpectralKernel
@@ -119,6 +121,7 @@ class MFGProblem:
     terminal_curvature: float = 0.0
 
     def __post_init__(self):
+        _check_int("num_steps", self.num_steps)
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be positive, got {self.num_steps}")
         curvature = _as_real("terminal_curvature", self.terminal_curvature)

@@ -14,7 +14,6 @@ from mfgspectral.basis import (
     eval_all,
     grad_all,
     hessian_bounds,
-    lipschitz_bounds,
     tensor_indices,
 )
 
@@ -74,18 +73,6 @@ def test_grad_values():
     assert gradient(b, 2, [[0.0]])[0, 0] == pytest.approx(8.885765876316732, abs=1e-12)
     assert gradient(b, 3, [[0.25]])[0, 0] == pytest.approx(
         -8.885765876316732, abs=1e-12
-    )
-
-
-def test_lipschitz_values():
-    b = basis_1d(4)
-    lips = lipschitz_bounds(b)
-    assert lips[b.indices.index(1)] == 0.0
-    assert lips[b.indices.index(2)] == pytest.approx(8.885765876316732, abs=1e-12)
-    b2 = basis_2d(4)
-    # constant x sine factor: bound is the sine factor's constant
-    assert lipschitz_bounds(b2)[b2.indices.index((1, 2))] == pytest.approx(
-        8.885765876316732, abs=1e-12
     )
 
 
@@ -180,25 +167,6 @@ def test_gradient_matches_finite_differences_2d():
                 fd = (plus - minus) / (2 * h)
                 scale = max(abs(fd), 1e-3)
                 assert abs(g[j, axis] - fd) / scale < 1e-6
-
-
-def test_lipschitz_bound_is_valid():
-    rng = np.random.default_rng(3)
-    b = basis_1d(8)
-    xs = rng.uniform(-1, 2, size=(1000, 2))
-    gaps = np.abs(eval_all(b, xs[:, :1]) - eval_all(b, xs[:, 1:]))  # (1000, 8)
-    bounds = lipschitz_bounds(b) * np.abs(xs[:, :1] - xs[:, 1:]) + 1e-12
-    assert np.all(gaps <= bounds)
-
-
-def test_lipschitz_bound_is_valid_2d():
-    rng = np.random.default_rng(4)
-    b = basis_2d(5)
-    xs = rng.uniform(-1, 2, size=(300, 2))
-    ys = rng.uniform(-1, 2, size=(300, 2))
-    gaps = np.abs(eval_all(b, xs) - eval_all(b, ys))  # (300, size)
-    dist = np.linalg.norm(xs - ys, axis=1)[:, None]
-    assert np.all(gaps <= lipschitz_bounds(b) * dist + 1e-12)
 
 
 def test_2d_values_are_products():
@@ -460,20 +428,6 @@ def test_axis_tables_are_periodic_bit_for_bit(shift):
     assert np.all(error <= row_tolerance(4)[:, None])
 
 
-def test_lipschitz_bounds_match_product_formula():
-    def lip(k):
-        return SQRT2 * 2.0 * math.pi * (k // 2)
-
-    def sup(k):
-        return 1.0 if k == 1 else SQRT2
-
-    b2 = basis_2d(6)
-    expect = [math.hypot(lip(k) * sup(kp), sup(k) * lip(kp)) for k, kp in b2.indices]
-    np.testing.assert_allclose(lipschitz_bounds(b2), expect, rtol=1e-14, atol=0)
-    b1 = basis_1d(9)
-    assert lipschitz_bounds(b1).tolist() == [lip(k) for k in b1.indices]
-
-
 def test_hessian_bounds_match_product_formula():
     def sup(k):
         return 1.0 if k == 1 else SQRT2
@@ -499,14 +453,6 @@ def test_frequencies_are_half_indices():
     assert b2.frequencies.tolist() == [[k // 2, kp // 2] for k, kp in b2.indices]
     with pytest.raises(ValueError):
         b2.frequencies[0, 0] = 3
-
-
-def test_lipschitz_bounds_vector():
-    b = basis_1d(5)
-    v = lipschitz_bounds(b)
-    assert v.shape == (5,)
-    assert v[0] == 0.0
-    assert np.all(np.diff(v) >= 0)
 
 
 def test_basis_subset_allowed():

@@ -24,7 +24,6 @@ from mfgspectral.pdhg import (
     prox_x_operator,
     solve,
     step_a,
-    step_check,
     step_x,
     step_z,
 )
@@ -84,67 +83,6 @@ def uniform_measure(Q):
 
 def stationary(measure, N):
     return np.repeat(measure.points[:, None, :], N + 1, axis=1)
-
-
-def one_particle():
-    return DiscreteMeasure(points=np.array([[0.5]]), weights=np.array([1.0]))
-
-
-def a_squared(measure, basis, dt):
-    return step_check(SolverConfig(lam=3.0, omega=0.5), measure, basis, dt)["a_squared"]
-
-
-class TestStepSizeBound:
-    def test_constant_basis_is_zero(self):
-        m = uniform_measure(5)
-        assert a_squared(m, basis_1d(1), 0.05) == 0.0
-
-    def test_single_particle_single_frequency(self):
-        assert a_squared(one_particle(), basis_1d(2), 1.0) == pytest.approx(
-            78.95683520871486, rel=1e-13
-        )
-
-    def test_uniform_weight_scaling(self):
-        b = basis_1d(4)
-        m1 = one_particle()
-        m50 = uniform_measure(50)
-        assert a_squared(m50, b, 0.1) == pytest.approx(
-            a_squared(m1, b, 0.1) / 50.0, rel=1e-12
-        )
-        # the preconditioned bound counts particles, not their weights
-        skewed = discretize_measure(
-            lambda p: 1.0 / 6.0 + 5.0 / 3.0 * np.sin(np.pi * p[:, 0]) ** 2, 50, 1
-        )
-        assert a_squared(skewed, b, 0.1) == pytest.approx(
-            a_squared(m1, b, 0.1) / 50.0, rel=1e-12
-        )
-
-
-class TestCheckSteps:
-    # one particle and one frequency: A^2 = 8 pi^2 dt^2, against
-    # omega * lam = 0.25
-    def test_ok(self):
-        cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0)
-        steps = step_check(cfg, one_particle(), basis_1d(2), 0.1)
-        assert sorted(steps) == [
-            "a_squared", "omega_lambda", "omega_lambda_limit", "step_bound_ok"
-        ]
-        assert steps["omega_lambda"] == 0.25
-        assert steps["omega_lambda_limit"] == 1.0 / steps["a_squared"]
-        assert steps["step_bound_ok"] is True
-
-    def test_violation(self):
-        cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0)
-        steps = step_check(cfg, one_particle(), basis_1d(2), 1.0)
-        assert steps["omega_lambda_limit"] == 1.0 / steps["a_squared"] < 0.25
-        assert steps["step_bound_ok"] is False
-
-    def test_zero_bound_always_ok(self):
-        cfg = SolverConfig(lam=100.0, omega=100.0)
-        steps = step_check(cfg, uniform_measure(5), basis_1d(1), 0.05)
-        assert steps["a_squared"] == 0.0
-        assert steps["omega_lambda_limit"] is None
-        assert steps["step_bound_ok"] is True
 
 
 class TestStepA:

@@ -264,6 +264,15 @@ class TestSaddleValue:
         with pytest.raises(ValueError, match="^num_steps must be positive, got 0$"):
             make_problem(flat_kernel(), N=0)
 
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_num_steps_must_be_an_integer(self, value):
+        message = f"^num_steps must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            make_problem(flat_kernel(), N=value)
+
+    def test_num_steps_accepts_numpy_integers(self):
+        assert make_problem(flat_kernel(), N=np.int64(4)).dt == 0.25
+
 
 class TestTerminalCurvature:
     def curved(self, value):
