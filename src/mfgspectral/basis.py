@@ -46,8 +46,16 @@ SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer; bools are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def tensor_indices(r: int) -> list[tuple[int, int]]:
     """All pairs (k, k') with k, k' >= 1 and k + k' <= r, lexicographic."""
+    _check_int("r", r)
     if r < 2:
         raise ValueError(f"2d truncation must be at least 2, got {r}")
     return [(k, kp) for k in range(1, r) for kp in range(1, r - k + 1)]
@@ -69,6 +77,8 @@ class BasisSet:
     indices: tuple
 
     def __post_init__(self):
+        _check_int("dimension", self.dimension)
+        _check_int("truncation", self.truncation)
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if not self.indices:
@@ -112,6 +122,7 @@ class BasisSet:
 
 def basis_1d(r: int) -> BasisSet:
     """The first r one-dimensional basis functions."""
+    _check_int("r", r)
     if r < 1:
         raise ValueError(f"1d basis size must be positive, got {r}")
     return BasisSet(dimension=1, truncation=r, indices=tuple(range(1, r + 1)))

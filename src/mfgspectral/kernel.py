@@ -1,12 +1,14 @@
 """Spectral coefficient matrices of interaction kernels on the torus.
 
 A kernel K(x, y) expanded over the trigonometric basis is represented by
-its dense coefficient matrix K together with the inverse J = K^-1 used by
-the solver. Translation-invariant kernels (periodic Gaussians, profiles
-with odd part) fill K with a diagonal or 2x2-block pattern and get J in
-closed form; general kernels obtained by quadrature get J by a refined
-LAPACK inverse. :func:`spectral_from_dense` is the one path that shifts K
-by eps*I and inverts it numerically, for dense and Gaussian kernels alike.
+its dense coefficient matrix K; :class:`SpectralKernel` derives from it
+the inverse J = K^-1 used by the solver, the one place J is formed: the
+reciprocals of the diagonal when K is diagonal with no zero on it
+(periodic Gaussians, even displacement profiles), else a refined LAPACK
+inverse (the 2x2 blocks of profiles with an odd part, kernels obtained
+by quadrature). The constructors build K alone;
+:func:`spectral_from_dense` is the one path that shifts K by eps*I, for
+dense and Gaussian kernels alike.
 
 The periodic Gaussian has one constructor for both dimensions,
 :func:`gaussian_spectral`, which reads the dimension from its spec. Its
@@ -26,11 +28,11 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, basis_1d, basis_2d, eval_all
+from .basis import BasisSet, _check_int, basis_1d, basis_2d, eval_all
 
 DEGENERATE_DET = 1e-14
 AUTO_EPS = 1e-6
@@ -46,13 +48,6 @@ def _as_real(name: str, value) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{name} is too large for a float") from None
-
-
-def _check_int(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is a Python or numpy
-    integer; bools are not integers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,7 @@ class GaussianKernelSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        _check_int("dimension", self.dimension)
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         try:  # the total weight mu^d must be a float
@@ -86,28 +82,44 @@ class GaussianKernelSpec:
             ) from None
 
 
+def _dense_inverse(k_mat: np.ndarray) -> np.ndarray:
+    j = np.linalg.inv(k_mat)
+    # one Newton refinement step tightens K @ J toward the identity
+    return j + j @ (np.eye(k_mat.shape[0]) - k_mat @ j)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralKernel:
-    """Coefficient matrix and inverse of a kernel in a trigonometric basis.
+    """Coefficient matrix of a kernel in a trigonometric basis, and its inverse.
 
-    ``k_mat`` and ``j_mat`` are dense (size, size) arrays with
-    ``j_mat = k_mat^-1``; ``eps`` records the total identity shift
-    applied to ``k_mat``.
+    ``k_mat`` is a dense (size, size) array; ``eps`` records the total
+    identity shift applied to it. ``j_mat = k_mat^-1`` is derived, not
+    passed: a diagonal K with no zero on its diagonal gets the reciprocals
+    of the diagonal, any other K the refined LAPACK inverse. A singular K
+    raises ValueError.
     """
 
     basis: BasisSet
     k_mat: np.ndarray
-    j_mat: np.ndarray
     eps: float = 0.0
+    j_mat: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("k_mat", "j_mat"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.shape != (self.size, self.size):
-                raise ValueError(
-                    f"{name} shape {mat.shape} does not match basis size {self.size}"
-                )
-            object.__setattr__(self, name, mat)
+        k_mat = np.asarray(self.k_mat, dtype=float)
+        if k_mat.shape != (self.size, self.size):
+            raise ValueError(
+                f"k_mat shape {k_mat.shape} does not match basis size {self.size}"
+            )
+        diagonal = np.diagonal(k_mat)
+        if np.count_nonzero(k_mat) == np.count_nonzero(diagonal) == self.size:
+            j_mat = np.diag(1.0 / diagonal)
+        else:
+            try:
+                j_mat = _dense_inverse(k_mat)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"matrix is singular: {exc}") from exc
+        object.__setattr__(self, "k_mat", k_mat)
+        object.__setattr__(self, "j_mat", j_mat)
 
     @property
     def size(self) -> int:
@@ -148,7 +160,7 @@ def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
             ),
         )
         eig = eig[keep]
-    return SpectralKernel(basis, np.diag(eig), np.diag(1.0 / eig))
+    return SpectralKernel(basis, np.diag(eig))
 
 
 def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
@@ -232,6 +244,7 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     values, or ValueError is raised. A block holds at most 2^16 pairs, so
     the kernel values take O(block) memory rather than O(g^(2d)).
     """
+    _check_int("num_points", num_points)
     if num_points < 4 * basis.truncation:
         raise ValueError(
             f"grid too coarse: need at least {4 * basis.truncation} points per "
@@ -267,6 +280,7 @@ def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarr
     is the per-axis frequency of function i of ``basis``, whose order the
     rows and columns follow.
     """
+    _check_int("r", r)
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")
@@ -295,9 +309,8 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     ``eta_cos[n]`` and ``eta_sin[n]`` are the cosine/sine moments of the
     profile at integer frequency n (n = 0 is the mean; its sine moment must
     vanish). Frequency n > 0 contributes the scaled rotation block
-    [[c, s], [-s, c]] on its cosine/sine pair, and its inverse
-    [[c, -s], [s, c]] / (c^2 + s^2) to J; an even profile leaves K
-    diagonal. Frequencies whose block determinant falls below 1e-14 are
+    [[c, s], [-s, c]] on its cosine/sine pair; an even profile leaves K
+    diagonal, so J is its reciprocal diagonal. Frequencies whose block determinant falls below 1e-14 are
     dropped from the basis; a moment that is not finite raises ValueError.
     """
     c = np.asarray(eta_cos, dtype=float)
@@ -319,33 +332,21 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     b = BasisSet(dimension=1, truncation=max(indices), indices=tuple(indices))
 
     k_mat = np.zeros((b.size, b.size))
-    j_mat = np.zeros((b.size, b.size))
     pos = 0
     for n in kept:
         if n == 0:
-            k_mat[0, 0], j_mat[0, 0] = c[0], 1.0 / c[0]
+            k_mat[0, 0] = c[0]
             pos = 1
             continue
-        det = c[n] ** 2 + s[n] ** 2
         k_mat[pos : pos + 2, pos : pos + 2] = [[c[n], s[n]], [-s[n], c[n]]]
-        j_mat[pos : pos + 2, pos : pos + 2] = (
-            np.array([[c[n], -s[n]], [s[n], c[n]]]) / det
-        )
         pos += 2
-    return SpectralKernel(b, k_mat, j_mat)
-
-
-def _dense_inverse(k_mat: np.ndarray) -> np.ndarray:
-    j = np.linalg.inv(k_mat)
-    # one Newton refinement step tightens K @ J toward the identity
-    return j + j @ (np.eye(k_mat.shape[0]) - k_mat @ j)
+    return SpectralKernel(b, k_mat)
 
 
 def spectral_from_dense(
     coefficients: np.ndarray, basis: BasisSet, eps: float | None = None
 ) -> SpectralKernel:
-    """Kernel from a symmetric coefficient matrix, shifted by eps * Id and
-    inverted numerically.
+    """Kernel from a symmetric coefficient matrix, shifted by eps * Id.
 
     With eps=None a shift of 1e-6 is applied automatically when the
     smallest eigenvalue drops below 1e-10; an explicit eps (including 0) is
@@ -375,9 +376,4 @@ def spectral_from_dense(
             RuntimeWarning,
             stacklevel=2,
         )
-    k_mat = c + eps * np.eye(basis.size)
-    try:
-        j_mat = _dense_inverse(k_mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"matrix is singular: {exc}") from exc
-    return SpectralKernel(basis, k_mat, j_mat, eps=eps)
+    return SpectralKernel(basis, c + eps * np.eye(basis.size), eps=eps)

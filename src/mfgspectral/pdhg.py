@@ -66,9 +66,10 @@ import numpy as np
 
 from .basis import (
     SliceTables,
+    _check_int,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel, _as_real, _check_int
+from .kernel import SpectralKernel, _as_real
 from .problem import (
     DiscreteMeasure,
     DivergenceError,
@@ -112,8 +113,8 @@ class SolverConfig:
             _check_int(name, getattr(self, name))
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not self.tol >= 0.0:  # also rejects NaN; +inf stops at once
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be positive, got {self.record_every}")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _check_int
 from .problem import DiscreteMeasure
 
 GRID_MATCH_TOL = 1e-9
@@ -44,6 +45,8 @@ def density_histogram(
     x: np.ndarray, measure: DiscreteMeasure, time_index: int, bins: int
 ) -> DensitySnapshot:
     """Weighted histogram of the wrapped particle positions at one slice."""
+    _check_int("time_index", time_index)
+    _check_int("bins", bins)
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if not 0 <= time_index < x.shape[1]:

@@ -21,10 +21,11 @@ import numpy as np
 from .basis import (
     BasisSet,
     SliceTables,
+    _check_int,
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel, _as_real, _check_int
+from .kernel import SpectralKernel, _as_real
 
 
 class DivergenceError(RuntimeError):
@@ -77,6 +78,8 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
     mirror image 1 - p of point i is point Q^d - 1 - i, the listing rule
     :func:`~mfgspectral.postprocess.symmetry_defect` pairs particles by.
     """
+    _check_int("Q", Q)
+    _check_int("dimension", dimension)
     if Q < 1:
         raise ValueError(f"Q must be positive, got {Q}")
     if dimension not in (1, 2):
@@ -111,6 +114,8 @@ class MFGProblem:
     ``terminal_curvature`` (see :func:`~mfgspectral.pdhg.prox_x_operator`).
     It is stored as a float and must be finite and nonnegative.
     ``num_steps`` must be a positive Python or numpy integer.
+    ``initial_density`` is stored for the caller; nothing in the package
+    reads it, since the particles come from :func:`discretize_measure`.
     """
 
     kernel: SpectralKernel

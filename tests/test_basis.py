@@ -470,3 +470,29 @@ def test_basisset_validation():
         BasisSet(dimension=1, truncation=2, indices=(0,))
     with pytest.raises(ValueError, match="distinct"):
         BasisSet(dimension=1, truncation=3, indices=(1, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: basis_1d(2.0), "r must be an integer, got 2.0"),
+        (lambda: basis_1d(True), "r must be an integer, got True"),
+        (lambda: basis_2d(3.0), "r must be an integer, got 3.0"),
+        (lambda: tensor_indices(3.0), "r must be an integer, got 3.0"),
+        (lambda: BasisSet(dimension=True, truncation=2, indices=(1, 2)),
+         "dimension must be an integer, got True"),
+        (lambda: BasisSet(dimension=1, truncation=2.0, indices=(1, 2)),
+         "truncation must be an integer, got 2.0"),
+    ],
+    ids=["basis_1d", "basis_1d-bool", "basis_2d", "tensor_indices",
+         "BasisSet-dimension", "BasisSet-truncation"],
+)
+def test_counts_must_be_integers(make, message):
+    # a float count raised TypeError from range(); a bool passed as 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_counts_accept_numpy_integers():
+    assert basis_1d(np.int64(3)).size == 3
+    assert basis_2d(np.int32(3)).size == 3

@@ -468,10 +468,18 @@ class TestValidation:
         ):
             validate_config(cfg)
 
-    def test_infinite_tol_still_valid(self, tmp_path):
+    def test_infinite_tol_rejected(self, tmp_path, capsys):
+        # +inf would stop before the first step and report it converged
         cfg = tiny_config(tmp_path / "out")
-        cfg["solver"]["tol"] = float("inf")
-        assert validate_config(cfg).solver.tol == float("inf")
+        cfg["solver"]["tol"] = "LITERAL"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', "Infinity"))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.solver: tol must be nonnegative and finite, "
+            "got inf\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_mismatched_preset_dimension(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", M={"preset": "paper-2d"})

@@ -604,11 +604,113 @@ class TestDenseConstruction:
             assert psd_check(c) == 1.0
 
 
+def lib_2d_dense_matrix():
+    # the library benchmark's kernel: Fejer average of the quadrature
+    # matrix of a sheared Gaussian, r = 8 on a 40 x 40 grid
+    b = basis_2d(8)
+    return fejer_average(fourier_coefficients(sheared_gaussian(0.3, 0.6), b, 40), 8, b), b
+
+
+class TestDerivedInverse:
+    """SpectralKernel forms J = K^-1 from K, by one of two rules."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8),
+            lambda: gaussian_spectral(GaussianKernelSpec(0.1, 0.5, dimension=2), 8),
+            lambda: spectral_from_dense(
+                gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 8).k_mat,
+                basis_1d(8), eps=1e-3,
+            ),
+            lambda: spectral_from_dense(*lib_2d_dense_matrix()),
+            lambda: translation_invariant_blocks([1.0, 0.5, 0.25], [0.0, 0.0, 0.0]),
+            lambda: translation_invariant_blocks([1.0, 0.3, 0.1], [0.0, 0.4, -0.05]),
+        ],
+        ids=["gaussian-1d", "gaussian-2d", "gaussian-eps", "lib-2d-dense",
+             "even-profile", "odd-profile"],
+    )
+    def test_inverse_of_every_constructor(self, build):
+        assert frobenius_identity_gap(build()) < 1e-10
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SpectralKernel(basis_1d(3), np.diag([0.5, -0.3, 7.0])),
+            lambda: gaussian_spectral(GaussianKernelSpec(0.2, 0.5, dimension=2), 6),
+            lambda: spectral_from_dense(np.diag([0.2, 0.7, 3.0]), basis_1d(3), eps=1e-3),
+            lambda: translation_invariant_blocks([1.0, 0.3, 0.7], [0.0, 0.0, 0.0]),
+        ],
+        ids=["direct", "gaussian", "shifted", "even-profile"],
+    )
+    def test_diagonal_k_gets_reciprocal_diagonal(self, build):
+        ker = build()
+        diagonal = np.diag(ker.k_mat)
+        np.testing.assert_array_equal(ker.k_mat, np.diag(diagonal))
+        np.testing.assert_array_equal(ker.j_mat, np.diag(1.0 / diagonal))
+
+    @pytest.mark.parametrize(
+        "k_mat",
+        [
+            np.diag([0.5, 0.0, 2.0]),
+            np.ones((3, 3)),
+            [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["zero-diagonal-entry", "rank-1", "rank-2"],
+    )
+    def test_singular_k_rejected_without_warning(self, k_mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is singular: "):
+                SpectralKernel(basis_1d(3), k_mat)
+
+    def test_j_is_not_an_input(self):
+        with pytest.raises(TypeError, match="j_mat"):
+            SpectralKernel(basis_1d(2), np.eye(2), j_mat=np.eye(2))
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 2.0),
+             "r must be an integer, got 2.0"),
+            (lambda: GaussianKernelSpec(0.2, 0.5, dimension=1.0),
+             "dimension must be an integer, got 1.0"),
+            (lambda: GaussianKernelSpec(0.2, 0.5, dimension=True),
+             "dimension must be an integer, got True"),
+            (lambda: fourier_coefficients(lambda x, y: 0 * (x - y), basis_1d(3), 40.0),
+             "num_points must be an integer, got 40.0"),
+            (lambda: fejer_average(np.eye(5), 2.5, basis_1d(5)),
+             "r must be an integer, got 2.5"),
+        ],
+        ids=["gaussian_spectral", "spec-dimension", "spec-dimension-bool",
+             "fourier_coefficients", "fejer_average"],
+    )
+    def test_counts_must_be_integers(self, make, message):
+        # fejer_average with r = 2.5 returned other weights (0.510 against
+        # 0.444 at r = 2), a float num_points was accepted
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_counts_accept_numpy_integers(self):
+        spec = GaussianKernelSpec(0.2, 0.5, dimension=np.int64(2))
+        assert gaussian_spectral(spec, np.int32(4)).size == 6
+        b = basis_1d(5)
+        np.testing.assert_array_equal(
+            fejer_average(np.eye(5), np.int64(2), b), fejer_average(np.eye(5), 2, b)
+        )
+        np.testing.assert_array_equal(
+            fourier_coefficients(lambda x, y: 0 * (x - y), b, np.int64(20)),
+            np.zeros((5, 5)),
+        )
+
+
 class TestApplyOperators:
     def test_matrix_shape_checked(self):
         message = r"^k_mat shape \(3, 3\) does not match basis size 2$"
         with pytest.raises(ValueError, match=message):
-            SpectralKernel(basis_1d(2), np.eye(3), np.eye(3))
+            SpectralKernel(basis_1d(2), np.eye(3))
 
     def test_apply_matches_matrices(self):
         rng = np.random.default_rng(11)

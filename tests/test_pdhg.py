@@ -106,7 +106,7 @@ class TestStepA:
         np.testing.assert_allclose(out, mu, rtol=1e-14)
 
     def test_scalar_arithmetic(self):
-        ker = SpectralKernel(basis_1d(1), k_mat=[[0.5]], j_mat=[[2.0]])
+        ker = SpectralKernel(basis_1d(1), k_mat=[[0.5]])  # J = [[2.0]]
         prox = prox_a_operator(ker, 0.5)
         rhs = np.array([[1.0 + 0.5 * 3.0]])
         assert prox(rhs)[0, 0] == pytest.approx(1.25, abs=1e-15)
@@ -523,13 +523,14 @@ class TestSolve:
         ):
             solve(prob, m2, SolverConfig(lam=3.0, omega=0.5, max_iter=1))
 
-    def test_infinite_tolerance_returns_initial_state(self):
+    def test_zero_max_iter_returns_initial_state(self):
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=4)
         m = uniform_measure(5)
-        cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, tol=math.inf)
+        cfg = SolverConfig(lam=3.0, omega=1.0 / 12.0, max_iter=0)
         res = solve(prob, m, cfg)
         assert res.iterations == 0
+        assert res.converged is False
         np.testing.assert_array_equal(res.a, np.zeros((3, 4)))
         np.testing.assert_array_equal(res.x, stationary(m, 4))
 
@@ -955,6 +956,10 @@ class TestSolverConfigValidation:
         cfg = SolverConfig(lam=1.0, omega=0.1, momentum=np.float32(0.5))
         assert type(cfg.momentum) is float and cfg.momentum == 0.5
 
-    def test_zero_and_infinite_tol_allowed(self):
+    def test_zero_tol_allowed_infinite_rejected(self):
+        # +inf would stop before the first step and call that converged
         assert SolverConfig(lam=1.0, omega=0.1, tol=0.0).tol == 0.0
-        assert SolverConfig(lam=1.0, omega=0.1, tol=math.inf).tol == math.inf
+        with pytest.raises(
+            ValueError, match="^tol must be nonnegative and finite, got inf$"
+        ):
+            SolverConfig(lam=1.0, omega=0.1, tol=math.inf)

@@ -26,6 +26,29 @@ def measure_from(points, weights):
 
 
 class TestDensityHistogram:
+    @pytest.mark.parametrize(
+        "time_index, bins, message",
+        [
+            (0, 2.5, "bins must be an integer, got 2.5"),
+            (0, True, "bins must be an integer, got True"),
+            (1.0, 4, "time_index must be an integer, got 1.0"),
+            (True, 4, "time_index must be an integer, got True"),
+        ],
+        ids=["bins-float", "bins-bool", "time_index-float", "time_index-bool"],
+    )
+    def test_counts_must_be_integers(self, time_index, bins, message):
+        # a float bins raised TypeError, a float time_index IndexError
+        m = measure_from([0.31], [1.0])
+        x = np.array([[[0.31], [0.62]]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            density_histogram(x, m, time_index, bins)
+
+    def test_counts_accept_numpy_integers(self):
+        m = measure_from([0.31], [1.0])
+        x = np.array([[[0.31], [0.62]]])
+        snap = density_histogram(x, m, np.int64(1), np.int32(4))
+        assert snap.values[2] == pytest.approx(4.0)
+
     def test_single_particle(self):
         m = measure_from([0.31], [1.0])
         x = np.array([[[0.31], [0.62]]])

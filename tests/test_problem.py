@@ -104,6 +104,24 @@ def paper_like_problem(dimension, N):
 
 
 class TestDiscretizeMeasure:
+    @pytest.mark.parametrize(
+        "Q, dimension, message",
+        [
+            (2.5, 1, "Q must be an integer, got 2.5"),
+            (True, 1, "Q must be an integer, got True"),
+            (3, True, "dimension must be an integer, got True"),
+            (3, 2.0, "dimension must be an integer, got 2.0"),
+        ],
+        ids=["Q-float", "Q-bool", "dimension-bool", "dimension-float"],
+    )
+    def test_counts_must_be_integers(self, Q, dimension, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            discretize_measure(lambda p: np.ones(p.shape[0]), Q, dimension)
+
+    def test_counts_accept_numpy_integers(self):
+        m = discretize_measure(lambda p: np.ones(p.shape[0]), np.int64(3), np.int32(2))
+        assert m.points.shape == (9, 2)
+
     def test_uniform_density(self):
         m = discretize_measure(lambda p: np.ones(p.shape[0]), 4, 1)
         np.testing.assert_allclose(m.points[:, 0], [0.2, 0.4, 0.6, 0.8])
