@@ -124,7 +124,7 @@ _STUDIES = {
 }
 
 
-def _preset(dimension, sigma, mu, momentum, omega=0.5):
+def _preset(dimension, sigma, mu, omega, momentum):
     study = _STUDIES[dimension]
     return {
         "dimension": dimension,
@@ -149,25 +149,14 @@ def _preset(dimension, sigma, mu, momentum, omega=0.5):
     }
 
 
-# momentum: paper-2d-b and paper-2d-c take the value of {0, 0.5, 0.7, 0.8,
-# 0.9, 0.95} with the fewest iterations at the preset's tol. paper-2d-a also
-# runs at tol 2e-4; on a grid of omega in [0.5, 1.5] by momentum in [0.85,
-# 0.92] it takes the pair with the fewest iterations at both tol 2e-4 and
-# 1e-5 that ends at an F no higher than omega 1/2 does: omega 1 at 0.9 (205
-# and 1911 iterations; 252 and 3917 at omega 1/2). The 1d presets, whose
-# terminal step is held to 1 / (16 pi^2), take on the grid omega in {0.5,
-# 0.75, ..., 1.75} by momentum in {0.60, 0.61, ..., 0.95} the pair with the
-# fewest iterations whose residual, and that of each grid neighbour, ends
-# below the cap (1e-8, 1e-7, 1e-8); a tie goes to the pair with the lower
-# worst neighbour. All take omega 1.75: 325 iterations at 0.91, 367 at 0.92
-# and 132 at 0.8, F unchanged.
+# (omega, momentum) as tools/pick_steps.py picks and checks them
 PRESETS = {
-    "paper-1d-a": _preset(1, 0.2, 0.5, 0.91, omega=1.75),
-    "paper-1d-b": _preset(1, 0.2, 1.5, 0.92, omega=1.75),
-    "paper-1d-c": _preset(1, 0.8, 0.5, 0.8, omega=1.75),
-    "paper-2d-a": _preset(2, 0.1, 0.75, 0.9, omega=1.0),
-    "paper-2d-b": _preset(2, 0.1, 0.5, 0.8),
-    "paper-2d-c": _preset(2, 1.0, 0.5, 0.95),
+    "paper-1d-a": _preset(1, 0.2, 0.5, 20.0, 0.7),
+    "paper-1d-b": _preset(1, 0.2, 1.5, 10.0, 0.7),
+    "paper-1d-c": _preset(1, 0.8, 0.5, 5.0, 0.7),
+    "paper-2d-a": _preset(2, 0.1, 0.75, 160.0, 0.5),
+    "paper-2d-b": _preset(2, 0.1, 0.5, 320.0, 0.6),
+    "paper-2d-c": _preset(2, 1.0, 0.5, 40.0, 0.7),
 }
 
 
@@ -449,6 +438,31 @@ def kernel_info(cfg: ExperimentConfig) -> dict:
     }
 
 
+# records over which a residual that does not halve its best reads as a
+# cycle: paper-1d-b cycling at omega 40 dips 1% below its best in 10
+# records, while paper-1d-a at omega 1/2 and momentum 0, which converges
+# in 6397 iterations, falls 2.4x
+_STALL_RECORDS = 10
+
+
+def _max_iter_warning(solver: SolverConfig, records) -> str:
+    # what the records saw: the last residual, and whether the last
+    # _STALL_RECORDS of them failed to halve the best residual before them
+    text = (
+        f"warning: stopped at max_iter = {solver.max_iter} before the step "
+        f"norms reached tol = {solver.tol:g}; the result is not converged"
+    )
+    residuals = [record["residual"] for record in records]
+    if residuals:
+        text += f" (last residual {residuals[-1]:.3e})"
+    if (len(residuals) > _STALL_RECORDS
+            and min(residuals[-_STALL_RECORDS:])
+            >= 0.5 * min(residuals[:-_STALL_RECORDS])):
+        text += ("; residual is not falling: the iteration looks cycling; "
+                 "try a smaller omega")
+    return text
+
+
 def run(cfg: ExperimentConfig) -> str:
     problem, measure = build_problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -494,12 +508,7 @@ def run(cfg: ExperimentConfig) -> str:
     }
     write_metrics_json(metrics_path, metrics)
     if not result.converged:
-        print(
-            f"warning: stopped at max_iter = {cfg.solver.max_iter} before the "
-            f"step norms reached tol = {cfg.solver.tol:g}; the result is not "
-            "converged",
-            file=sys.stderr,
-        )
+        print(_max_iter_warning(cfg.solver, result.diagnostics), file=sys.stderr)
     return (
         f"solved in {result.iterations} iterations "
         f"(converged={result.converged}); artifacts in {cfg.output_dir}"

@@ -95,8 +95,8 @@ class SpectralKernel:
     ``k_mat`` is a dense (size, size) array; ``eps`` records the total
     identity shift applied to it. ``j_mat = k_mat^-1`` is derived, not
     passed: a diagonal K with no zero on its diagonal gets the reciprocals
-    of the diagonal, any other K the refined LAPACK inverse. A singular K
-    raises ValueError.
+    of the diagonal, any other K the refined LAPACK inverse. A singular K,
+    or one whose inverse is not finite, raises ValueError.
     """
 
     basis: BasisSet
@@ -111,13 +111,17 @@ class SpectralKernel:
                 f"k_mat shape {k_mat.shape} does not match basis size {self.size}"
             )
         diagonal = np.diagonal(k_mat)
-        if np.count_nonzero(k_mat) == np.count_nonzero(diagonal) == self.size:
-            j_mat = np.diag(1.0 / diagonal)
-        else:
-            try:
-                j_mat = _dense_inverse(k_mat)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"matrix is singular: {exc}") from exc
+        # an inverse that overflows is rejected below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.count_nonzero(k_mat) == np.count_nonzero(diagonal) == self.size:
+                j_mat = np.diag(1.0 / diagonal)
+            else:
+                try:
+                    j_mat = _dense_inverse(k_mat)
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError(f"matrix is singular: {exc}") from exc
+        if not np.isfinite(j_mat).all():
+            raise ValueError("matrix is singular: its inverse is not finite")
         object.__setattr__(self, "k_mat", k_mat)
         object.__setattr__(self, "j_mat", j_mat)
 

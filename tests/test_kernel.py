@@ -664,6 +664,20 @@ class TestDerivedInverse:
             with pytest.raises(ValueError, match="^matrix is singular: "):
                 SpectralKernel(basis_1d(3), k_mat)
 
+    @pytest.mark.parametrize(
+        "k_mat",
+        [
+            np.diag([1e-320, 1.0]),  # the reciprocal of a subnormal overflows
+            [[1e-320, 1e-321], [1e-321, 1.0]],  # LAPACK's inverse holds NaN
+        ],
+        ids=["diagonal", "dense"],
+    )
+    def test_non_finite_inverse_rejected_without_warning(self, k_mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is singular: "):
+                SpectralKernel(basis_1d(2), k_mat)
+
     def test_j_is_not_an_input(self):
         with pytest.raises(TypeError, match="j_mat"):
             SpectralKernel(basis_1d(2), np.eye(2), j_mat=np.eye(2))
