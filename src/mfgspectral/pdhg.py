@@ -36,6 +36,21 @@ shared kinetic solve reads (N, Q) rows of one coordinate, both of which
 this layout holds contiguously; the returned trajectories are
 C-contiguous again.
 
+Each solve makes one workspace before its first step, and the loop
+writes every per-iteration array of the trajectories into it: two
+slice-major trajectory buffers used in turn, whose slice 0 is written
+once (:func:`step_x` writes slices 1..N of the new paths into the one
+passed as ``out``, and the kinetic solve writes straight into it); the
+plain step, the velocity and a spare, swapped between iterations; and
+scratch for the step norms. The step norms and the divergence check
+reduce with ufunc ``reduce`` calls and make no temporaries. The
+:class:`~mfgspectral.basis.SliceTables` keep their own buffers. Each
+iteration still allocates the trajectory gradient
+(:func:`~mfgspectral.problem.action_gradient` makes its kinetic
+differences, coupling gradient and terminal term as new arrays), the
+small (size, N) arrays of the coefficient step, the moments and the
+extrapolation, and what the records hold.
+
 With ``momentum`` m > 0 the trajectory step is Polyak's heavy ball: the
 plain step's paths gain m v, v = x_k - x_{k-1} the last realized step,
 while the plain step points along v, <x_plain - x_k, v> > 0; otherwise
@@ -74,6 +89,7 @@ from .problem import (
     DiscreteMeasure,
     DivergenceError,
     MFGProblem,
+    _check_shapes,
     _saddle_value,
     action_gradient,
     moment_vector,
@@ -81,6 +97,9 @@ from .problem import (
 )
 
 DIVERGENCE_LIMIT = 1e6
+
+# whole-array reductions without fromnumeric's wrappers (np.max, np.min)
+_amax, _amin = np.maximum.reduce, np.minimum.reduce
 
 
 @dataclass(frozen=True)
@@ -183,7 +202,10 @@ def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0
     products on (d, N, Q) memory; it returns the (Q, N, d) view of that
     memory. A slice-major gradient (see
     :func:`solve`) is read in place, and a C-order one is copied first, so
-    both layouts give the same result bit for bit.
+    both layouts give the same result bit for bit. With ``out``, a (Q, N,
+    d) view of memory whose (d, N, Q) transpose holds each axis as one
+    C-order (N, Q) block (a slice-major array or its slices 1..N), the
+    products are written there, with the same bits, and ``out`` is returned.
     """
     for name, value in (("step", step), ("curvature", curvature)):
         if not (math.isfinite(value) and value >= 0):
@@ -194,9 +216,12 @@ def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0
     system[-1, -1] += max(0.0, step * curvature - 1.0)
     inverse = step * np.linalg.inv(system)
 
-    def apply(grad: np.ndarray) -> np.ndarray:
+    def apply(grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
-        return np.matmul(inverse, columns).transpose(2, 1, 0)
+        if out is None:
+            return np.matmul(inverse, columns).transpose(2, 1, 0)
+        np.matmul(inverse, columns, out=out.transpose(2, 1, 0))
+        return out
 
     return apply
 
@@ -209,6 +234,7 @@ def step_x(
     omega: float,
     prox=None,
     tables=None,
+    out=None,
 ) -> np.ndarray:
     """Preconditioned proximal step on the trajectory objective.
 
@@ -231,18 +257,25 @@ def step_x(
     ``prox_x_operator(N, dt, omega / Q, c)`` when not given. Slice 0 stays
     pinned. The new paths keep the memory layout of ``x``: slice-major in,
     slice-major out (as in :func:`solve`), C order in, C order out; the
-    values do not depend on the layout.
+    values do not depend on the layout. With ``out``, a slice-major (Q,
+    N+1, d) array other than ``x``, slices 1..N of the new paths are
+    written into it, with the same bits, and it is returned; its slice 0
+    is not touched, so the caller keeps it equal to that of ``x``.
     """
     if prox is None:
         prox = prox_x_operator(
             problem.num_steps, problem.dt, omega / measure.count,
             problem.terminal_curvature,
         )
-    x_new = np.empty_like(x)  # in the memory layout of x
-    x_new[:, 0, :] = x[:, 0, :]
-    move = prox(action_gradient(x, a_new, problem, tables))
-    np.subtract(x[:, 1:, :], move, out=x_new[:, 1:, :])
-    return x_new
+    grad = action_gradient(x, a_new, problem, tables)
+    if out is None:
+        out = np.empty_like(x)  # in the memory layout of x
+        out[:, 0, :] = x[:, 0, :]
+        move = prox(grad)
+    else:  # slice-major: the kinetic solve writes straight into out
+        move = prox(grad, out=out[:, 1:, :])
+    np.subtract(x[:, 1:, :], move, out=out[:, 1:, :])
+    return out
 
 
 def step_z(new: np.ndarray, old: np.ndarray, theta: float) -> np.ndarray:
@@ -265,7 +298,19 @@ def fixed_point_residual(
     kernel: SpectralKernel,
     measure: DiscreteMeasure,
 ) -> float:
-    """Sup-norm of a - K p(x); vanishes at an equilibrium."""
+    """Sup-norm of a - K p(x); vanishes at an equilibrium.
+
+    ``x`` holds (Q, N+1, d) trajectories, N read from ``x``, and ``a`` the
+    (size, N) coefficient paths; other shapes raise ValueError with the
+    messages of :func:`~mfgspectral.problem.saddle_value`.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 3:
+        num_steps = max(x.shape[1] - 1, 1)
+    else:  # x is rejected; N for the message comes from a when it can
+        num_steps = a.shape[1] if a.ndim == 2 else 1
+    _check_shapes(a, x, measure, kernel.size, num_steps)
     return _residual(a, moment_vector(x, measure, kernel.basis), kernel)
 
 
@@ -274,9 +319,21 @@ def _residual(a: np.ndarray, p: np.ndarray, kernel: SpectralKernel) -> float:
     return float(np.max(np.abs(a - kernel.apply_k(p))))
 
 
-def _max_displacement(step: np.ndarray) -> float:
-    # the largest Euclidean length of one particle's step at one slice
-    return float(np.sqrt(np.max(np.sum(step**2, axis=2))))
+def _bounded(v: np.ndarray) -> bool:
+    # every entry within DIVERGENCE_LIMIT in absolute value; NaN fails
+    return bool(
+        _amax(v, None) <= DIVERGENCE_LIMIT and _amin(v, None) >= -DIVERGENCE_LIMIT
+    )
+
+
+def _max_displacement(step: np.ndarray, square: np.ndarray) -> float:
+    # the largest Euclidean length of one particle's step at one slice, for a
+    # (Q, N, d) view of (d, N, Q) memory: its square, summed over the axes in
+    # memory order, into the (d, N, Q) scratch ``square``
+    np.square(step.transpose(2, 1, 0), out=square)
+    for e in range(1, square.shape[0]):
+        square[0] += square[e]
+    return math.sqrt(_amax(square[0], None))
 
 
 def solve(
@@ -303,11 +360,25 @@ def solve(
     """
     if measure.dimension != problem.dimension:
         raise ValueError("measure dimension does not match the problem")
-    n = problem.num_steps
-    size = problem.basis.size
+    n, size, d, count = (
+        problem.num_steps, problem.basis.size, measure.dimension, measure.count
+    )
+
+    # the workspace: every array the loop writes, made once, each (Q, ., d)
+    # one a view of (d, ., Q) memory (see the module docstring)
+    def slice_major(slices):
+        return np.empty((d, slices, count)).transpose(2, 1, 0)
+
+    x, x_new = slice_major(n + 1), slice_major(n + 1)  # used in turn
+    x[...] = measure.points[:, None, :]
+    x_new[:, 0, :] = measure.points  # slice 0, never written again
+    # the plain step, the velocity (the last realized step) and a spare
+    plain, velocity, spare = slice_major(n), slice_major(n), slice_major(n)
+    velocity[...] = 0.0
+    square = np.empty((d, n, count))  # x_step's scratch
+    a_change = np.empty((size, n))  # a_step's scratch
 
     a = np.zeros((size, n))
-    x = np.repeat(measure.points.T[:, None, :], n + 1, axis=1).transpose(2, 1, 0)
     iteration = 0
     tables = SliceTables(problem.basis, x[:, 1:])
     p = q = tables.moments(measure.weights)  # p(x0), also the first q
@@ -318,7 +389,6 @@ def solve(
     )
     sink = open(diagnostics_path, "w") if diagnostics_path is not None else None
 
-    velocity = np.zeros_like(x[:, 1:])  # the last realized step of slices 1..N
     last_step = math.inf
     try:
         while iteration < config.max_iter and last_step > config.tol:
@@ -326,36 +396,38 @@ def solve(
                 a, q, problem.kernel, problem.dt, config.lam, prox=prox_a
             )
             x_new = step_x(
-                x, a_new, problem, measure, config.omega, prox=prox_x, tables=tables
+                x, a_new, problem, measure, config.omega, prox=prox_x,
+                tables=tables, out=x_new,
             )
-            moved = x_new[:, 1:] - x[:, 1:]  # the plain step; slice 0 never moves
+            moved = np.subtract(x_new[:, 1:], x[:, 1:], out=plain)  # slice 0 stays
             realized = moved
             # einsum walks both operands in memory order and, unlike BLAS dot,
             # starts no threads (waking them cost a paper-2d-a solve 12 ms on 2 CPUs)
             if config.momentum and np.einsum("qnd,qnd->", moved, velocity) > 0.0:
-                realized = config.momentum * velocity
+                realized = np.multiply(velocity, config.momentum, out=spare)
                 x_new[:, 1:] += realized
                 realized += moved
             # checked before the tables see x_new; NaN and inf fail too
-            if not (
-                np.max(np.abs(a_new)) <= DIVERGENCE_LIMIT
-                and np.max(np.abs(x_new)) <= DIVERGENCE_LIMIT
-            ):
+            if not (_bounded(a_new) and _bounded(x_new)):
                 raise DivergenceError(
                     f"solver diverged at iteration {iteration + 1}; "
                     "try a smaller omega or lambda",
                     diagnostics=records,
                     iteration=iteration + 1,
                 )
-            a_step = float(np.max(np.abs(a_new - a)))
-            x_step = _max_displacement(moved)
-            if realized is not moved:  # the heavy ball went on
-                x_step = max(x_step, _max_displacement(realized))
-            velocity = realized
+            np.subtract(a_new, a, out=a_change)
+            a_step = float(_amax(np.abs(a_change, out=a_change), None))
+            x_step = _max_displacement(moved, square)
+            if realized is moved:
+                plain, velocity = velocity, moved
+            else:  # the heavy ball went on
+                x_step = max(x_step, _max_displacement(realized, square))
+                spare, velocity = velocity, realized
             tables.rebuild(x_new[:, 1:])
             p_new = tables.moments(measure.weights)
             q = step_z(p_new, p, config.theta)
-            a, x, p = a_new, x_new, p_new
+            a, p = a_new, p_new
+            x, x_new = x_new, x
             iteration += 1
             last_step = max(a_step, x_step)
 

@@ -6,11 +6,15 @@ unwrapped coordinates. The symmetry defect compares particle i with the
 reflection under x -> 1 - x of its partner: particle Q - 1 - i, which the
 grid must list at i's mirror point, when the weights agree, else i itself.
 CSV/JSON writers use fixed column order and 17-significant-digit floats
-so identical runs produce identical bytes.
+so identical runs produce identical bytes. The columns that take few
+distinct values (times and particle ids, bin centres) are formatted once
+per distinct value, as literal text in the file's %-format string, so the
+one %-format pass fills only the coordinates or densities.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -111,31 +115,31 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_csv(path, header: str, rows: np.ndarray) -> None:
-    # one %-format over the whole table: "%.17g" % v == format_float(v)
-    row = "\n" + ",".join(["%.17g"] * rows.shape[1])
-    body = (row * rows.shape[0]) % tuple(rows.ravel().tolist())
+def _write_csv(path, header: str, columns: list, values: np.ndarray) -> None:
+    # one "\n"-led row per combination of the fixed columns' values, the
+    # first column slowest, as literal text; then one field per value of
+    # the last axis, filled in one %-format: "%.17g" % v == format_float(v)
+    texts = [[format_float(v) for v in column] for column in columns]
+    fields = ",%.17g" * values.shape[-1]
+    rows = "".join(["\n" + ",".join(row) + fields for row in itertools.product(*texts)])
     with open(path, "w") as fh:
-        fh.write(header + body + "\n")
+        fh.write(header + rows % tuple(values.ravel().tolist()) + "\n")
 
 
 def write_trajectories_csv(path, x: np.ndarray) -> None:
     """Time-major rows of unwrapped coordinates; particle ids are 1-based."""
     q, n_plus_1, d = x.shape
-    t = np.repeat(np.arange(n_plus_1) / (n_plus_1 - 1), q)
-    particle = np.tile(np.arange(1, q + 1), n_plus_1)
-    rows = np.column_stack([t, particle, x.transpose(1, 0, 2).reshape(-1, d)])
+    t = (np.arange(n_plus_1) / (n_plus_1 - 1)).tolist()
     header = "t,particle," + ",".join(f"x{j + 1}" for j in range(d))
-    _write_csv(path, header, rows)
+    _write_csv(path, header, [t, range(1, q + 1)], x.transpose(1, 0, 2))
 
 
 def write_density_csv(path, snapshot: DensitySnapshot) -> None:
     """Rows of bin centres and density, first axis slowest (``ij`` order)."""
     d = snapshot.dimension
-    centers = np.meshgrid(*[snapshot.bin_centers()] * d, indexing="ij")
-    rows = np.stack([*centers, snapshot.values], axis=-1).reshape(-1, d + 1)
     header = "bin_center,density" if d == 1 else "x1_center,x2_center,density"
-    _write_csv(path, header, rows)
+    centers = snapshot.bin_centers().tolist()
+    _write_csv(path, header, [centers] * d, snapshot.values[..., None])
 
 
 def write_metrics_json(path, metrics: dict) -> None:

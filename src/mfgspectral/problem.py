@@ -149,14 +149,19 @@ class MFGProblem:
         return 1.0 / self.num_steps
 
 
-def _check_trajectories(x: np.ndarray, measure: DiscreteMeasure, num_steps: int):
+def _check_shapes(
+    a: np.ndarray, x: np.ndarray, measure: DiscreteMeasure, size: int, num_steps: int
+):
+    # (size, N) coefficient paths and (Q, N+1, d) trajectories
+    if a.shape != (size, num_steps):
+        raise ValueError(
+            f"coefficient path must have shape ({size}, {num_steps}), got {a.shape}"
+        )
     if x.shape != (measure.count, num_steps + 1, measure.dimension):
         raise ValueError(
             f"trajectories must have shape ({measure.count}, {num_steps + 1}, "
             f"{measure.dimension}), got {x.shape}"
         )
-    if not np.array_equal(x[:, 0, :], measure.points):
-        raise ValueError("initial trajectory slice must equal the particle grid")
 
 
 def moment_vector(
@@ -182,12 +187,9 @@ def saddle_value(
     """
     a = np.asarray(a, dtype=float)
     basis = problem.basis
-    if a.shape != (basis.size, problem.num_steps):
-        raise ValueError(
-            f"coefficient path must have shape ({basis.size}, "
-            f"{problem.num_steps}), got {a.shape}"
-        )
-    _check_trajectories(x, measure, problem.num_steps)
+    _check_shapes(a, x, measure, basis.size, problem.num_steps)
+    if not np.array_equal(x[:, 0, :], measure.points):
+        raise ValueError("initial trajectory slice must equal the particle grid")
     return _saddle_value(a, x, moment_vector(x, measure, basis), problem, measure)
 
 

@@ -33,6 +33,7 @@ from mfgspectral.problem import (
     MFGProblem,
     discretize_measure,
     moment_vector,
+    saddle_value,
 )
 
 
@@ -346,6 +347,24 @@ class TestStepX:
         assert out_sm.transpose(2, 1, 0).flags.c_contiguous
         np.testing.assert_array_equal(out_sm, out_c)
 
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("layout", ["slice-major", "C"])
+    def test_out_gives_the_allocating_bits(self, dimension, layout):
+        # out= writes slices 1..N of a slice-major buffer, leaves its slice
+        # 0 alone and returns it; the values are the allocating call's
+        rng = np.random.default_rng(26)
+        _, prob, m = TestSolve._forced_problem(dimension)
+        x = stationary(m, 5)
+        x[:, 1:, :] += rng.normal(scale=0.1, size=(m.count, 5, dimension))
+        if layout == "slice-major":
+            x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        a = rng.normal(size=(prob.kernel.size, 5))
+        expect = step_x(x, a, prob, m, omega=0.5)
+        out = np.full((dimension, 6, m.count), np.nan).transpose(2, 1, 0)
+        assert step_x(x, a, prob, m, omega=0.5, out=out) is out
+        assert np.isnan(out[:, 0]).all()
+        np.testing.assert_array_equal(out[:, 1:], expect[:, 1:])
+
 
 class TestProxX:
     def test_applier_returns_view_of_slice_major_memory(self):
@@ -366,6 +385,21 @@ class TestProxX:
             assert out.transpose(2, 1, 0).flags.c_contiguous
             np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("layout", ["slice-major", "C"])
+    def test_out_gives_the_allocating_bits(self, layout):
+        # into a slice-major array or its slices 1..N, as step_x writes it
+        n, q = 20, 50
+        prox = prox_x_operator(n, 0.05, 0.01, 30.0)
+        grad = np.random.default_rng(24).normal(size=(q, n, 2))
+        if layout == "slice-major":
+            grad = np.ascontiguousarray(grad.transpose(2, 1, 0)).transpose(2, 1, 0)
+        expect = prox(grad)
+        whole = np.empty((2, n, q)).transpose(2, 1, 0)
+        paths = np.empty((2, n + 1, q)).transpose(2, 1, 0)
+        for out in (whole, paths[:, 1:]):
+            assert prox(grad, out=out) is out
+            np.testing.assert_array_equal(out, expect)
 
     def test_zero_step_does_not_move(self):
         np.testing.assert_array_equal(
@@ -486,6 +520,38 @@ class TestFixedPointResidual:
         assert fixed_point_residual(np.zeros((4, 3)), x, ker, m) == pytest.approx(
             expect
         )
+
+
+    @pytest.mark.parametrize(
+        "a_shape, slices, message",
+        [
+            ((5, 1), 6, r"coefficient path must have shape \(5, 5\), got \(5, 1\)"),
+            ((5,), 6, r"coefficient path must have shape \(5, 5\), got \(5,\)"),
+            ((4, 5), 6, r"coefficient path must have shape \(5, 5\), got \(4, 5\)"),
+            ((5, 5), 5, r"coefficient path must have shape \(5, 4\), got \(5, 5\)"),
+        ],
+    )
+    def test_shapes_checked_as_saddle_value_checks_them(
+        self, a_shape, slices, message
+    ):
+        # N is read from the trajectories; saddle_value, which knows N, gives
+        # the same message where the trajectories have the right slice count
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
+        m = uniform_measure(4)
+        x = stationary(m, slices - 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fixed_point_residual(np.zeros(a_shape), x, ker, m)
+        if slices == 6:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                saddle_value(np.zeros(a_shape), x, make_problem(ker), m)
+
+    def test_trajectory_shape_checked(self):
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
+        m = uniform_measure(4)
+        x = stationary(m, 5)
+        for bad in (x[:3], x[..., 0], np.concatenate([x, x], axis=2)):
+            with pytest.raises(ValueError, match="^trajectories must have shape"):
+                fixed_point_residual(np.zeros((5, 5)), bad, ker, m)
 
 
 class TestSolve:
@@ -666,41 +732,123 @@ class TestSolve:
         np.testing.assert_array_equal(res.a, a)
         np.testing.assert_array_equal(res.x, x)
 
+    @staticmethod
+    def _heavy_ball_loop(prob, m, lam, omega, momentum, k):
+        # the solve written out from the public steps, on slice-major paths
+        # as in the solve, with its records: x_step is the larger particle
+        # displacement of the plain and the realized step, each the square
+        # root of the largest sum of squares over the axes, in axis order
+        def displacement(step):
+            squares = sum(step[..., e] ** 2 for e in range(step.shape[2]))
+            return math.sqrt(float(np.max(squares)))
+
+        ker = prob.kernel
+        a = np.zeros((ker.size, prob.num_steps))
+        x = stationary(m, prob.num_steps)
+        x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        p = q = moment_vector(x, m, ker.basis)
+        velocity = np.zeros_like(x[:, 1:])
+        taken, records = [], []
+        for i in range(1, k + 1):
+            a_new = step_a(a, q, ker, prob.dt, lam)
+            x_new = step_x(x, a_new, prob, m, omega)
+            plain = x_new[:, 1:] - x[:, 1:]
+            realized = plain
+            if momentum and float(np.sum(plain * velocity)) > 0.0:
+                realized = momentum * velocity + plain
+                x_new[:, 1:] += momentum * velocity
+            taken.append(realized is not plain)
+            a_step = float(np.max(np.abs(a_new - a)))
+            x_step = max(displacement(plain), displacement(realized))
+            velocity, x, a = realized, x_new, a_new
+            p_new = moment_vector(x, m, ker.basis)
+            p, q = p_new, step_z(p_new, p, 1.0)
+            records.append({
+                "iteration": i,
+                "saddle_value": saddle_value(a, x, prob, m),
+                "residual": fixed_point_residual(a, x, ker, m),
+                "a_step": a_step,
+                "x_step": x_step,
+            })
+        return a, x, records, taken
+
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_momentum_matches_heavy_ball_loop(self, dimension):
         # each step adds 0.9 times the last realized step while the plain
-        # step points along it; x_step is the larger of the two steps
-        ker, prob, m = self._forced_problem(dimension)
+        # step points along it; every record matches the written-out loop
+        _, prob, m = self._forced_problem(dimension)
         # at omega = 0.5 plain steps of these 5 particles alternate in sign
-        lam, omega, dt, k = 3.0, 0.2, prob.dt, 60
+        lam, omega, k = 3.0, 0.2, 60
         res = solve(prob, m, SolverConfig(
             lam=lam, omega=omega, max_iter=k, tol=0.0, momentum=0.9, record_every=1
         ))
-        a = np.zeros((ker.size, 5))
-        x = np.repeat(m.points[:, None, :], 6, axis=1)
-        p = q = moment_vector(x, m, ker.basis)
-        velocity = np.zeros_like(x[:, 1:])
-        taken, x_steps = [], []
-        for _ in range(k):
-            a = step_a(a, q, ker, dt, lam)
-            x_new = step_x(x, a, prob, m, omega)
-            plain = x_new[:, 1:] - x[:, 1:]
-            realized = plain
-            if float(np.sum(plain * velocity)) > 0.0:
-                realized = 0.9 * velocity + plain
-                x_new[:, 1:] += 0.9 * velocity
-            taken.append(realized is not plain)
-            x_steps.append(max(np.linalg.norm(plain, axis=2).max(),
-                               np.linalg.norm(realized, axis=2).max()))
-            velocity, x = realized, x_new
-            p_new = moment_vector(x, m, ker.basis)
-            p, q = p_new, step_z(p_new, p, 1.0)
+        a, x, records, taken = self._heavy_ball_loop(prob, m, lam, omega, 0.9, k)
         assert any(taken) and not all(taken[1:])  # both branches ran
         np.testing.assert_array_equal(res.a, a)
         np.testing.assert_array_equal(res.x, x)
-        np.testing.assert_allclose(
-            [r["x_step"] for r in res.diagnostics], x_steps, rtol=1e-9
-        )
+        assert res.diagnostics == records
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_lone_particle_2d_matches_written_out_loop(self, momentum):
+        # one particle (Q = 1) off the symmetry points of the 2d forcing
+        _, prob, _ = self._forced_problem(2)
+        m = DiscreteMeasure(points=np.array([[0.3, 0.65]]), weights=np.array([1.0]))
+        lam, omega, k = 3.0, 0.2, 30
+        res = solve(prob, m, SolverConfig(
+            lam=lam, omega=omega, max_iter=k, tol=0.0, momentum=momentum,
+            record_every=1,
+        ))
+        a, x, records, _ = self._heavy_ball_loop(prob, m, lam, omega, momentum, k)
+        assert res.x.shape == (1, prob.num_steps + 1, 2)
+        assert not np.array_equal(x[:, -1], m.points)  # the particle moved
+        np.testing.assert_array_equal(res.a, a)
+        np.testing.assert_array_equal(res.x, x)
+        assert res.diagnostics == records
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_one_iteration_matches_written_out_step(self, dimension):
+        # max_iter = 1: one step from the stationary start, one record
+        _, prob, m = self._forced_problem(dimension)
+        res = solve(prob, m, SolverConfig(
+            lam=3.0, omega=0.2, max_iter=1, tol=0.0, momentum=0.9
+        ))
+        a, x, records, _ = self._heavy_ball_loop(prob, m, 3.0, 0.2, 0.9, 1)
+        assert res.iterations == 1 and not res.converged
+        np.testing.assert_array_equal(res.a, a)
+        np.testing.assert_array_equal(res.x, x)
+        assert res.diagnostics == records
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_steps_called_through_the_module_once_per_iteration(
+        self, monkeypatch, dimension
+    ):
+        # bench/layers.py times pdhg.step_a, step_x and step_z, and
+        # bench/hostspeed.py runs its reference stints from a wrapper on
+        # pdhg.step_z: each must stay one call per iteration, made through
+        # the module namespace, with x and a_new the first two arguments of
+        # step_x
+        calls = {"step_a": 0, "step_x": 0, "step_z": 0}
+
+        def counting(name):
+            real = getattr(pdhg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if name == "step_x":
+                    x, a_new = args[:2]
+                    assert x.shape == (m.count, prob.num_steps + 1, dimension)
+                    assert a_new.shape == (ker.size, prob.num_steps)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(pdhg, name, counting(name))
+        ker, prob, m = self._forced_problem(dimension)
+        k = 25
+        cfg = SolverConfig(lam=3.0, omega=0.2, max_iter=k, tol=0.0, momentum=0.9)
+        assert solve(prob, m, cfg).iterations == k
+        assert calls == {"step_a": k, "step_x": k, "step_z": k}
 
     def test_momentum_stop_bounds_plain_and_realized_steps(self):
         # the converged solve's last step: realized from the (k-1)-iteration
@@ -866,14 +1014,18 @@ class TestSolve:
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
         prob = make_problem(ker, N=3)
         m = uniform_measure(4)
-        cfg = SolverConfig(
-            lam=3.0, omega=1.0 / 12.0, max_iter=20, tol=0.0, record_every=5
-        )
         path = tmp_path / "diag.jsonl"
-        res = solve(prob, m, cfg, diagnostics_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert [json.loads(line) for line in lines] == res.diagnostics
-        assert [r["iteration"] for r in res.diagnostics] == [5, 10, 15, 20]
+        for record_every in (1, 5):
+            cfg = SolverConfig(
+                lam=3.0, omega=1.0 / 12.0, max_iter=20, tol=0.0,
+                record_every=record_every,
+            )
+            res = solve(prob, m, cfg, diagnostics_path=path)
+            lines = path.read_text().strip().splitlines()
+            assert [json.loads(line) for line in lines] == res.diagnostics
+            assert [r["iteration"] for r in res.diagnostics] == list(
+                range(record_every, 21, record_every)
+            )
         # plain Python scalars under the five keys, so the records serialize
         scalar_types = {
             "iteration": int, "saddle_value": float, "residual": float,
