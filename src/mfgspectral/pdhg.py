@@ -29,21 +29,22 @@ step-norm stagnation; the fixed-point residual is tracked as a diagnostic
 because the coupling is not bilinear and carries no convergence
 guarantee.
 
-The solve keeps its trajectories slice-major: (d, N+1, Q) memory, used
-through its (Q, N+1, d) transpose view, so every shape in the API is the
-usual one. The table call reads the (d, N, Q) coordinates and the
-shared kinetic solve reads (N, Q) rows of one coordinate, both of which
-this layout holds contiguously; the returned trajectories are
-C-contiguous again.
+Trajectories are slice-major: (d, N+1, Q) memory, used through its
+(Q, N+1, d) transpose view, so every shape in the API is the usual one.
+The table call reads the (d, N, Q) coordinates and the shared kinetic
+solve, d batched (N, N) x (N, Q) products, reads and writes (N, Q) rows
+of one coordinate, all of which this layout holds contiguously. The
+paths of :func:`step_x` and the trajectories of :class:`SolverResult`
+are such views; ``np.ascontiguousarray`` gives C order. :func:`step_x`
+gives the same paths, bit for bit, for ``x`` of either layout.
 
 Each solve makes one workspace before its first step, and the loop
 writes every per-iteration array of the trajectories into it: two
-slice-major trajectory buffers used in turn, whose slice 0 is written
-once (:func:`step_x` writes slices 1..N of the new paths into the one
-passed as ``out``, and the kinetic solve writes straight into it); the
-plain step, the velocity and a spare, swapped between iterations; and
-scratch for the step norms. The step norms and the divergence check
-reduce with ufunc ``reduce`` calls and make no temporaries. The
+trajectory buffers used in turn, whose slice 0 is written once
+(:func:`step_x` writes slices 1..N of the new paths into the one passed
+as ``out``); the plain step and the velocity; and scratch for the step
+norms. The step norms and the divergence check reduce with ufunc
+``reduce`` calls and make no temporaries. The
 :class:`~mfgspectral.basis.SliceTables` keep their own buffers. Each
 iteration still allocates the trajectory gradient
 (:func:`~mfgspectral.problem.action_gradient` makes its kinetic
@@ -62,7 +63,9 @@ displacement of the plain and the realized step, so a converged solve
 certifies what the plain iteration's does: neither step moved a particle
 by more than the tolerance. The velocity holds slices 1..N only, in the
 (d, N, Q) memory of the plain step, so their inner product reads both
-contiguously. With m = 0 (the default) the two steps are one, no extra
+contiguously. When the heavy ball goes on, the velocity turns into the
+realized step in place; otherwise the plain step's buffer becomes the
+velocity. With m = 0 (the default) the two steps are one, no extra
 operation runs and the iteration is the paper's PDHG.
 
 :class:`SolverConfig` owns the iteration's defaults and range checks.
@@ -89,7 +92,7 @@ from .problem import (
     DiscreteMeasure,
     DivergenceError,
     MFGProblem,
-    _check_shapes,
+    _check_coefficients,
     _saddle_value,
     action_gradient,
     moment_vector,
@@ -142,8 +145,7 @@ class SolverConfig:
 class SolverResult:
     """Final iterates of :func:`solve` and its list of record dicts.
 
-    ``x`` is a C-contiguous (Q, N+1, d) array, copied once from the solve's
-    slice-major trajectories.
+    ``x`` is the (Q, N+1, d) view of the solve's slice-major trajectories.
     """
 
     a: np.ndarray
@@ -188,7 +190,7 @@ def step_a(
 
 
 def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0.0):
-    """Invert (Id + (step / dt) L + D) once; returns grad -> step * inverse @ grad.
+    """The (N, N) matrix step * (Id + (step / dt) L + D)^-1.
 
     L is the N x N Laplacian of the kinetic term over slices 1..N, with
     slice 0 pinned and a free end at slice N. D is zero but for its last
@@ -196,16 +198,7 @@ def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0
     whose gradient is ``curvature``-Lipschitz acts, takes the step
     min(step, 1 / curvature) and every other slice ``step``; with
     step * curvature <= 1 the matrix is Id + (step / dt) L exactly.
-    ``step`` and ``curvature`` must be nonnegative and finite. The applier
-    takes (Q, N, d) arrays and multiplies every particle's path on every
-    axis by the scaled inverse, as d batched (N, N) x (N, Q) matrix
-    products on (d, N, Q) memory; it returns the (Q, N, d) view of that
-    memory. A slice-major gradient (see
-    :func:`solve`) is read in place, and a C-order one is copied first, so
-    both layouts give the same result bit for bit. With ``out``, a (Q, N,
-    d) view of memory whose (d, N, Q) transpose holds each axis as one
-    C-order (N, Q) block (a slice-major array or its slices 1..N), the
-    products are written there, with the same bits, and ``out`` is returned.
+    ``step`` and ``curvature`` must be nonnegative and finite.
     """
     for name, value in (("step", step), ("curvature", curvature)):
         if not (math.isfinite(value) and value >= 0):
@@ -214,16 +207,7 @@ def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0
     lap[-1, -1] = 1.0
     system = np.eye(num_steps) + (step / dt) * lap
     system[-1, -1] += max(0.0, step * curvature - 1.0)
-    inverse = step * np.linalg.inv(system)
-
-    def apply(grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
-        if out is None:
-            return np.matmul(inverse, columns).transpose(2, 1, 0)
-        np.matmul(inverse, columns, out=out.transpose(2, 1, 0))
-        return out
-
-    return apply
+    return step * np.linalg.inv(system)
 
 
 def step_x(
@@ -253,14 +237,13 @@ def step_x(
     coupling from ``tables`` when given) and P = (Id + omega / (Q dt) L +
     D)^-1 shared by all particles, D the last-slice term of
     :func:`prox_x_operator`, so an unforced stationary path stays
-    bit-exact; ``prox`` applies (omega / Q) P, as built by
+    bit-exact; ``prox`` is the matrix (omega / Q) P, built by
     ``prox_x_operator(N, dt, omega / Q, c)`` when not given. Slice 0 stays
-    pinned. The new paths keep the memory layout of ``x``: slice-major in,
-    slice-major out (as in :func:`solve`), C order in, C order out; the
-    values do not depend on the layout. With ``out``, a slice-major (Q,
-    N+1, d) array other than ``x``, slices 1..N of the new paths are
-    written into it, with the same bits, and it is returned; its slice 0
-    is not touched, so the caller keeps it equal to that of ``x``.
+    pinned. The new paths are slice-major (see the module docstring),
+    whatever the layout of ``x``. With ``out``, a slice-major (Q, N+1, d)
+    array other than ``x``, slices 1..N of the new paths are written into
+    it and it is returned; its slice 0 is not touched, so the caller keeps
+    it equal to that of ``x``.
     """
     if prox is None:
         prox = prox_x_operator(
@@ -269,12 +252,11 @@ def step_x(
         )
     grad = action_gradient(x, a_new, problem, tables)
     if out is None:
-        out = np.empty_like(x)  # in the memory layout of x
-        out[:, 0, :] = x[:, 0, :]
-        move = prox(grad)
-    else:  # slice-major: the kinetic solve writes straight into out
-        move = prox(grad, out=out[:, 1:, :])
-    np.subtract(x[:, 1:, :], move, out=out[:, 1:, :])
+        out = np.empty(x.shape[::-1]).transpose(2, 1, 0)
+        out[:, 0] = x[:, 0]
+    columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
+    np.matmul(prox, columns, out=out[:, 1:].transpose(2, 1, 0))
+    np.subtract(x[:, 1:], out[:, 1:], out=out[:, 1:])
     return out
 
 
@@ -305,13 +287,9 @@ def fixed_point_residual(
     messages of :func:`~mfgspectral.problem.saddle_value`.
     """
     a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 3:
-        num_steps = max(x.shape[1] - 1, 1)
-    else:  # x is rejected; N for the message comes from a when it can
-        num_steps = a.shape[1] if a.ndim == 2 else 1
-    _check_shapes(a, x, measure, kernel.size, num_steps)
-    return _residual(a, moment_vector(x, measure, kernel.basis), kernel)
+    p = moment_vector(x, measure, kernel.basis)
+    _check_coefficients(a, *p.shape)
+    return _residual(a, p, kernel)
 
 
 def _residual(a: np.ndarray, p: np.ndarray, kernel: SpectralKernel) -> float:
@@ -354,9 +332,8 @@ def solve(
     ``diagnostics_path`` when set. A non-finite or unbounded step raises
     :class:`~mfgspectral.problem.DivergenceError`, carrying the records
     so far, before it is committed to the iterates; with momentum the
-    check reads the paths after the heavy-ball term. The iterates ``x``
-    live in slice-major (d, N+1, Q) memory throughout (see the module
-    docstring), and the result holds a C-contiguous copy.
+    check reads the paths after the heavy-ball term. The result holds the
+    solve's last slice-major trajectory buffer (see the module docstring).
     """
     if measure.dimension != problem.dimension:
         raise ValueError("measure dimension does not match the problem")
@@ -372,8 +349,8 @@ def solve(
     x, x_new = slice_major(n + 1), slice_major(n + 1)  # used in turn
     x[...] = measure.points[:, None, :]
     x_new[:, 0, :] = measure.points  # slice 0, never written again
-    # the plain step, the velocity (the last realized step) and a spare
-    plain, velocity, spare = slice_major(n), slice_major(n), slice_major(n)
+    # the plain step and the velocity (the last realized step)
+    plain, velocity = slice_major(n), slice_major(n)
     velocity[...] = 0.0
     square = np.empty((d, n, count))  # x_step's scratch
     a_change = np.empty((size, n))  # a_step's scratch
@@ -400,13 +377,13 @@ def solve(
                 tables=tables, out=x_new,
             )
             moved = np.subtract(x_new[:, 1:], x[:, 1:], out=plain)  # slice 0 stays
-            realized = moved
             # einsum walks both operands in memory order and, unlike BLAS dot,
             # starts no threads (waking them cost a paper-2d-a solve 12 ms on 2 CPUs)
-            if config.momentum and np.einsum("qnd,qnd->", moved, velocity) > 0.0:
-                realized = np.multiply(velocity, config.momentum, out=spare)
-                x_new[:, 1:] += realized
-                realized += moved
+            heavy = config.momentum and np.einsum("qnd,qnd->", moved, velocity) > 0.0
+            if heavy:  # the velocity becomes the realized step
+                velocity *= config.momentum
+                x_new[:, 1:] += velocity
+                velocity += moved
             # checked before the tables see x_new; NaN and inf fail too
             if not (_bounded(a_new) and _bounded(x_new)):
                 raise DivergenceError(
@@ -418,11 +395,10 @@ def solve(
             np.subtract(a_new, a, out=a_change)
             a_step = float(_amax(np.abs(a_change, out=a_change), None))
             x_step = _max_displacement(moved, square)
-            if realized is moved:
-                plain, velocity = velocity, moved
-            else:  # the heavy ball went on
-                x_step = max(x_step, _max_displacement(realized, square))
-                spare, velocity = velocity, realized
+            if heavy:
+                x_step = max(x_step, _max_displacement(velocity, square))
+            else:
+                plain, velocity = velocity, plain
             tables.rebuild(x_new[:, 1:])
             p_new = tables.moments(measure.weights)
             q = step_z(p_new, p, config.theta)
@@ -452,7 +428,7 @@ def solve(
 
     return SolverResult(
         a=a,
-        x=np.ascontiguousarray(x),
+        x=x,
         iterations=iteration,
         converged=last_step <= config.tol,
         diagnostics=records,

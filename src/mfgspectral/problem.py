@@ -149,14 +149,16 @@ class MFGProblem:
         return 1.0 / self.num_steps
 
 
-def _check_shapes(
-    a: np.ndarray, x: np.ndarray, measure: DiscreteMeasure, size: int, num_steps: int
-):
-    # (size, N) coefficient paths and (Q, N+1, d) trajectories
+def _check_coefficients(a: np.ndarray, size: int, num_steps: int):
+    # (size, N) coefficient paths
     if a.shape != (size, num_steps):
         raise ValueError(
             f"coefficient path must have shape ({size}, {num_steps}), got {a.shape}"
         )
+
+
+def _check_trajectories(x: np.ndarray, measure: DiscreteMeasure, num_steps: int):
+    # (Q, N+1, d) trajectories
     if x.shape != (measure.count, num_steps + 1, measure.dimension):
         raise ValueError(
             f"trajectories must have shape ({measure.count}, {num_steps + 1}, "
@@ -171,8 +173,12 @@ def moment_vector(
 
     Entry (k, i) is sum_alpha c_alpha phi_k(x_alpha at slice i+1), contracted
     slice by slice against per-axis tables
-    (:meth:`~mfgspectral.basis.SliceTables.moments`).
+    (:meth:`~mfgspectral.basis.SliceTables.moments`). ``x`` holds (Q, N+1,
+    d) trajectories with N >= 1, N read from ``x``; other shapes raise
+    ValueError.
     """
+    x = np.asarray(x, dtype=float)
+    _check_trajectories(x, measure, max(x.shape[1] - 1, 1) if x.ndim > 1 else 1)
     return SliceTables(basis, x[:, 1:]).moments(measure.weights)
 
 
@@ -187,7 +193,8 @@ def saddle_value(
     """
     a = np.asarray(a, dtype=float)
     basis = problem.basis
-    _check_shapes(a, x, measure, basis.size, problem.num_steps)
+    _check_coefficients(a, basis.size, problem.num_steps)
+    _check_trajectories(x, measure, problem.num_steps)
     if not np.array_equal(x[:, 0, :], measure.points):
         raise ValueError("initial trajectory slice must equal the particle grid")
     return _saddle_value(a, x, moment_vector(x, measure, basis), problem, measure)
@@ -252,13 +259,15 @@ def best_response(a: np.ndarray, x0, problem: MFGProblem):
     whenever it would raise that particle's action, so each value is the
     action of a real path: an upper bound on the particle's discrete value,
     the same in a batch of any size, as :func:`action` and
-    :func:`action_gradient` are (the trajectory step's kinetic solve,
-    :func:`~mfgspectral.pdhg.prox_x_operator`, is not). A particle stops
-    after 5000 accepted steps or once a step moves it less than 1e-10; each
-    round evaluates only the particles still descending. Returns the
+    :func:`action_gradient` are (the batched kinetic solve of
+    :func:`~mfgspectral.pdhg.step_x` is not). A particle stops after 5000
+    accepted steps or once a step moves it less than 1e-10; each round
+    evaluates only the particles still descending. ``a`` must have shape
+    (size, N) and ``x0`` (Q, d), or ValueError is raised. Returns the
     (Q, N+1, d) paths and their (Q,) actions.
     """
     a = np.asarray(a, dtype=float)
+    _check_coefficients(a, problem.basis.size, problem.num_steps)
     start = np.asarray(x0, dtype=float)
     if start.ndim != 2 or start.shape[1] != problem.dimension:
         raise ValueError(

@@ -3,8 +3,7 @@
 Each criterion prints one `[acceptance] ... PASS/FAIL` line (run with
 `pytest -s tests/test_acceptance.py` to see them while passing) and
 asserts its stated tolerance. Long runs are shared through module-scoped
-fixtures; the full suite takes about half a minute, dominated by the 2d
-experiment.
+fixtures; the 11 criteria take about half a second on 2 CPUs.
 """
 
 import math

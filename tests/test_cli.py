@@ -24,8 +24,20 @@ from mfgspectral.cli import (
     run,
     validate_config,
 )
-from mfgspectral.pdhg import DIVERGENCE_LIMIT, solve, step_x
-from mfgspectral.problem import DivergenceError
+from mfgspectral.pdhg import DIVERGENCE_LIMIT, fixed_point_residual, solve, step_x
+from mfgspectral.postprocess import (
+    density_histogram,
+    straightness_metric,
+    symmetry_defect,
+    write_trajectories_csv,
+)
+from mfgspectral.problem import (
+    DivergenceError,
+    action,
+    action_gradient,
+    moment_vector,
+    saddle_value,
+)
 
 ARTIFACTS = ["trajectories.csv", "diagnostics.jsonl", "metrics.json"]
 INFO_KEYS = ["basis_size", "dimension", "eigenvalues", "epsilon", "min_eigenvalue"]
@@ -677,6 +689,47 @@ class TestKernelInfo:
 
 
 class TestRun:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_readers_of_the_result_agree_on_either_layout(self, tmp_path, preset):
+        # result.x is slice-major: a (Q, N+1, d) view of (d, N+1, Q) memory.
+        # What run() reads from it gives the bits of a C-order copy, on 5
+        # random states per preset; saddle_value and action sum the kinetic
+        # terms in memory order, so there the layouts agree to the rounding
+        # of those sums
+        cfg = validate_config(load_config_source(preset))
+        problem, measure = build_problem(cfg)
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            c_order = np.repeat(measure.points[:, None, :], cfg.N + 1, axis=1)
+            c_order[:, 1:] += rng.normal(scale=0.3, size=c_order[:, 1:].shape)
+            a = rng.normal(size=(problem.basis.size, cfg.N))
+            slice_major = np.ascontiguousarray(c_order.transpose(2, 1, 0))
+            layouts = (c_order, slice_major.transpose(2, 1, 0))
+            readers = [
+                lambda x: moment_vector(x, measure, problem.basis),
+                lambda x: fixed_point_residual(a, x, problem.kernel, measure),
+                lambda x: action_gradient(x, a, problem),
+                lambda x: symmetry_defect(x, measure),
+                lambda x: straightness_metric(x)[0],
+            ] + [
+                lambda x, i=i: density_histogram(x, measure, i, cfg.bins).values
+                for i in cfg.density_slices
+            ]
+            for read in readers:
+                np.testing.assert_array_equal(*(read(x) for x in layouts))
+            paths = [tmp_path / "c.csv", tmp_path / "slice-major.csv"]
+            for path, x in zip(paths, layouts):
+                write_trajectories_csv(path, x)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            kinetic = np.sum(np.diff(c_order, axis=1) ** 2) / (2.0 * problem.dt)
+            for read in (
+                lambda x: saddle_value(a, x, problem, measure),
+                lambda x: action(x, a, problem),
+            ):
+                np.testing.assert_allclose(
+                    *(read(x) for x in layouts), rtol=1e-14, atol=1e-15 * kinetic
+                )
+
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "run1"
         path = write_config(tmp_path, tiny_config(out))

@@ -321,9 +321,9 @@ class TestStepX:
         np.testing.assert_array_equal(out_perm, out[perm])
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
-    def test_output_keeps_input_layout(self, dimension):
-        # a slice-major x (a (Q, N+1, d) view of (d, N+1, Q) memory, as in
-        # solve) gives slice-major paths, a C-order x C-order ones, same values
+    def test_either_layout_gives_slice_major_paths(self, dimension):
+        # a C-order x and a slice-major one (a (Q, N+1, d) view of (d, N+1,
+        # Q) memory, as in solve) give the same bits, both slice-major
         rng = np.random.default_rng(21)
         if dimension == 1:
             ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 5)
@@ -343,8 +343,9 @@ class TestStepX:
         slice_major = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
         out_c = step_x(x, a, prob, m, omega=0.5)
         out_sm = step_x(slice_major, a, prob, m, omega=0.5)
-        assert out_c.flags.c_contiguous
-        assert out_sm.transpose(2, 1, 0).flags.c_contiguous
+        for out in (out_c, out_sm):
+            assert out.shape == x.shape
+            assert out.transpose(2, 1, 0).flags.c_contiguous
         np.testing.assert_array_equal(out_sm, out_c)
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
@@ -367,44 +368,39 @@ class TestStepX:
 
 
 class TestProxX:
-    def test_applier_returns_view_of_slice_major_memory(self):
-        # C-order and slice-major gradients give the same (Q, N, d) view of
-        # (d, N, Q) memory, holding step (Id + (step / dt) L)^-1 grad; at
-        # these (paper-1d) sizes a strided product would differ in last bits
-        n, q, dt, step = 20, 50, 0.05, 0.01
+    def test_matrix_is_the_scaled_inverse(self):
+        # step (Id + (step / dt) L)^-1, L the Laplacian with a free last slice
+        n, dt, step = 20, 0.05, 0.01
         lap = np.diag([2.0] * (n - 1) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
-        inverse = step * np.linalg.inv(np.eye(n) + (step / dt) * lap)
-        grad = np.random.default_rng(22).normal(size=(q, n, 2))
-        expect = np.einsum("ij,qjd->qid", inverse, grad)
-        prox = prox_x_operator(n, dt, step)
-        slice_major = np.ascontiguousarray(grad.transpose(2, 1, 0)).transpose(2, 1, 0)
-        outs = [prox(grad), prox(slice_major)]
-        for out in outs:
-            assert out.shape == (q, n, 2)
-            assert out.base is not None and out.base.shape == (2, n, q)
-            assert out.transpose(2, 1, 0).flags.c_contiguous
-            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(outs[0], outs[1])
+        matrix = prox_x_operator(n, dt, step)
+        assert type(matrix) is np.ndarray and matrix.shape == (n, n)
+        np.testing.assert_array_equal(
+            matrix, step * np.linalg.inv(np.eye(n) + (step / dt) * lap)
+        )
 
     @pytest.mark.parametrize("layout", ["slice-major", "C"])
     def test_out_gives_the_allocating_bits(self, layout):
-        # into a slice-major array or its slices 1..N, as step_x writes it
+        # applied as step_x applies it, into a slice-major array or its
+        # slices 1..N, the matrix gives the bits of a plain product of the
+        # C-order gradient; at these (paper-1d) sizes a product read in
+        # another order would differ in last bits
         n, q = 20, 50
-        prox = prox_x_operator(n, 0.05, 0.01, 30.0)
+        matrix = prox_x_operator(n, 0.05, 0.01, 30.0)
         grad = np.random.default_rng(24).normal(size=(q, n, 2))
+        expect = np.matmul(matrix, grad.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
         if layout == "slice-major":
             grad = np.ascontiguousarray(grad.transpose(2, 1, 0)).transpose(2, 1, 0)
-        expect = prox(grad)
         whole = np.empty((2, n, q)).transpose(2, 1, 0)
         paths = np.empty((2, n + 1, q)).transpose(2, 1, 0)
         for out in (whole, paths[:, 1:]):
-            assert prox(grad, out=out) is out
+            np.matmul(
+                matrix, np.ascontiguousarray(grad.transpose(2, 1, 0)),
+                out=out.transpose(2, 1, 0),
+            )
             np.testing.assert_array_equal(out, expect)
 
     def test_zero_step_does_not_move(self):
-        np.testing.assert_array_equal(
-            prox_x_operator(3, 0.5, 0.0)(np.ones((2, 3, 1))), np.zeros((2, 3, 1))
-        )
+        np.testing.assert_array_equal(prox_x_operator(3, 0.5, 0.0), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("step", [-0.1, -math.inf, math.inf, math.nan])
     def test_bad_step_rejected(self, step):
@@ -423,14 +419,16 @@ class TestProxX:
         lap = np.diag([2.0] * (n - 1) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
         system = np.eye(n) + (step / dt) * lap
         system[-1, -1] += step * c - 1.0
-        grad = np.random.default_rng(23).normal(size=(4, n, 1))
-        expect = np.einsum("ij,qjd->qid", step * np.linalg.inv(system), grad)
-        out = prox_x_operator(n, dt, step, c)(grad)
-        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
-        # with no kinetic coupling the last slice moves by grad / c
-        lone = prox_x_operator(n, 1e300, step, c)(grad)
-        np.testing.assert_allclose(lone[:, -1], grad[:, -1] / c, rtol=1e-15)
-        np.testing.assert_allclose(lone[:, :-1], step * grad[:, :-1], rtol=1e-15)
+        np.testing.assert_allclose(
+            prox_x_operator(n, dt, step, c), step * np.linalg.inv(system),
+            rtol=0, atol=1e-15,
+        )
+        # with no kinetic coupling the last slice moves by 1 / c per unit
+        # gradient, every other slice by step
+        lone = prox_x_operator(n, 1e300, step, c)
+        np.testing.assert_allclose(
+            lone, np.diag([step] * (n - 1) + [1.0 / c]), rtol=1e-15, atol=1e-300
+        )
 
 
 def test_coupling_terms_build_no_basis_tensors():
@@ -608,39 +606,59 @@ class TestSolve:
         gradU = lambda p: -10.0 * p
         prob = make_problem(ker, U=U, gradU=gradU, N=5)
         m = uniform_measure(4)
-        cfg = SolverConfig(
-            lam=3.0, omega=1.0 / 12.0, max_iter=5000, tol=1e-12, record_every=1
-        )
-        with pytest.raises(DivergenceError) as err:
-            solve(prob, m, cfg)
-        iterations = [r["iteration"] for r in err.value.diagnostics]
-        assert iterations == list(range(1, err.value.iteration))
+        failing = []
+        for momentum in (0.0, 0.9):  # the heavy ball scales its velocity first
+            cfg = SolverConfig(
+                lam=3.0, omega=1.0 / 12.0, max_iter=5000, tol=1e-12,
+                record_every=1, momentum=momentum,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as err:
+                    solve(prob, m, cfg)
+            iterations = [r["iteration"] for r in err.value.diagnostics]
+            assert iterations == list(range(1, err.value.iteration))
+            failing.append(err.value.iteration)
+        assert failing[1] < failing[0]  # the heavy ball went on
 
     def test_non_finite_step_raises_before_commit(self):
         # from its 5th call the terminal gradient is infinite for one
         # particle: the step must stop with DivergenceError, before the
-        # infinite coordinates reach the basis tables and warn there
+        # infinite coordinates reach the basis tables and warn there. Under
+        # momentum the wave's plain steps alternate in sign, so the heavy
+        # ball restarts; the outward push keeps them aligned, so the heavy
+        # ball goes on into the infinite step
         ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)
-        calls = []
-
-        def gradU(p):
-            calls.append(None)
-            g = (4 * np.pi * np.cos(4 * np.pi * p[:, 0]))[:, None]
-            if len(calls) >= 5:
-                g[2] = np.inf
-            return g
-
-        prob = make_problem(ker, U=lambda p: np.sin(4 * np.pi * p[:, 0]), gradU=gradU)
         m = uniform_measure(4)
-        cfg = SolverConfig(
-            lam=3.0, omega=1.0 / 12.0, max_iter=100, tol=0.0, record_every=1
+        wave = (
+            lambda p: np.sin(4 * np.pi * p[:, 0]),
+            lambda p: (4 * np.pi * np.cos(4 * np.pi * p[:, 0]))[:, None],
+            np.inf,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError) as err:
-                solve(prob, m, cfg)
-        assert err.value.iteration == 5
-        assert [r["iteration"] for r in err.value.diagnostics] == [1, 2, 3, 4]
+        outward = (lambda p: -5.0 * p[:, 0] ** 2, lambda p: -10.0 * p, -np.inf)
+        for momentum, (U, gradU, infinity) in (
+            (0.0, wave), (0.9, wave), (0.9, outward)
+        ):
+            calls = []
+
+            def forcing(p):
+                calls.append(None)
+                g = gradU(p)
+                if len(calls) >= 5:
+                    g[2] = infinity
+                return g
+
+            prob = make_problem(ker, U=U, gradU=forcing)
+            cfg = SolverConfig(
+                lam=3.0, omega=1.0 / 12.0, max_iter=100, tol=0.0, record_every=1,
+                momentum=momentum,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as err:
+                    solve(prob, m, cfg)
+            assert err.value.iteration == 5
+            assert [r["iteration"] for r in err.value.diagnostics] == [1, 2, 3, 4]
 
     def test_unbounded_coefficients_raise(self, monkeypatch):
         # |a| is bounded as well as |x|: the third coefficient step jumps
@@ -882,16 +900,16 @@ class TestSolve:
         assert all(r["x_step"] == 0.0 for r in res.diagnostics)
 
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
-    def test_slice_major_inside_c_order_result(self, monkeypatch, dimension):
-        # every step_x of the solve sees (d, N+1, Q) memory; the result is
-        # one C-contiguous copy with slice 0 pinned to the grid
-        layouts = []
+    def test_result_is_the_slice_major_workspace(self, monkeypatch, dimension):
+        # every step_x of the solve reads and writes (d, N+1, Q) memory, two
+        # buffers used in turn, and the result is the last one written, with
+        # slice 0 pinned to the grid
+        calls = []
         real = pdhg.step_x
 
         def recording(x, *args, **kwargs):
-            layouts.append(x.transpose(2, 1, 0).flags.c_contiguous)
             out = real(x, *args, **kwargs)
-            layouts.append(out.transpose(2, 1, 0).flags.c_contiguous)
+            calls.append((x, out))
             return out
 
         monkeypatch.setattr(pdhg, "step_x", recording)
@@ -907,8 +925,14 @@ class TestSolve:
             lambda p: 0.4 + np.sin(np.pi * p[:, 0]) ** 2, 5, dimension
         )
         res = solve(prob, m, SolverConfig(lam=3.0, omega=0.5, max_iter=5, tol=0.0))
-        assert layouts == [True] * 10
-        assert res.x.flags.c_contiguous
+        assert len(calls) == 5
+        for x, out in calls:
+            assert x.transpose(2, 1, 0).flags.c_contiguous
+            assert out.transpose(2, 1, 0).flags.c_contiguous
+        for (_, first), (x, second) in zip(calls, calls[1:]):
+            assert x is first and not np.shares_memory(first, second)
+        assert np.shares_memory(calls[0][1], calls[2][1])
+        assert res.x is calls[-1][1]
         assert res.x.shape == (m.count, 5, dimension)
         np.testing.assert_array_equal(res.x[:, 0, :], m.points)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,27 @@ class TestMomentVector:
         p = moment_vector(x, m, ker.basis)
         assert np.max(np.abs(p)) <= SQRT2 + 1e-12
 
+    @pytest.mark.parametrize(
+        "dimension, shape, expect",
+        [
+            (1, (5, 1, 1), (5, 2, 1)),
+            (2, (9, 1, 2), (9, 2, 2)),
+            (1, (4, 3, 1), (5, 3, 1)),
+            (2, (8, 3, 2), (9, 3, 2)),
+        ],
+        ids=["one-slice-1d", "one-slice-2d", "particles-1d", "particles-2d"],
+    )
+    def test_trajectory_shape_checked(self, dimension, shape, expect):
+        # one slice leaves no moving slice to take moments of, and the
+        # particle count must be the measure's
+        ker = gaussian_spectral(GaussianKernelSpec(0.2, 0.5, dimension=dimension), 3)
+        m = discretize_measure(
+            lambda p: np.ones(p.shape[0]), 5 if dimension == 1 else 3, dimension
+        )
+        message = f"trajectories must have shape {expect}, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            moment_vector(np.zeros(shape), m, ker.basis)
+
 
 class TestDiscreteValue:
     def test_constant_terminal_cost(self):
@@ -563,3 +585,12 @@ class TestBestResponse:
             best_response(np.zeros((1, 3)), [0.3], prob)
         with pytest.raises(ValueError, match="starting points"):
             best_response(np.zeros((1, 3)), [[0.3, 0.4]], prob)
+
+    @pytest.mark.parametrize(
+        "a_shape", [(3, 2), (4, 3), (4,)], ids=["size", "slices", "flat"]
+    )
+    def test_coefficient_shape_checked(self, a_shape):
+        prob = make_problem(gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4), N=2)
+        message = f"coefficient path must have shape (4, 2), got {a_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            best_response(np.zeros(a_shape), [[0.3], [0.6]], prob)
