@@ -20,7 +20,10 @@ The quadrature (:func:`fourier_coefficients`) takes one path in both
 dimensions: it evaluates the kernel on the tensor grid in row blocks of
 at most 2^16 point pairs, so the kernel's temporaries stay in cache and
 memory does not grow with the square of the grid, and it rejects kernel
-values of the wrong shape or that are not finite.
+values of the wrong shape or that are not finite. The blocks it hands
+the kernel are read-only views of one coordinate-major grid, (g^d, d)
+in shape but (d, g^d) in memory, so in 2d the kernel's differences and
+per-coordinate slices run along contiguous rows of g^2 values.
 """
 
 from __future__ import annotations
@@ -230,7 +233,10 @@ def _gauss_axis(spec: GaussianKernelSpec, t: np.ndarray) -> np.ndarray:
 
 
 # Point pairs per kernel call: 512 KB per float array of a block, which
-# stays in a 2 MiB L2; 2^15 and 2^17 pairs were both slower at g = 40 in 2d.
+# stays in a 2 MiB L2. At g = 40 in 2d, 2^14 and 2^15 pairs build a few
+# percent faster (min 81 ms each against 84 ms, 2-CPU host) but change the
+# last bits of 769 of the 784 coefficients at r = 8, and 2^17 is slower
+# (96 ms): kept at 2^16 until a change that moves K anyway.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -245,8 +251,12 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     blocks of grid rows, with x of shape (rows, 1) and y of shape (1, g)
     in 1d, and x of shape (rows, 1, 2) and y of shape (1, g^2, 2) in 2d
     (coordinate pairs in the last axis); it must return (rows, g^d) finite
-    values, or ValueError is raised. A block holds at most 2^16 pairs, so
-    the kernel values take O(block) memory rather than O(g^(2d)).
+    values, or ValueError is raised. x and y are read-only views of the
+    grid, coordinate-major in 2d (the coordinate axis has the largest
+    stride); a kernel that needs C order or wants to write into them
+    calls ``np.ascontiguousarray`` or ``.copy()``. A block holds at most
+    2^16 pairs, so the kernel values take O(block) memory rather than
+    O(g^(2d)).
     """
     _check_int("num_points", num_points)
     if num_points < 4 * basis.truncation:
@@ -256,7 +266,9 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
         )
     axis = np.arange(num_points) / num_points
     grids = np.meshgrid(*(axis,) * basis.dimension, indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, basis.dimension)  # (g^d, d)
+    # (g^d, d) view of (d, g^d) memory: each coordinate contiguous
+    pts = np.stack(grids).reshape(basis.dimension, -1).T
+    pts.flags.writeable = False  # the kernel gets views of it
     phi = eval_all(basis, pts)  # (g^d, size)
     if basis.dimension == 1:
         pts = pts[:, 0]

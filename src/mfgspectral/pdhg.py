@@ -61,12 +61,14 @@ momentum changes the path to a fixed point but not the fixed points. The
 recorded ``x_step``, which the stop test reads, is the larger particle
 displacement of the plain and the realized step, so a converged solve
 certifies what the plain iteration's does: neither step moved a particle
-by more than the tolerance. The velocity holds slices 1..N only, in the
-(d, N, Q) memory of the plain step, so their inner product reads both
-contiguously. When the heavy ball goes on, the velocity turns into the
-realized step in place; otherwise the plain step's buffer becomes the
-velocity. With m = 0 (the default) the two steps are one, no extra
-operation runs and the iteration is the paper's PDHG.
+by more than the tolerance. It is computed only where something reads
+it: at a record, or when ``a_step`` is within the tolerance, since
+otherwise the stop test cannot pass. The velocity holds slices 1..N
+only, in the (d, N, Q) memory of the plain step, so their inner product
+reads both contiguously. When the heavy ball goes on, the velocity turns
+into the realized step in place; otherwise the plain step's buffer
+becomes the velocity. With m = 0 (the default) the two steps are one, no
+extra operation runs and the iteration is the paper's PDHG.
 
 :class:`SolverConfig` owns the iteration's defaults and range checks.
 
@@ -243,7 +245,8 @@ def step_x(
     whatever the layout of ``x``. With ``out``, a slice-major (Q, N+1, d)
     array other than ``x``, slices 1..N of the new paths are written into
     it and it is returned; its slice 0 is not touched, so the caller keeps
-    it equal to that of ``x``.
+    it equal to that of ``x``. An ``out`` that may share memory with ``x``
+    raises ValueError.
     """
     if prox is None:
         prox = prox_x_operator(
@@ -254,6 +257,8 @@ def step_x(
     if out is None:
         out = np.empty(x.shape[::-1]).transpose(2, 1, 0)
         out[:, 0] = x[:, 0]
+    elif np.may_share_memory(out, x):  # the product would overwrite x first
+        raise ValueError("out must not share memory with x")
     columns = np.ascontiguousarray(grad.transpose(2, 1, 0))
     np.matmul(prox, columns, out=out[:, 1:].transpose(2, 1, 0))
     np.subtract(x[:, 1:], out[:, 1:], out=out[:, 1:])
@@ -394,24 +399,25 @@ def solve(
                 )
             np.subtract(a_new, a, out=a_change)
             a_step = float(_amax(np.abs(a_change, out=a_change), None))
-            x_step = _max_displacement(moved, square)
-            if heavy:
-                x_step = max(x_step, _max_displacement(velocity, square))
-            else:
+            iteration += 1
+            due = (
+                iteration % config.record_every == 0 or iteration == config.max_iter
+            )
+            last_step = a_step
+            if due or a_step <= config.tol:  # else x_step is never read
+                x_step = _max_displacement(moved, square)
+                if heavy:
+                    x_step = max(x_step, _max_displacement(velocity, square))
+                last_step = max(a_step, x_step)
+            if not heavy:
                 plain, velocity = velocity, plain
             tables.rebuild(x_new[:, 1:])
             p_new = tables.moments(measure.weights)
             q = step_z(p_new, p, config.theta)
             a, p = a_new, p_new
             x, x_new = x_new, x
-            iteration += 1
-            last_step = max(a_step, x_step)
 
-            if (
-                iteration % config.record_every == 0
-                or last_step <= config.tol
-                or iteration == config.max_iter
-            ):
+            if due or last_step <= config.tol:
                 record = {
                     "iteration": iteration,
                     "saddle_value": _saddle_value(a, x, p, problem, measure),

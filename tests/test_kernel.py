@@ -271,6 +271,59 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError, match="finite"):
             fourier_coefficients(kern, basis_1d(3), 16)
 
+    def test_2d_kernel_gets_coordinate_major_blocks(self):
+        # the documented shapes, each a view of (2, g^2) grid memory: the
+        # coordinate axis has the largest stride, and the blocks' rows, in
+        # order, are the C-order grid
+        g = 40
+        seen = []
+
+        def kern(x, y):
+            seen.append((x, y))
+            return np.ones((x.shape[0], y.shape[1]))
+
+        fourier_coefficients(kern, basis_2d(2), g)
+        axis = np.arange(g) / g
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        for x, y in seen:
+            assert x.shape == (40, 1, 2) and y.shape == (1, g * g, 2)
+            assert x.strides[-1] == max(x.strides)
+            assert y.strides[-1] == max(y.strides)
+            np.testing.assert_array_equal(y[0], grid)
+        np.testing.assert_array_equal(np.concatenate([x[:, 0] for x, _ in seen]), grid)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("argument", ["x", "y"])
+    def test_grid_is_read_only_to_the_kernel(self, dimension, argument):
+        # the blocks are views of one grid, so a write would change every
+        # later block; numpy refuses it instead
+        def kern(x, y):
+            if argument == "x":
+                x *= 2
+            else:
+                y *= 2
+            return np.ones((x.shape[0], y.shape[1]))
+
+        b = basis_1d(3) if dimension == 1 else basis_2d(2)
+        with pytest.raises(ValueError, match="read-only"):
+            fourier_coefficients(kern, b, 16)
+
+    @pytest.mark.parametrize(
+        "dimension, r, g", [(1, 9, 37), (2, 8, 40), (2, 8, 37)]
+    )
+    def test_coefficients_do_not_depend_on_the_block_layout(self, dimension, r, g):
+        # every kernel value is an elementwise function of the same inputs,
+        # so C-order copies of the blocks give the same bits
+        kern = sheared_gaussian(0.3, 0.6) if dimension == 2 else asymmetric_1d
+        b = basis_1d(r) if dimension == 1 else basis_2d(r)
+
+        def c_order(x, y):
+            return kern(np.ascontiguousarray(x), np.ascontiguousarray(y))
+
+        np.testing.assert_array_equal(
+            fourier_coefficients(c_order, b, g), fourier_coefficients(kern, b, g)
+        )
+
 
 def asymmetric_1d(x, y):
     # smooth, periodic, not a function of x - y alone

@@ -366,6 +366,18 @@ class TestStepX:
         assert np.isnan(out[:, 0]).all()
         np.testing.assert_array_equal(out[:, 1:], expect[:, 1:])
 
+    @pytest.mark.parametrize("overlap", ["x", "view"])
+    def test_out_sharing_memory_with_x_rejected(self, overlap):
+        # the kinetic product is written into out before the subtraction
+        # reads x, so an out on x's memory would return P grad - P grad
+        _, prob, m = TestSolve._forced_problem(1)
+        buffer = np.empty((1, 7, m.count))
+        x = buffer[:, :6].transpose(2, 1, 0)
+        x[...] = stationary(m, 5)
+        out = x if overlap == "x" else buffer[:, 1:].transpose(2, 1, 0)
+        with pytest.raises(ValueError, match="share memory"):
+            step_x(x, np.zeros((prob.kernel.size, 5)), prob, m, omega=0.5, out=out)
+
 
 class TestProxX:
     def test_matrix_is_the_scaled_inverse(self):
@@ -867,6 +879,37 @@ class TestSolve:
         cfg = SolverConfig(lam=3.0, omega=0.2, max_iter=k, tol=0.0, momentum=0.9)
         assert solve(prob, m, cfg).iterations == k
         assert calls == {"step_a": k, "step_x": k, "step_z": k}
+
+    @pytest.mark.parametrize("record_every", [7, 1000])
+    def test_step_norms_only_where_read(self, monkeypatch, record_every):
+        # x_step is computed at a record and where a_step is within tol (the
+        # stop test can pass only there), and nowhere else; the records are
+        # those of a solve that records every iteration
+        _, prob, m = self._forced_problem(2)
+        cfg = SolverConfig(lam=3.0, omega=0.5, tol=1e-4, record_every=1)
+        every = solve(prob, m, cfg)
+        calls = []
+        real = pdhg._max_displacement
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(pdhg, "_max_displacement", counting)
+        res = solve(prob, m, dataclasses.replace(cfg, record_every=record_every))
+        assert res.converged and res.iterations == every.iterations
+        read = [
+            r for r in every.diagnostics
+            if r["a_step"] <= cfg.tol or r["iteration"] % record_every == 0
+        ]
+        assert 0 < len(read) < res.iterations  # some iterations skip x_step
+        assert len(calls) == len(read)
+        assert res.diagnostics == [
+            r for r in every.diagnostics
+            if r["iteration"] % record_every == 0
+            or max(r["a_step"], r["x_step"]) <= cfg.tol
+        ]
+        np.testing.assert_array_equal(res.x, every.x)
 
     def test_momentum_stop_bounds_plain_and_realized_steps(self):
         # the converged solve's last step: realized from the (k-1)-iteration
