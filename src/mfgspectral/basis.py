@@ -30,8 +30,11 @@ refills it in place at new points of that shape. The moments of a slice
 are T1 w in 1d and T1 diag(w) T2^T in 2d. For the gradient field, a fixed
 scatter matrix lays the coefficients, times the derivative constants, out
 over the table rows as one array A per component; the field is then T1 A
-in 1d, and in 2d both components are sum_k T1[k] (A_e T2)[k], one batched
+in 1d, and in 2d component e is sum_k T1[k] (A_e T2)[k], one batched
 matmul followed by one einsum that multiplies and sums in the same pass.
+A :class:`BasisSet` derives its table layout (rows of every function and
+derivative) once, as ``_layout``, and the scatter matrix from it once, as
+``_scatter``; both are cached read-only and shared by all its tables.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +63,14 @@ def tensor_indices(r: int) -> list[tuple[int, int]]:
     if r < 2:
         raise ValueError(f"2d truncation must be at least 2, got {r}")
     return [(k, kp) for k in range(1, r) for kp in range(1, r - k + 1)]
+
+
+class _Layout(NamedTuple):
+    """Where the 1d tables hold each basis function and its derivatives."""
+
+    top: int  # the highest frequency: the tables hold rows 0..2 top
+    rows: tuple  # per axis, each function's table row k - 1, k its index there
+    derivatives: tuple  # per axis e, (rows, factors): d/dx_e = factors x rows' product
 
 
 @dataclass(frozen=True)
@@ -106,18 +118,32 @@ class BasisSet:
         return freqs
 
     @cached_property
-    def _axis_rows(self) -> tuple:
-        # per axis: each function's table row k - 1, and the row and factor of
-        # its derivative: (sqrt(2) sin wt)' is w times the cosine one row down,
-        # (sqrt(2) cos wt)' is -w times the sine one row up, the constant's is 0
-        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension)
-        axes = []
-        for k in ks.T:
-            sine = k % 2 == 0
-            deriv_rows = np.where(sine, k, np.maximum(k - 2, 0))
-            factors = TWO_PI * np.where(sine, k // 2, -(k // 2))
-            axes.append((k - 1, deriv_rows, factors))
-        return tuple(axes)
+    def _layout(self) -> _Layout:
+        # read-only; (sqrt(2) sin wt)' is w times the cosine one row down and
+        # (sqrt(2) cos wt)' -w times the sine one row up
+        ks = np.asarray(self.indices, dtype=int).reshape(self.size, self.dimension).T
+        rows, sine = ks - 1, ks % 2 == 0
+        deriv = np.where(sine, ks, np.maximum(ks - 2, 0))
+        factors = TWO_PI * np.where(sine, ks // 2, -(ks // 2))
+        for array in (rows, deriv, factors):
+            array.setflags(write=False)
+        derivatives = tuple(
+            ((*rows[:e], deriv[e], *rows[e + 1 :]), f) for e, f in enumerate(factors)
+        )
+        return _Layout(int(self.frequencies.max()), tuple(rows), derivatives)
+
+    @cached_property
+    def _scatter(self) -> np.ndarray:
+        # read-only S of SliceTables.field_gradient: (j, e, r1[, r2]) holds
+        # function j's factor along e at its derivative's table rows, else 0;
+        # no column has two nonzeros, so coeffs.T @ S is exact
+        d = self.dimension
+        scatter = np.zeros((self.size, d) + (2 * self._layout.top + 1,) * d)
+        for e, (rows, factors) in enumerate(self._layout.derivatives):
+            scatter[(np.arange(self.size), e, *rows)] = factors
+        scatter = scatter.reshape(self.size, -1)
+        scatter.setflags(write=False)
+        return scatter
 
 
 def basis_1d(r: int) -> BasisSet:
@@ -143,17 +169,6 @@ def hessian_bounds(basis: BasisSet) -> np.ndarray:
     freqs = basis.frequencies
     sup = np.where(freqs == 0, 1.0, SQRT2)
     return TWO_PI**2 * np.sum(freqs**2, axis=1) * np.prod(sup, axis=1)
-
-
-def _as_points(basis: BasisSet, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None] if basis.dimension == 1 else pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != basis.dimension:
-        raise ValueError(
-            f"points must have shape (n, {basis.dimension}), got {pts.shape}"
-        )
-    return pts
 
 
 def _axis_tables(t: np.ndarray, top: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -204,8 +219,14 @@ _BLOCK = 1024  # points per block: small gathered temporaries fault in few pages
 
 def _point_table(basis: BasisSet, points) -> np.ndarray:
     # the (rows, d, n) table of every axis at (n, d) points, from one call
-    pts = _as_points(basis, points)
-    return _axis_tables(pts.T, int(basis.frequencies.max()))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None] if basis.dimension == 1 else pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != basis.dimension:
+        raise ValueError(
+            f"points must have shape (n, {basis.dimension}), got {pts.shape}"
+        )
+    return _axis_tables(pts.T, basis._layout.top)
 
 
 def _fill_products(dest: np.ndarray, table: np.ndarray, rows) -> None:
@@ -220,24 +241,15 @@ def eval_all(basis: BasisSet, points) -> np.ndarray:
     """Values of every basis function at many points: shape (n, size)."""
     table = _point_table(basis, points)
     out = np.empty((table.shape[2], basis.size))
-    _fill_products(out.T, table, [rows for rows, _, _ in basis._axis_rows])
+    _fill_products(out.T, table, basis._layout.rows)
     return out
-
-
-def _derivative_rows(basis: BasisSet, axis: int):
-    # the derivative along ``axis`` of each function is factors[j] times the
-    # product over axes e of table row rows[e][j]
-    rows = [r for r, _, _ in basis._axis_rows]
-    _, rows[axis], factors = basis._axis_rows[axis]
-    return rows, factors
 
 
 def grad_all(basis: BasisSet, points) -> np.ndarray:
     """Gradients of every basis function at many points: shape (n, size, d)."""
     table = _point_table(basis, points)
     out = np.empty((table.shape[2], basis.size, basis.dimension))
-    for i in range(basis.dimension):
-        rows, factors = _derivative_rows(basis, i)
+    for i, (rows, factors) in enumerate(basis._layout.derivatives):
         _fill_products(out[:, :, i].T, table, rows)
         out[:, :, i] *= factors
     return out
@@ -256,8 +268,8 @@ class SliceTables:
     with one :func:`_axis_tables` call over all axes, so one object serves
     a whole solve: each iteration's coupling gradient at the current
     points and the moments that feed the next coefficient step. In 2d
-    both contractions write their intermediates into one work array kept
-    with the tables, made on first use and grown to the larger of the two.
+    both contractions write their intermediates into one work array made
+    with the tables; the gradient fills it one component at a time.
     """
 
     def __init__(self, basis: BasisSet, points):
@@ -266,29 +278,14 @@ class SliceTables:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[2] != d:
             raise ValueError(f"points must have shape (Q, N, {d}), got {pts.shape}")
-        self._rows = rows = 2 * int(basis.frequencies.max()) + 1
-        # the coefficients scatter into A = coeffs.T @ _scatter, laid out as
-        # (N, d, rows[, rows]): entry (i, e, r1[, r2]) is the coefficient of
-        # slice i of the one function whose derivative along e is a constant
-        # times table rows r1 (of axis 1) [and r2 (of axis 2)], times that
-        # constant; every column has at most one nonzero, so A is exact
-        scatter = np.zeros((basis.size, d) + (rows,) * d)
-        functions = np.arange(basis.size)
-        for e in range(d):
-            deriv_rows, factors = _derivative_rows(basis, e)
-            scatter[(functions, e, *deriv_rows)] = factors
-        self._scatter = scatter.reshape(basis.size, -1)
+        rows, (q, n) = 2 * basis._layout.top + 1, pts.shape[:2]
         self._buffer = np.empty((rows, *pts.shape[::-1]))
         self._axes = self._buffer.transpose(1, 2, 0, 3)  # d x (N, rows, Q)
-        self._work = None
         self.rebuild(pts)
-
-    def _scratch(self, shape) -> np.ndarray:
-        # an uninitialized view of the work array, grown when too small
-        size = math.prod(shape)
-        if self._work is None or self._work.size < size:
-            self._work = np.empty(size)
-        return self._work[:size].reshape(shape)
+        if d == 2:  # one work array: the weighted tables, or the gradient terms
+            work = np.empty(rows * n * max(q, 2))
+            self._weighted = work[: rows * n * q].reshape(rows, n, q)
+            self._terms = work.reshape(n, rows, max(q, 2))
 
     def rebuild(self, points) -> None:
         """Tabulate in place at new points of the shape the tables were made for.
@@ -303,7 +300,7 @@ class SliceTables:
         shape = self._buffer.shape[:0:-1]  # (Q, N, d)
         if pts.shape != shape:
             raise ValueError(f"points must have shape {shape}, got {pts.shape}")
-        _axis_tables(pts.transpose(2, 1, 0), self._rows // 2, out=self._buffer)
+        _axis_tables(pts.transpose(2, 1, 0), self.basis._layout.top, out=self._buffer)
 
     def moments(self, weights) -> np.ndarray:
         """Weighted basis moments of each slice: shape (size, N).
@@ -318,10 +315,9 @@ class SliceTables:
             per_slice = self._axes[0] @ w  # (N, rows)
         else:  # T1 weighted in the buffer's own (rows, N, Q) order
             first = self._buffer[:, 0]
-            weighted = np.einsum("rnq,q->rnq", first, w, out=self._scratch(first.shape))
+            weighted = np.einsum("rnq,q->rnq", first, w, out=self._weighted)
             per_slice = weighted.transpose(1, 0, 2) @ self._axes[1].transpose(0, 2, 1)
-        rows = (rows for rows, _, _ in self.basis._axis_rows)
-        return per_slice[(slice(None), *rows)].T
+        return per_slice[(slice(None), *self.basis._layout.rows)].T
 
     def field_gradient(self, coeffs) -> np.ndarray:
         """Gradient of sum_k coeffs[k, i] phi_k at each points[a, i]: shape (Q, N, d).
@@ -330,24 +326,22 @@ class SliceTables:
         product of table rows, so one product A = coeffs^T S with a fixed
         scatter matrix S lays out each slice's coefficients, times those
         constants, over the table rows of every component. In 1d component
-        1 is sum_k T1[k] A[k]; in 2d both components are sum_k T1[k]
-        (A_e T2)[k], one batched matmul for the two A_e T2 and one einsum
+        1 is sum_k T1[k] A[k]; in 2d component e is sum_k T1[k] (A_e T2)[k],
+        one batched matmul for A_e T2 into the work array and one einsum
         that multiplies by T1 and sums over k in the same pass. A particle
         gets the same bits alone as in any batch: numpy would take gemv for
         one column, so a lone particle's T2 goes into the matmul twice.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        rows, (d, n, q) = self._rows, self._buffer.shape[1:]
-        scattered = coeffs.T @ self._scatter  # (N, d * rows**d)
+        rows, d, n, q = self._buffer.shape
+        scattered = coeffs.T @ self.basis._scatter  # (N, d * rows**d)
         t1, out = self._axes[0], np.empty((d, n, q))
         if d == 1:
             np.einsum("nrq,nr->nq", t1, scattered, out=out[0])
         else:  # a lone particle goes in twice: gemm, as for any batch
             t2 = self._axes[1] if q > 1 else np.repeat(self._axes[1], 2, axis=2)
-            terms = self._scratch((n, 2 * rows, t2.shape[2]))
-            np.matmul(scattered.reshape(n, 2 * rows, rows), t2, out=terms)
-            np.einsum(
-                "nerq,nrq->neq", terms[..., :q].reshape(n, 2, rows, q), t1,
-                out=out.transpose(1, 0, 2),
-            )
+            components = scattered.reshape(n, d, rows, rows)
+            for e in range(d):
+                np.matmul(components[:, e], t2, out=self._terms)
+                np.einsum("nrq,nrq->nq", self._terms[..., :q], t1, out=out[e])
         return out.transpose(2, 1, 0)

@@ -103,6 +103,8 @@ from .problem import (
 
 DIVERGENCE_LIMIT = 1e6
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(r, sort_keys=True)
+
 # whole-array reductions without fromnumeric's wrappers (np.max, np.min)
 _amax, _amin = np.maximum.reduce, np.minimum.reduce
 
@@ -427,7 +429,7 @@ def solve(
                 }
                 records.append(record)
                 if sink is not None:
-                    sink.write(json.dumps(record, sort_keys=True) + "\n")
+                    sink.write(_RECORD_ENCODER.encode(record) + "\n")
     finally:
         if sink is not None:
             sink.close()

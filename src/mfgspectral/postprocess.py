@@ -117,11 +117,13 @@ def format_float(v: float) -> str:
 
 def _write_csv(path, header: str, columns: list, values: np.ndarray) -> None:
     # one "\n"-led row per combination of the fixed columns' values, the
-    # first column slowest, as literal text; then one field per value of
-    # the last axis, filled in one %-format: "%.17g" % v == format_float(v)
-    texts = [[format_float(v) for v in column] for column in columns]
-    fields = ",%.17g" * values.shape[-1]
-    rows = "".join(["\n" + ",".join(row) + fields for row in itertools.product(*texts)])
+    # first column slowest, as literal text joined once per outer prefix;
+    # then one field per value of the last axis, filled in one %-format
+    *outer, last = [[format_float(v) for v in column] for column in columns]
+    fields = ",%.17g" * values.shape[-1]  # "%.17g" % v == format_float(v)
+    cells = ["", *[text + fields for text in last]]
+    seps = ["\n" + ",".join((*prefix, "")) for prefix in itertools.product(*outer)]
+    rows = "".join([sep.join(cells) for sep in seps])
     with open(path, "w") as fh:
         fh.write(header + rows % tuple(values.ravel().tolist()) + "\n")
 

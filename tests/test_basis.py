@@ -16,6 +16,7 @@ from mfgspectral.basis import (
     hessian_bounds,
     tensor_indices,
 )
+from mfgspectral.kernel import translation_invariant_blocks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -375,6 +376,118 @@ def test_contractions_make_no_table_sized_temporaries(b, q):
     # (64 KiB) temporary
     assert moments_peak < 20 * 1024
     assert gradient_peak < 2 * (q * n * b.dimension * 8)
+
+
+def derived_layout(b):
+    """Table rows and derivative factors of a basis, one function at a time.
+
+    On each axis, index k is the table row k - 1 of its 1d factor: 1 (the
+    constant, derivative 0), even (sqrt(2) sin(2 pi m t), m = k / 2, whose
+    derivative is 2 pi m times function k + 1, the cosine in row k) or odd
+    (sqrt(2) cos(2 pi m t), m = (k - 1) / 2, whose derivative is -2 pi m
+    times function k - 1, the sine in row k - 2).
+    """
+    indices = [(idx,) if b.dimension == 1 else idx for idx in b.indices]
+    top = max(k // 2 for idx in indices for k in idx)
+    rows = [[idx[e] - 1 for idx in indices] for e in range(b.dimension)]
+    derivatives = []
+    for e in range(b.dimension):
+        deriv_rows, factors = [], []
+        for idx in indices:
+            k = idx[e]
+            if k == 1:
+                deriv_rows.append(0)
+                factors.append(0.0)
+            elif k % 2 == 0:
+                deriv_rows.append(k)
+                factors.append(2.0 * math.pi * (k // 2))
+            else:
+                deriv_rows.append(k - 2)
+                factors.append(-2.0 * math.pi * (k // 2))
+        axis_rows = [list(r) for r in rows]
+        axis_rows[e] = deriv_rows
+        derivatives.append((axis_rows, factors))
+    return top, rows, derivatives
+
+
+@pytest.mark.parametrize(
+    "b",
+    [basis_1d(8), basis_2d(8),
+     translation_invariant_blocks([1.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.1, 0.0]).basis],
+    ids=["1d-r8", "2d-r8", "1d-translation-blocks"],
+)
+def test_cached_layout_matches_derivation(b):
+    top, rows, derivatives = derived_layout(b)
+    layout = b._layout
+    assert layout.top == top
+    assert [r.tolist() for r in layout.rows] == rows
+    for (cached_rows, cached_factors), (axis_rows, factors) in zip(
+        layout.derivatives, derivatives, strict=True
+    ):
+        assert [r.tolist() for r in cached_rows] == axis_rows
+        assert cached_factors.tolist() == factors
+        for array in (*cached_rows, cached_factors):
+            assert not array.flags.writeable
+    # the scatter holds each factor at its function's derivative rows, and
+    # nothing else
+    expected = np.zeros((b.size, b.dimension) + (2 * top + 1,) * b.dimension)
+    for e, (axis_rows, factors) in enumerate(derivatives):
+        for j, factor in enumerate(factors):
+            expected[(j, e, *(r[j] for r in axis_rows))] = factor
+    np.testing.assert_array_equal(b._scatter, expected.reshape(b.size, -1))
+
+
+@pytest.mark.parametrize("b", [basis_1d(128), basis_2d(16)], ids=["1d", "2d"])
+def test_slice_tables_share_the_basis_scatter(b):
+    # the scatter is built once per basis, read-only: a second SliceTables
+    # of the same basis allocates less than it
+    rng = np.random.default_rng(14)
+    coeffs = rng.normal(size=(b.size, 2))
+    first = SliceTables(b, rng.uniform(-1, 2, size=(3, 2, b.dimension)))
+    first.field_gradient(coeffs)
+    scatter = b._scatter
+    assert not scatter.flags.writeable
+    tracemalloc.start()
+    try:
+        pts = rng.uniform(-1, 2, size=(3, 2, b.dimension))
+        SliceTables(b, pts).field_gradient(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b._scatter is scatter
+    assert peak < scatter.nbytes / 4
+
+
+@pytest.mark.parametrize("q", [1, 2, 7])
+def test_2d_work_array_is_made_once(q):
+    # moments and field_gradient share one work array made with the tables
+    rng = np.random.default_rng(15)
+    b = basis_2d(6)
+    tables = SliceTables(b, rng.uniform(-1, 2, size=(q, 4, 2)))
+    weighted, terms = tables._weighted, tables._terms
+    assert weighted.base is terms.base is not None
+    weights = rng.uniform(size=q)
+    coeffs = rng.normal(size=(b.size, 4))
+    for _ in range(2):
+        tables.moments(weights)
+        tables.field_gradient(coeffs)
+        assert tables._weighted is weighted and tables._terms is terms
+
+
+@pytest.mark.parametrize("b", [basis_1d(3), basis_1d(8)], ids=["r3", "r8"])
+@pytest.mark.parametrize(
+    "n, q", [(1, 1), (20, 1), (2, 2), (3, 9), (20, 17), (20, 50), (7, 400)]
+)
+def test_1d_moments_are_per_slice_products(b, n, q):
+    # bit for bit: slice i's moments are its own table times the weights
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(-1, 2, size=(q, n, 1))
+    weights = rng.uniform(size=q)
+    moments = SliceTables(b, pts).moments(weights)
+    top = int(b.frequencies.max())
+    for i in range(n):
+        expected = _axis_tables(pts[:, i, 0], top) @ weights
+        np.testing.assert_array_equal(moments[:, i], expected[: b.size])
 
 
 def reference_rows(t, top):

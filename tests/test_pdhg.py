@@ -1090,6 +1090,10 @@ class TestSolve:
             res = solve(prob, m, cfg, diagnostics_path=path)
             lines = path.read_text().strip().splitlines()
             assert [json.loads(line) for line in lines] == res.diagnostics
+            # byte for byte the lines of json.dumps with sorted keys
+            assert path.read_text() == "".join(
+                json.dumps(record, sort_keys=True) + "\n" for record in res.diagnostics
+            )
             assert [r["iteration"] for r in res.diagnostics] == list(
                 range(record_every, 21, record_every)
             )

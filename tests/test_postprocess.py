@@ -341,6 +341,38 @@ class TestWriters:
         ]
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize(
+        "writer", ["trajectories-1d", "trajectories-2d", "density-1d", "density-2d"]
+    )
+    def test_csv_bytes_match_per_value_join(self, tmp_path, writer):
+        # every writer shape: the fixed columns' text and the values, each
+        # formatted on its own and joined row by row
+        rng = np.random.default_rng(17)
+        path = tmp_path / "out.csv"
+        if writer.startswith("trajectories"):
+            d = int(writer[-2])
+            x = rng.normal(scale=3.0, size=(7, 5, d))
+            x[0, 1] = -0.0
+            x[3, 2, -1] = 1e-310
+            write_trajectories_csv(path, x)
+            header = "t,particle," + ",".join(f"x{j + 1}" for j in range(d))
+            rows = [
+                (n / 4, i + 1, *x[i, n]) for n in range(5) for i in range(7)
+            ]
+        else:
+            d = int(writer[-2])
+            values = rng.uniform(size=(6,) * d)
+            snap = DensitySnapshot(time_index=0, bins=6, values=values)
+            write_density_csv(path, snap)
+            header = "bin_center,density" if d == 1 else "x1_center,x2_center,density"
+            centers = snap.bin_centers()
+            rows = [
+                (*(centers[i] for i in index), values[index])
+                for index in np.ndindex(values.shape)
+            ]
+        lines = [header] + [",".join(format_float(v) for v in row) for row in rows]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_metrics_json_round_trip(self, tmp_path):
         import json
 
