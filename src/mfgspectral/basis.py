@@ -35,11 +35,16 @@ matmul followed by one einsum that multiplies and sums in the same pass.
 A :class:`BasisSet` derives its table layout (rows of every function and
 derivative) once, as ``_layout``, and the scatter matrix from it once, as
 ``_scatter``; both are cached read-only and shared by all its tables.
+
+Every module imports this one, so it also owns the argument rules, each
+stated once and returning a Python int or float: :func:`_check_int` for
+counts, :func:`_as_real` for reals and :func:`_check_real` for finite ones.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,11 +55,35 @@ SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 
 
-def _check_int(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is a Python or numpy
-    integer; bools are not integers here."""
+def _check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a Python or
+    numpy integer (not a bool) of at least ``minimum``, 0 or 1, if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        sign = "positive" if minimum else "nonnegative"
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    return int(value)
+
+
+def _as_real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` if it is a bool, not
+    a real number, or an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """:func:`_as_real`'s float; ValueError unless finite and >= 0 (> 0 if positive)."""
+    value = _as_real(name, value)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+    return value
 
 
 def tensor_indices(r: int) -> list[tuple[int, int]]:

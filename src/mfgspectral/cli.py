@@ -201,16 +201,24 @@ def _is_number(value):
 
 def _get_number(section, key, path):
     # the JSON number itself: the library turns it into a float and checks it
-    if key not in section:
-        raise ConfigError(f"{path}.{key}: missing required field")
+    _expect(key in section, f"{path}.{key}", "missing required field")
     value = section[key]
     _expect(_is_number(value), f"{path}.{key}", "must be a number")
     return value
 
 
+def _floats(entries, path):
+    # a checked JSON list, or list of lists, of numbers as a float array
+    try:
+        return np.asarray(entries, dtype=float)
+    except ValueError as exc:  # rows of unequal length
+        raise ConfigError(f"{path}: not a matrix ({exc})") from exc
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: too large for a float") from None
+
+
 def _get_int(section, key, path, minimum):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}: missing required field")
+    _expect(key in section, f"{path}.{key}", "missing required field")
     value = section[key]
     _expect(isinstance(value, int) and not isinstance(value, bool),
             f"{path}.{key}", "must be an integer")
@@ -233,7 +241,7 @@ def _coefficient_basis(coeffs, dimension, path):
         and all(_is_number(v) for v in coeffs),
         path, "must be a non-empty list of numbers",
     )
-    vec = np.asarray(coeffs, dtype=float)
+    vec = _floats(coeffs, path)
     _expect(np.all(np.isfinite(vec)), path, "entries must be finite")
     if dimension == 1:
         return basis_1d(len(vec)), vec
@@ -312,12 +320,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 "config.kernel.matrix", "must be a non-empty nested list")
         _expect(all(_is_number(v) for row in entries for v in row),
                 "config.kernel.matrix", "entries must be numbers")
-        try:
-            kernel = np.asarray(entries, dtype=float)
-        except ValueError as exc:  # rows of unequal length
-            raise ConfigError(f"config.kernel.matrix: not a matrix ({exc})") from exc
-        except OverflowError:  # an integer beyond the float range
-            raise ConfigError("config.kernel.matrix: too large for a float") from None
+        kernel = _floats(entries, "config.kernel.matrix")
 
     solver_section = raw.get("solver")
     _expect(isinstance(solver_section, dict), "config.solver", "must be an object")
@@ -545,9 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    # a config or solver section that is no object fails as in validate_config
+    # a config or solver section that is no object fails as in validate_config;
+    # a given flag is copied as it is, and validate_config checks it as its key
     _expect(isinstance(raw, dict), "config", "must be a JSON object")
-    if getattr(args, "output_dir", None):
+    if getattr(args, "output_dir", None) is not None:
         raw["output_dir"] = args.output_dir
     for key in ("max_iter", "tol"):
         value = getattr(args, key, None)
@@ -555,7 +559,7 @@ def _apply_overrides(raw: dict, args) -> dict:
             section = raw.setdefault("solver", {})
             _expect(isinstance(section, dict), "config.solver", "must be an object")
             section[key] = value
-    if getattr(args, "density_slices", None):
+    if getattr(args, "density_slices", None) is not None:
         try:
             raw["density_slices"] = [
                 int(v) for v in args.density_slices.split(",") if v != ""

@@ -29,28 +29,16 @@ per-coordinate slices run along contiguous rows of g^2 values.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, _check_int, basis_1d, basis_2d, eval_all
+from .basis import BasisSet, _check_int, _check_real, basis_1d, basis_2d, eval_all
 
 DEGENERATE_DET = 1e-14
 AUTO_EPS = 1e-6
 AUTO_EPS_TRIGGER = 1e-10
-
-
-def _as_real(name: str, value) -> float:
-    """``value`` as a float; ValueError naming ``name`` if it is a bool, not
-    a real number, or an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -59,8 +47,8 @@ class GaussianKernelSpec:
 
     sigma controls the spread, mu the total interaction weight; the
     d-dimensional kernel is the product of identical 1d factors, of total
-    weight mu^d. sigma and mu are stored as floats; invalid values,
-    including a mu whose mu^d overflows, raise ValueError.
+    weight mu^d. sigma and mu are stored as floats, dimension as an int;
+    invalid values, including a mu whose mu^d overflows, raise ValueError.
     """
 
     sigma: float
@@ -69,12 +57,9 @@ class GaussianKernelSpec:
 
     def __post_init__(self):
         for name in ("sigma", "mu"):
-            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        _check_int("dimension", self.dimension)
+            value = _check_real(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dimension", _check_int("dimension", self.dimension))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         try:  # the total weight mu^d must be a float
@@ -152,22 +137,14 @@ def _symmetric_part(c: np.ndarray) -> np.ndarray:
     return 0.5 * c + 0.5 * c.T
 
 
-def _diagonal_kernel(basis: BasisSet, eig: np.ndarray) -> SpectralKernel:
-    # subnormal eigenvalues lose significand bits and their reciprocals
-    # overflow; drop those frequencies like any degenerate term
-    keep = eig >= np.finfo(float).tiny
-    if not np.any(keep):
-        raise ValueError("every eigenvalue underflowed; truncation too large")
+def _kept(basis: BasisSet, k_mat: np.ndarray, keep: np.ndarray) -> SpectralKernel:
+    # the kernel on the functions where keep holds, in basis order; a basis
+    # kept whole is reused, so set-up does not validate and derive it again
     if not np.all(keep):
-        basis = BasisSet(
-            dimension=basis.dimension,
-            truncation=basis.truncation,
-            indices=tuple(
-                idx for idx, kept in zip(basis.indices, keep) if kept
-            ),
-        )
-        eig = eig[keep]
-    return SpectralKernel(basis, np.diag(eig))
+        indices = tuple(idx for idx, kept in zip(basis.indices, keep) if kept)
+        basis = BasisSet(basis.dimension, basis.truncation, indices)
+        k_mat = k_mat[np.ix_(keep, keep)]
+    return SpectralKernel(basis, k_mat)
 
 
 def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
@@ -183,7 +160,13 @@ def gaussian_spectral(spec: GaussianKernelSpec, r: int) -> SpectralKernel:
         # frequency 0 gets exponent 0, also where pi * sigma is inf (inf * 0 is NaN)
         scaled = np.where(b.frequencies > 0, math.pi * spec.sigma * b.frequencies, 0)
         exponent = np.sum(scaled**2, axis=1)
-    return _diagonal_kernel(b, spec.mu**spec.dimension * np.exp(-0.5 * exponent))
+    eig = spec.mu**spec.dimension * np.exp(-0.5 * exponent)
+    # subnormal eigenvalues lose significand bits and their reciprocals
+    # overflow; drop those frequencies like any degenerate term
+    keep = eig >= np.finfo(float).tiny
+    if not np.any(keep):
+        raise ValueError("every eigenvalue underflowed; truncation too large")
+    return _kept(b, np.diag(eig), keep)
 
 
 def kernel_eval_direct(spec: GaussianKernelSpec, x, y):
@@ -309,10 +292,12 @@ def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarr
 
 
 def psd_check(coefficients: np.ndarray) -> float:
-    """Smallest eigenvalue of a coefficient matrix symmetric within 1e-12."""
+    """Smallest eigenvalue of a finite coefficient matrix symmetric within 1e-12."""
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise ValueError(f"matrix must be square and non-empty, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("matrix must be finite")
     asym = float(np.max(np.abs(c - c.T)))
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
@@ -326,8 +311,9 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     profile at integer frequency n (n = 0 is the mean; its sine moment must
     vanish). Frequency n > 0 contributes the scaled rotation block
     [[c, s], [-s, c]] on its cosine/sine pair; an even profile leaves K
-    diagonal, so J is its reciprocal diagonal. Frequencies whose block determinant falls below 1e-14 are
-    dropped from the basis; a moment that is not finite raises ValueError.
+    diagonal, so J is its reciprocal diagonal. Frequencies whose block
+    determinant falls below 1e-14 are dropped from the basis; a moment that
+    is not finite raises ValueError.
     """
     c = np.asarray(eta_cos, dtype=float)
     s = np.asarray(eta_sin, dtype=float)
@@ -338,25 +324,17 @@ def translation_invariant_blocks(eta_cos, eta_sin) -> SpectralKernel:
     if s[0] != 0.0:
         raise ValueError("sine moment at frequency 0 must be zero")
 
-    kept = [n for n in range(c.size) if c[n] ** 2 + s[n] ** 2 >= DEGENERATE_DET]
-    if not kept:
+    keep = c**2 + s**2 >= DEGENERATE_DET
+    if not np.any(keep):
         raise ValueError("all frequencies are degenerate; basis would be empty")
 
-    indices: list[int] = []
-    for n in kept:
-        indices.extend((1,) if n == 0 else (2 * n, 2 * n + 1))
-    b = BasisSet(dimension=1, truncation=max(indices), indices=tuple(indices))
-
-    k_mat = np.zeros((b.size, b.size))
-    pos = 0
-    for n in kept:
-        if n == 0:
-            k_mat[0, 0] = c[0]
-            pos = 1
-            continue
-        k_mat[pos : pos + 2, pos : pos + 2] = [[c[n], s[n]], [-s[n], c[n]]]
-        pos += 2
-    return SpectralKernel(b, k_mat)
+    b = basis_1d(2 * int(np.flatnonzero(keep)[-1]) + 1)
+    n = b.frequencies[:, 0]
+    k_mat = np.diag(c[n])
+    sine = np.arange(1, b.size, 2)  # row of sqrt(2) sin; its cosine is next
+    k_mat[sine, sine + 1] = s[n[sine]]
+    k_mat[sine + 1, sine] = -s[n[sine]]
+    return _kept(b, k_mat, keep[n])
 
 
 def spectral_from_dense(
@@ -367,20 +345,16 @@ def spectral_from_dense(
     With eps=None a shift of 1e-6 is applied automatically when the
     smallest eigenvalue drops below 1e-10; an explicit eps (including 0) is
     honored, with a warning when it leaves the matrix near-singular. The
-    symmetry test and the smallest eigenvalue are :func:`psd_check`'s; an
+    matrix checks and the smallest eigenvalue are :func:`psd_check`'s; an
     eps that is negative, NaN or infinite raises ValueError.
     """
     if eps is not None:
-        eps = _as_real("eps", eps)
-        if not (math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"eps must be nonnegative and finite, got {eps}")
+        eps = _check_real("eps", eps)
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (basis.size, basis.size):
         raise ValueError(
             f"matrix shape {c.shape} does not match basis size {basis.size}"
         )
-    if not np.all(np.isfinite(c)):
-        raise ValueError("matrix must be finite")
     min_eig = psd_check(c)
     c = _symmetric_part(c)
     if eps is None:

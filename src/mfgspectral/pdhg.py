@@ -86,10 +86,12 @@ import numpy as np
 
 from .basis import (
     SliceTables,
+    _as_real,
     _check_int,
+    _check_real,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel, _as_real
+from .kernel import SpectralKernel
 from .problem import (
     DiscreteMeasure,
     DivergenceError,
@@ -113,7 +115,7 @@ _amax, _amin = np.maximum.reduce, np.minimum.reduce
 class SolverConfig:
     """Step sizes and stopping policy for the saddle-point iteration.
 
-    Real fields are stored as floats; invalid values raise ValueError.
+    Reals are stored as floats and counts as ints; bad values raise ValueError.
     """
 
     lam: float  # proximal step for the coefficient paths
@@ -125,24 +127,20 @@ class SolverConfig:
     momentum: float = 0.0  # heavy-ball weight of the trajectory step in [0, 1)
 
     def __post_init__(self):
-        for name in ("lam", "omega", "theta", "tol", "momentum"):
-            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        for name, value in (
+            ("lam", _check_real("lam", self.lam, positive=True)),
+            ("omega", _check_real("omega", self.omega, positive=True)),
+            ("theta", _as_real("theta", self.theta)),
+            ("max_iter", _check_int("max_iter", self.max_iter, minimum=0)),
+            ("tol", _check_real("tol", self.tol)),
+            ("record_every", _check_int("record_every", self.record_every, minimum=1)),
+            ("momentum", _as_real("momentum", self.momentum)),
+        ):
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        for name in ("max_iter", "record_every"):
-            _check_int(name, getattr(self, name))
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be positive, got {self.record_every}")
 
 
 @dataclass
@@ -164,8 +162,7 @@ def prox_a_operator(kernel: SpectralKernel, lam_dt: float):
 
     ``lam_dt`` must be nonnegative and finite.
     """
-    if not (math.isfinite(lam_dt) and lam_dt >= 0):
-        raise ValueError(f"lam_dt must be nonnegative and finite, got {lam_dt}")
+    lam_dt = _check_real("lam_dt", lam_dt)
     inverse = np.linalg.inv(lam_dt * kernel.j_mat + np.eye(kernel.size))
 
     def apply(rhs: np.ndarray) -> np.ndarray:
@@ -202,11 +199,13 @@ def prox_x_operator(num_steps: int, dt: float, step: float, curvature: float = 0
     whose gradient is ``curvature``-Lipschitz acts, takes the step
     min(step, 1 / curvature) and every other slice ``step``; with
     step * curvature <= 1 the matrix is Id + (step / dt) L exactly.
-    ``step`` and ``curvature`` must be nonnegative and finite.
+    ``num_steps`` must be a positive integer, ``dt`` positive and finite,
+    ``step`` and ``curvature`` nonnegative and finite.
     """
-    for name, value in (("step", step), ("curvature", curvature)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    num_steps = _check_int("num_steps", num_steps, minimum=1)
+    dt = _check_real("dt", dt, positive=True)
+    step = _check_real("step", step)
+    curvature = _check_real("curvature", curvature)
     lap = 2.0 * np.eye(num_steps) - np.eye(num_steps, k=1) - np.eye(num_steps, k=-1)
     lap[-1, -1] = 1.0
     system = np.eye(num_steps) + (step / dt) * lap

@@ -12,7 +12,6 @@ unused because every quadrature in the discrete objective is right-point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,10 +21,11 @@ from .basis import (
     BasisSet,
     SliceTables,
     _check_int,
+    _check_real,
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
-from .kernel import SpectralKernel, _as_real
+from .kernel import SpectralKernel
 
 
 class DivergenceError(RuntimeError):
@@ -78,10 +78,8 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
     mirror image 1 - p of point i is point Q^d - 1 - i, the listing rule
     :func:`~mfgspectral.postprocess.symmetry_defect` pairs particles by.
     """
-    _check_int("Q", Q)
+    Q = _check_int("Q", Q, minimum=1)
     _check_int("dimension", dimension)
-    if Q < 1:
-        raise ValueError(f"Q must be positive, got {Q}")
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     line = np.arange(1, Q + 1) / (Q + 1)
@@ -113,7 +111,7 @@ class MFGProblem:
     explicitly and shortens its last slice's step to at most 1 /
     ``terminal_curvature`` (see :func:`~mfgspectral.pdhg.prox_x_operator`).
     It is stored as a float and must be finite and nonnegative.
-    ``num_steps`` must be a positive Python or numpy integer.
+    ``num_steps``, a positive Python or numpy integer, is stored as an int.
     ``initial_density`` is stored for the caller; nothing in the package
     reads it, since the particles come from :func:`discretize_measure`.
     """
@@ -126,14 +124,9 @@ class MFGProblem:
     terminal_curvature: float = 0.0
 
     def __post_init__(self):
-        _check_int("num_steps", self.num_steps)
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be positive, got {self.num_steps}")
-        curvature = _as_real("terminal_curvature", self.terminal_curvature)
-        if not (math.isfinite(curvature) and curvature >= 0):
-            raise ValueError(
-                f"terminal_curvature must be nonnegative and finite, got {curvature}"
-            )
+        num_steps = _check_int("num_steps", self.num_steps, minimum=1)
+        curvature = _check_real("terminal_curvature", self.terminal_curvature)
+        object.__setattr__(self, "num_steps", num_steps)
         object.__setattr__(self, "terminal_curvature", curvature)
 
     @property

@@ -382,6 +382,26 @@ class TestValidation:
         )
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--output-dir", "config.output_dir: must be a non-empty string"),
+         ("--density-slices",
+          "config.density_slices: must be a non-empty list of integers")],
+        ids=["output-dir", "density-slices"],
+    )
+    def test_empty_flag_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                          flag, message):
+        # an empty flag was ignored: the run cleared and wrote the config's
+        # out/; it is checked as the JSON key it overrides
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, tiny_config("out"))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "metrics.json").write_text("earlier run")
+        assert main(["solve", path, flag, ""]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert os.listdir(tmp_path / "out") == ["metrics.json"]
+        assert (tmp_path / "out" / "metrics.json").read_text() == "earlier run"
+
     @pytest.mark.parametrize("flags", [["--max-iter", "5"], ["--tol", "1e-3"]],
                              ids=["max-iter", "tol"])
     def test_solver_flags_on_non_object_solver(self, tmp_path, capsys, flags):
@@ -538,6 +558,23 @@ class TestValidation:
         path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
         assert main(["solve", str(path)]) == 1
         assert f"config error: config.{field}.coefficients:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "kernel-info"])
+    @pytest.mark.parametrize("field", ["M", "U"])
+    def test_integer_beyond_float_range_in_coefficients(self, tmp_path, capsys,
+                                                        field, command):
+        # one config error line, as for kernel.matrix, not an OverflowError
+        cfg = tiny_config(tmp_path / "out")
+        cfg[field] = {"coefficients": [1.0, "LITERAL", 0.5]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"LITERAL"', HUGE_INT))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: config.{field}.coefficients: too large for a float\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_integer_beyond_float_range_in_solver(self, tmp_path, capsys):
         # SolverConfig checks each real field; this pins the CLI's wrapping

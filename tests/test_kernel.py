@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfgspectral.basis import basis_1d, basis_2d, eval_all
+from mfgspectral.basis import BasisSet, basis_1d, basis_2d, eval_all
 from mfgspectral.kernel import (
     GaussianKernelSpec,
     SpectralKernel,
@@ -734,6 +734,81 @@ class TestDerivedInverse:
     def test_j_is_not_an_input(self):
         with pytest.raises(TypeError, match="j_mat"):
             SpectralKernel(basis_1d(2), np.eye(2), j_mat=np.eye(2))
+
+
+def loop_gaussian(spec, r):
+    # the reference: the Gaussian's eigenvalues as gaussian_spectral computes
+    # them, then a loop that keeps each function unless its eigenvalue is
+    # subnormal or zero
+    b = basis_1d(r) if spec.dimension == 1 else basis_2d(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.where(b.frequencies > 0, np.pi * spec.sigma * b.frequencies, 0)
+        eig = spec.mu**spec.dimension * np.exp(-0.5 * np.sum(scaled**2, axis=1))
+    indices, kept = [], []
+    for idx, value in zip(b.indices, eig):
+        if value >= np.finfo(float).tiny:
+            indices.append(idx)
+            kept.append(value)
+    return BasisSet(b.dimension, r, tuple(indices)), np.diag(kept)
+
+
+def loop_blocks(c, s):
+    # the reference: the profile's kept functions and K, block by block
+    kept = [n for n in range(len(c)) if c[n] ** 2 + s[n] ** 2 >= 1e-14]
+    indices = []
+    for n in kept:
+        indices.extend((1,) if n == 0 else (2 * n, 2 * n + 1))
+    k_mat = np.zeros((len(indices), len(indices)))
+    pos = 0
+    for n in kept:
+        if n == 0:
+            k_mat[0, 0] = c[0]
+            pos = 1
+            continue
+        k_mat[pos : pos + 2, pos : pos + 2] = [[c[n], s[n]], [-s[n], c[n]]]
+        pos += 2
+    return BasisSet(1, max(indices), tuple(indices)), k_mat
+
+
+def assert_same_kernel(ker, basis, k_mat):
+    # bit for bit: K, its derived J, the kept indices and the truncation
+    assert ker.basis.indices == basis.indices
+    assert type(ker.basis.truncation) is int
+    assert ker.basis.truncation == basis.truncation
+    np.testing.assert_array_equal(ker.k_mat, k_mat)
+    assert np.array_equal(np.signbit(ker.k_mat), np.signbit(k_mat))
+    np.testing.assert_array_equal(ker.j_mat, SpectralKernel(basis, k_mat).j_mat)
+
+
+class TestPrunedKernels:
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.8, 1.0, 1e300])
+    @pytest.mark.parametrize("dimension, top", [(1, 60), (2, 12)])
+    def test_gaussian_matches_loop(self, sigma, dimension, top):
+        # in 1d, sigma >= 0.8 drops underflowed eigenvalues at large r;
+        # sigma 1e300 keeps only the constant
+        spec = GaussianKernelSpec(sigma, 0.5, dimension)
+        for r in range(dimension, top + 1):
+            assert_same_kernel(gaussian_spectral(spec, r), *loop_gaussian(spec, r))
+
+    def test_gaussian_pruning_is_exercised(self):
+        assert gaussian_spectral(GaussianKernelSpec(0.8, 0.5), 60).size < 60
+        assert gaussian_spectral(GaussianKernelSpec(1e300, 0.5, 2), 12).size == 1
+
+    @pytest.mark.parametrize(
+        "c, s",
+        [
+            ([1.0, 0.5, 0.25, 0.125], [0.0, 0.0, 0.0, 0.0]),
+            ([1.0, 0.5, 0.25, 0.125], [0.0, 0.1, -0.2, 0.05]),
+            ([1.0, 0.0, 0.25, 0.125], [0.0, 0.0, 0.1, 0.0]),
+            ([1.0, 0.5, 0.25, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0, 0.0]),
+            ([0.7], [0.0]),
+            ([0.0, 0.5, 0.3], [0.0, -0.1, 0.0]),
+        ],
+        ids=["even", "odd", "interior-degenerate", "top-degenerate", "mean-only",
+             "degenerate-mean"],
+    )
+    def test_blocks_match_loop(self, c, s):
+        assert_same_kernel(translation_invariant_blocks(c, s), *loop_blocks(c, s))
 
 
 class TestIntegerCounts:
