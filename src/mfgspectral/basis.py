@@ -38,7 +38,9 @@ derivative) once, as ``_layout``, and the scatter matrix from it once, as
 
 Every module imports this one, so it also owns the argument rules, each
 stated once and returning a Python int or float: :func:`_check_int` for
-counts, :func:`_as_real` for reals and :func:`_check_real` for finite ones.
+counts, :func:`_check_dimension` for dimensions, :func:`_as_real` for reals
+and :func:`_check_real` for finite ones; :func:`_check_shape` checks an
+array's exact shape.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _check_dimension(value) -> int:
+    """``value`` as an int; ValueError unless it is an integer 1 or 2."""
+    value = _check_int("dimension", value)
+    if value not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {value}")
+    return value
+
+
+def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    """ValueError naming ``name`` unless ``array`` has exactly ``shape``."""
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+
+
 def _as_real(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` if it is a bool, not
     a real number, or an integer beyond the float range."""
@@ -88,7 +104,7 @@ def _check_real(name: str, value, positive: bool = False) -> float:
 
 def tensor_indices(r: int) -> list[tuple[int, int]]:
     """All pairs (k, k') with k, k' >= 1 and k + k' <= r, lexicographic."""
-    _check_int("r", r)
+    r = _check_int("r", r)
     if r < 2:
         raise ValueError(f"2d truncation must be at least 2, got {r}")
     return [(k, kp) for k in range(1, r) for kp in range(1, r - k + 1)]
@@ -110,7 +126,9 @@ class BasisSet:
     dimension 2. The standard constructors :func:`basis_1d` and
     :func:`basis_2d` build the full families; a subset of indices is legal
     (used when degenerate kernel frequencies are dropped). Indices must be
-    distinct, and each per-axis index must lie in 1..truncation.
+    distinct, and each per-axis index must lie in 1..truncation. The
+    dimension, truncation and indices are stored as Python ints, the
+    indices as a tuple (of pairs in 2d).
     """
 
     dimension: int
@@ -118,21 +136,25 @@ class BasisSet:
     indices: tuple
 
     def __post_init__(self):
-        _check_int("dimension", self.dimension)
-        _check_int("truncation", self.truncation)
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        dimension = _check_dimension(self.dimension)
+        truncation = _check_int("truncation", self.truncation)
         if not self.indices:
             raise ValueError("basis must contain at least one function")
+        indices = []
         for idx in self.indices:
-            ks = (idx,) if self.dimension == 1 else tuple(idx)
-            if len(ks) != self.dimension or any(
-                not isinstance(k, (int, np.integer)) or not 1 <= k <= self.truncation
+            ks = (idx,) if dimension == 1 else tuple(idx)
+            if len(ks) != dimension or any(
+                not isinstance(k, (int, np.integer)) or not 1 <= k <= truncation
                 for k in ks
             ):
                 raise ValueError(f"invalid basis index {idx!r}")
-        if len(set(self.indices)) != self.size:
+            ks = tuple(map(int, ks))
+            indices.append(ks[0] if dimension == 1 else ks)
+        if len(set(indices)) != len(indices):
             raise ValueError("basis indices must be distinct")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "indices", tuple(indices))
 
     @property
     def size(self) -> int:
@@ -177,7 +199,7 @@ class BasisSet:
 
 def basis_1d(r: int) -> BasisSet:
     """The first r one-dimensional basis functions."""
-    _check_int("r", r)
+    r = _check_int("r", r)
     if r < 1:
         raise ValueError(f"1d basis size must be positive, got {r}")
     return BasisSet(dimension=1, truncation=r, indices=tuple(range(1, r + 1)))
@@ -248,12 +270,12 @@ _BLOCK = 1024  # points per block: small gathered temporaries fault in few pages
 
 def _point_table(basis: BasisSet, points) -> np.ndarray:
     # the (rows, d, n) table of every axis at (n, d) points, from one call
-    pts = np.asarray(points, dtype=float)
+    pts = given = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None] if basis.dimension == 1 else pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != basis.dimension:
         raise ValueError(
-            f"points must have shape (n, {basis.dimension}), got {pts.shape}"
+            f"points must have shape (n, {basis.dimension}), got {given.shape}"
         )
     return _axis_tables(pts.T, basis._layout.top)
 
@@ -326,9 +348,7 @@ class SliceTables:
         on the layout.
         """
         pts = np.asarray(points, dtype=float)
-        shape = self._buffer.shape[:0:-1]  # (Q, N, d)
-        if pts.shape != shape:
-            raise ValueError(f"points must have shape {shape}, got {pts.shape}")
+        _check_shape("points", pts, self._buffer.shape[:0:-1])  # (Q, N, d)
         _axis_tables(pts.transpose(2, 1, 0), self.basis._layout.top, out=self._buffer)
 
     def moments(self, weights) -> np.ndarray:
@@ -360,9 +380,11 @@ class SliceTables:
         that multiplies by T1 and sums over k in the same pass. A particle
         gets the same bits alone as in any batch: numpy would take gemv for
         one column, so a lone particle's T2 goes into the matmul twice.
+        Coefficients of a shape other than (size, N) raise ``ValueError``.
         """
         coeffs = np.asarray(coeffs, dtype=float)
         rows, d, n, q = self._buffer.shape
+        _check_shape("coefficient path", coeffs, (self.basis.size, n))
         scattered = coeffs.T @ self.basis._scatter  # (N, d * rows**d)
         t1, out = self._axes[0], np.empty((d, n, q))
         if d == 1:

@@ -559,11 +559,11 @@ def _apply_overrides(raw: dict, args) -> dict:
             section = raw.setdefault("solver", {})
             _expect(isinstance(section, dict), "config.solver", "must be an object")
             section[key] = value
-    if getattr(args, "density_slices", None) is not None:
+    slices = getattr(args, "density_slices", None)
+    if slices is not None:  # "" is the empty list; an empty entry fails int()
+        entries = slices.split(",") if slices else []
         try:
-            raw["density_slices"] = [
-                int(v) for v in args.density_slices.split(",") if v != ""
-            ]
+            raw["density_slices"] = [int(v) for v in entries]
         except ValueError as exc:
             raise ConfigError(f"--density-slices: {exc}") from exc
     return raw

@@ -34,7 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, _check_int, _check_real, basis_1d, basis_2d, eval_all
+from .basis import (
+    BasisSet,
+    _check_dimension,
+    _check_int,
+    _check_real,
+    _check_shape,
+    basis_1d,
+    basis_2d,
+    eval_all,
+)
 
 DEGENERATE_DET = 1e-14
 AUTO_EPS = 1e-6
@@ -59,9 +68,7 @@ class GaussianKernelSpec:
         for name in ("sigma", "mu"):
             value = _check_real(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "dimension", _check_int("dimension", self.dimension))
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
         try:  # the total weight mu^d must be a float
             self.mu**self.dimension
         except OverflowError:
@@ -118,12 +125,18 @@ class SpectralKernel:
         return self.basis.size
 
     def apply_k(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product K @ v; v may carry trailing axes."""
-        return (self.k_mat @ v.reshape(self.size, -1)).reshape(v.shape)
+        """Matrix-vector product K @ v; v leads with ``size`` and may carry
+        trailing axes, or ValueError is raised."""
+        return self._apply(self.k_mat, v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product J @ v; v may carry trailing axes."""
-        return (self.j_mat @ v.reshape(self.size, -1)).reshape(v.shape)
+        """Matrix-vector product J @ v; v leads with ``size`` and may carry
+        trailing axes, or ValueError is raised."""
+        return self._apply(self.j_mat, v)
+
+    def _apply(self, matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+        _check_shape("v", v, (self.size, *v.shape[1:]))
+        return (matrix @ v.reshape(self.size, -1)).reshape(v.shape)
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the symmetric part of K, ascending."""
@@ -241,7 +254,7 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     2^16 pairs, so the kernel values take O(block) memory rather than
     O(g^(2d)).
     """
-    _check_int("num_points", num_points)
+    num_points = _check_int("num_points", num_points)
     if num_points < 4 * basis.truncation:
         raise ValueError(
             f"grid too coarse: need at least {4 * basis.truncation} points per "
@@ -261,11 +274,7 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         kvals = np.asarray(kernel(pts[block, None], pts[None]), dtype=float)
-        expect = (min(rows, n - start), n)
-        if kvals.shape != expect:
-            raise ValueError(
-                f"kernel values must have shape {expect}, got {kvals.shape}"
-            )
+        _check_shape("kernel values", kvals, (min(rows, n - start), n))
         if not np.all(np.isfinite(kvals)):
             raise ValueError("kernel values must be finite")
         np.matmul(kvals, phi, out=kphi[block])
@@ -279,7 +288,7 @@ def fejer_average(coefficients: np.ndarray, r: int, basis: BasisSet) -> np.ndarr
     is the per-axis frequency of function i of ``basis``, whose order the
     rows and columns follow.
     """
-    _check_int("r", r)
+    r = _check_int("r", r)
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")

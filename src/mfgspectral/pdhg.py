@@ -89,6 +89,7 @@ from .basis import (
     _as_real,
     _check_int,
     _check_real,
+    _check_shape,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
 from .kernel import SpectralKernel
@@ -96,7 +97,6 @@ from .problem import (
     DiscreteMeasure,
     DivergenceError,
     MFGProblem,
-    _check_coefficients,
     _saddle_value,
     action_gradient,
     moment_vector,
@@ -183,8 +183,12 @@ def step_a(
 
     Solves (lam*dt*J + Id) a_new = a + lam*dt*q columnwise, with q the
     (size, N) extrapolated basis moments of the trajectories (see
-    :func:`step_z`).
+    :func:`step_z`). ``a`` must have shape (size, N), size the kernel's,
+    and ``q`` the shape of ``a``, or ValueError is raised.
     """
+    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
+    _check_shape("coefficient path", a, (kernel.size, a.shape[1] if a.ndim > 1 else 1))
+    _check_shape("q", q, a.shape)
     if prox is None:
         prox = prox_a_operator(kernel, lam * dt)
     return prox(a + lam * dt * q)
@@ -294,7 +298,7 @@ def fixed_point_residual(
     """
     a = np.asarray(a, dtype=float)
     p = moment_vector(x, measure, kernel.basis)
-    _check_coefficients(a, *p.shape)
+    _check_shape("coefficient path", a, p.shape)
     return _residual(a, p, kernel)
 
 

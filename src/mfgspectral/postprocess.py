@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_int
+from .basis import _check_int, _check_shape
 from .problem import DiscreteMeasure
 
 GRID_MATCH_TOL = 1e-9
@@ -28,11 +28,18 @@ GRID_MATCH_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DensitySnapshot:
-    """One time slice of the particle density on a uniform bin grid."""
+    """One time slice of the particle density on a uniform bin grid.
+
+    ``time_index`` and ``bins`` are stored as Python ints.
+    """
 
     time_index: int
     bins: int
     values: np.ndarray  # (bins,) * d
+
+    def __post_init__(self):
+        for name in ("time_index", "bins"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
 
     @property
     def dimension(self) -> int:
@@ -48,9 +55,14 @@ class DensitySnapshot:
 def density_histogram(
     x: np.ndarray, measure: DiscreteMeasure, time_index: int, bins: int
 ) -> DensitySnapshot:
-    """Weighted histogram of the wrapped particle positions at one slice."""
-    _check_int("time_index", time_index)
-    _check_int("bins", bins)
+    """Weighted histogram of the wrapped particle positions at one slice.
+
+    ``x`` holds (Q, slices, d) paths of the measure's Q particles in its
+    d dimensions, or ValueError is raised.
+    """
+    time_index = _check_int("time_index", time_index)
+    bins = _check_int("bins", bins)
+    _check_paths(x, measure)
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if not 0 <= time_index < x.shape[1]:
@@ -62,6 +74,12 @@ def density_histogram(
     np.add.at(values, tuple(idx.T), measure.weights)
     values *= float(bins) ** d  # divide by bin volume
     return DensitySnapshot(time_index=time_index, bins=bins, values=values)
+
+
+def _check_paths(x: np.ndarray, measure: DiscreteMeasure) -> None:
+    # (Q, slices, d) paths of the measure's particles, any number of slices
+    slices = x.shape[1] if x.ndim > 1 else 1
+    _check_shape("x", x, (measure.count, slices, measure.dimension))
 
 
 def straightness_metric(x: np.ndarray):
@@ -99,6 +117,7 @@ def symmetry_defect(x: np.ndarray, measure: DiscreteMeasure) -> float:
     """
     if x.shape[0] != measure.count:
         raise ValueError(f"x has {x.shape[0]} particles, the measure {measure.count}")
+    _check_paths(x, measure)
     points, weights = measure.points, measure.weights
     own, mirror = np.arange(measure.count), np.arange(measure.count)[::-1]
     grid_gap = _wrapped_distance(points, np.mod(1.0 - points[mirror], 1.0))

@@ -20,8 +20,10 @@ import numpy as np
 from .basis import (
     BasisSet,
     SliceTables,
+    _check_dimension,
     _check_int,
     _check_real,
+    _check_shape,
     eval_all,
     grad_all,  # noqa: F401  (traced in this namespace by bench/layers.py)
 )
@@ -79,9 +81,7 @@ def discretize_measure(density: Callable, Q: int, dimension: int) -> DiscreteMea
     :func:`~mfgspectral.postprocess.symmetry_defect` pairs particles by.
     """
     Q = _check_int("Q", Q, minimum=1)
-    _check_int("dimension", dimension)
-    if dimension not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+    dimension = _check_dimension(dimension)
     line = np.arange(1, Q + 1) / (Q + 1)
     grid = np.indices((Q,) * dimension).reshape(dimension, -1)  # (d, Q^d)
     pts = np.ascontiguousarray(line[grid].T)
@@ -142,23 +142,6 @@ class MFGProblem:
         return 1.0 / self.num_steps
 
 
-def _check_coefficients(a: np.ndarray, size: int, num_steps: int):
-    # (size, N) coefficient paths
-    if a.shape != (size, num_steps):
-        raise ValueError(
-            f"coefficient path must have shape ({size}, {num_steps}), got {a.shape}"
-        )
-
-
-def _check_trajectories(x: np.ndarray, measure: DiscreteMeasure, num_steps: int):
-    # (Q, N+1, d) trajectories
-    if x.shape != (measure.count, num_steps + 1, measure.dimension):
-        raise ValueError(
-            f"trajectories must have shape ({measure.count}, {num_steps + 1}, "
-            f"{measure.dimension}), got {x.shape}"
-        )
-
-
 def moment_vector(
     x: np.ndarray, measure: DiscreteMeasure, basis: BasisSet
 ) -> np.ndarray:
@@ -171,7 +154,8 @@ def moment_vector(
     ValueError.
     """
     x = np.asarray(x, dtype=float)
-    _check_trajectories(x, measure, max(x.shape[1] - 1, 1) if x.ndim > 1 else 1)
+    slices = max(x.shape[1], 2) if x.ndim > 1 else 2
+    _check_shape("trajectories", x, (measure.count, slices, measure.dimension))
     return SliceTables(basis, x[:, 1:]).moments(measure.weights)
 
 
@@ -185,9 +169,9 @@ def saddle_value(
     trajectories.
     """
     a = np.asarray(a, dtype=float)
-    basis = problem.basis
-    _check_coefficients(a, basis.size, problem.num_steps)
-    _check_trajectories(x, measure, problem.num_steps)
+    basis, n = problem.basis, problem.num_steps
+    _check_shape("coefficient path", a, (basis.size, n))
+    _check_shape("trajectories", x, (measure.count, n + 1, measure.dimension))
     if not np.array_equal(x[:, 0, :], measure.points):
         raise ValueError("initial trajectory slice must equal the particle grid")
     return _saddle_value(a, x, moment_vector(x, measure, basis), problem, measure)
@@ -211,9 +195,11 @@ def action(x: np.ndarray, a: np.ndarray, problem: MFGProblem) -> np.ndarray:
 
     ``x`` holds (Q, N+1, d) paths and ``a`` the (size, N) coefficient paths
     of the coupling field, read at the basis values of every point of slices
-    1..N (:func:`~mfgspectral.basis.eval_all`).
+    1..N (:func:`~mfgspectral.basis.eval_all`); an ``a`` of another shape
+    raises ValueError.
     """
     q, n, d = x.shape[0], problem.num_steps, problem.dimension
+    _check_shape("coefficient path", a, (problem.basis.size, n))
     diffs = x[:, 1:] - x[:, :-1]
     kinetic = np.sum((diffs**2).reshape(q, -1), axis=1) / (2.0 * problem.dt)
     values = eval_all(problem.basis, x[:, 1:].reshape(-1, d)).reshape(q, n, -1)
@@ -229,7 +215,8 @@ def action_gradient(
 
     The coupling term is the gradient of the field sum_k a[k, i] phi_k at
     each particle, read from ``tables``, the basis
-    :class:`~mfgspectral.basis.SliceTables` at x[:, 1:] (built when not given).
+    :class:`~mfgspectral.basis.SliceTables` at x[:, 1:] (built when not given),
+    which reject an ``a`` of a shape other than (size, N).
     """
     dt = problem.dt
     inner = x[:, 1:, :]  # slices 1..N
@@ -260,7 +247,7 @@ def best_response(a: np.ndarray, x0, problem: MFGProblem):
     (Q, N+1, d) paths and their (Q,) actions.
     """
     a = np.asarray(a, dtype=float)
-    _check_coefficients(a, problem.basis.size, problem.num_steps)
+    _check_shape("coefficient path", a, (problem.basis.size, problem.num_steps))
     start = np.asarray(x0, dtype=float)
     if start.ndim != 2 or start.shape[1] != problem.dimension:
         raise ValueError(

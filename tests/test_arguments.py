@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from mfgspectral.basis import basis_1d
+from mfgspectral.basis import BasisSet, basis_1d, basis_2d
 from mfgspectral.kernel import (
     GaussianKernelSpec,
     gaussian_spectral,
@@ -17,7 +17,8 @@ from mfgspectral.kernel import (
     spectral_from_dense,
 )
 from mfgspectral.pdhg import SolverConfig, prox_a_operator, prox_x_operator
-from mfgspectral.problem import MFGProblem
+from mfgspectral.postprocess import DensitySnapshot, density_histogram
+from mfgspectral.problem import MFGProblem, discretize_measure
 
 KERNEL = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 3)
 
@@ -110,3 +111,56 @@ def test_counts_stored_as_ints():
 def test_solver_config_serializes_with_numpy_counts():
     cfg = SolverConfig(lam=1, omega=1, max_iter=np.int64(3))
     assert json.loads(json.dumps(dataclasses.asdict(cfg)))["max_iter"] == 3
+
+
+def test_basis_counts_stored_as_ints():
+    # the dimension, truncation and indices were stored as passed, numpy
+    # integers included
+    b1 = basis_1d(np.int64(3))
+    b2 = BasisSet(np.int64(2), np.int32(3), ((np.int64(1), np.int32(2)), (2, 1)))
+    assert [type(v) for v in (b1.dimension, b1.truncation, *b1.indices)] == [int] * 5
+    assert [type(v) for v in (b2.dimension, b2.truncation)] == [int] * 2
+    assert b2.indices == ((1, 2), (2, 1))
+    assert {type(k) for pair in b2.indices for k in pair} == {int}
+    assert all(type(pair) is tuple for pair in b2.indices)
+
+
+def test_basis_serializes_with_numpy_counts():
+    record = json.loads(json.dumps(dataclasses.asdict(basis_2d(np.int64(3)))))
+    assert record == {
+        "dimension": 2, "truncation": 3, "indices": [[1, 1], [1, 2], [2, 1]]
+    }
+
+
+def test_density_snapshot_counts_stored_as_ints():
+    m = discretize_measure(lambda p: np.ones(len(p)), 2, 1)
+    x = np.repeat(m.points[:, None, :], 3, axis=1)
+    snaps = (
+        density_histogram(x, m, np.int64(1), np.int32(4)),
+        DensitySnapshot(time_index=np.int64(0), bins=np.int32(2), values=np.ones(2)),
+    )
+    for snap in snaps:
+        assert [type(snap.time_index), type(snap.bins)] == [int, int]
+
+
+DIMENSION_USERS = {
+    "BasisSet": lambda d: BasisSet(d, 2, (1,)),
+    "GaussianKernelSpec": lambda d: GaussianKernelSpec(0.2, 0.5, dimension=d),
+    "discretize_measure": lambda d: discretize_measure(lambda p: np.ones(len(p)), 3, d),
+}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (3, "dimension must be 1 or 2, got 3"),
+        (np.int64(0), "dimension must be 1 or 2, got 0"),
+        (True, "dimension must be an integer, got True"),
+        (1.0, "dimension must be an integer, got 1.0"),
+    ],
+    ids=["three", "numpy-zero", "bool", "float"],
+)
+@pytest.mark.parametrize("user", sorted(DIMENSION_USERS))
+def test_one_dimension_rule(user, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DIMENSION_USERS[user](value)

@@ -6,7 +6,8 @@ when a traced benchmark run crashes. An import kept only for those
 patches carries ``# noqa: F401``, and such a marker must not outlive its
 reason. ``bench/workloads.py`` reads ``ExperimentConfig`` fields and builds
 problems and kernel specs itself, so each workload's set-up must still
-run. These tests read ``bench/`` and change nothing there.
+run, and one run of each must pass the bench's own output checks. These
+tests read ``bench/`` and change nothing there.
 """
 
 import ast
@@ -77,3 +78,27 @@ def test_unused_imports_are_exactly_the_traced_ones(layers):
                     f"{path.name}:{alias.lineno}: {name} is used, so needs no noqa"
                 )
     assert marked  # the check saw the imports it is about
+
+
+
+@pytest.mark.parametrize(
+    "name, traced",
+    [("cli-1d-a", False), ("cli-2d-a", False), ("lib-2d-dense", False),
+     ("cli-2d-a", True)],
+    ids=["cli-1d-a", "cli-2d-a", "lib-2d-dense", "cli-2d-a-traced"],
+)
+def test_workload_rep_passes_its_checks(workloads, layers, tmp_path, name, traced):
+    # one run as bench/run.py makes it (seed 0, the workload's own bounds, the
+    # phase boundaries and, when traced, every layer patched in): a library
+    # check that rejects the bench's own inputs fails here, not first as a
+    # failed benchmark run
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer, traced)
+    try:
+        rep = workloads.WORKLOADS[name](0).rep(tracer, str(tmp_path))
+    finally:
+        tracer.restore()
+    assert rep.ok, rep.failures
+    assert rep.iterations > 0

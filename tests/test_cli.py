@@ -1168,3 +1168,22 @@ def test_config_requires_kernel_type(tmp_path):
     cfg["kernel"].pop("type")
     with pytest.raises(ConfigError, match="config.kernel.type"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("value", ["0,,2", "0,2,", ","],
+                         ids=["inner", "trailing", "comma"])
+def test_empty_density_slice_entry_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                     value):
+    # empty entries were dropped, so "0,,2," ran as [0, 2]; the JSON key
+    # allows no empty entry either
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, tiny_config("out"))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "metrics.json").write_text("earlier run")
+    assert main(["solve", path, "--density-slices", value]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --density-slices: invalid literal for int() with "
+        "base 10: ''\n"
+    )
+    assert os.listdir(tmp_path / "out") == ["metrics.json"]
+    assert (tmp_path / "out" / "metrics.json").read_text() == "earlier run"
