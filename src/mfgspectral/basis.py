@@ -126,9 +126,9 @@ class BasisSet:
     dimension 2. The standard constructors :func:`basis_1d` and
     :func:`basis_2d` build the full families; a subset of indices is legal
     (used when degenerate kernel frequencies are dropped). Indices must be
-    distinct, and each per-axis index must lie in 1..truncation. The
-    dimension, truncation and indices are stored as Python ints, the
-    indices as a tuple (of pairs in 2d).
+    distinct, and each per-axis index must be an integer (not a bool) in
+    1..truncation. The dimension, truncation and indices are stored as
+    Python ints, the indices as a tuple (of pairs in 2d).
     """
 
     dimension: int
@@ -144,7 +144,9 @@ class BasisSet:
         for idx in self.indices:
             ks = (idx,) if dimension == 1 else tuple(idx)
             if len(ks) != dimension or any(
-                not isinstance(k, (int, np.integer)) or not 1 <= k <= truncation
+                isinstance(k, bool)
+                or not isinstance(k, (int, np.integer))
+                or not 1 <= k <= truncation
                 for k in ks
             ):
                 raise ValueError(f"invalid basis index {idx!r}")

@@ -62,6 +62,7 @@ def density_histogram(
     """
     time_index = _check_int("time_index", time_index)
     bins = _check_int("bins", bins)
+    x = np.asarray(x, dtype=float)
     _check_paths(x, measure)
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
@@ -89,6 +90,7 @@ def straightness_metric(x: np.ndarray):
     the metric is the largest Euclidean gap to that chord over time, so
     exactly 0 for one time step.
     """
+    x = np.asarray(x, dtype=float)
     n = x.shape[1] - 1
     if n < 1:
         raise ValueError("straightness needs at least 1 time step")
@@ -115,6 +117,7 @@ def symmetry_defect(x: np.ndarray, measure: DiscreteMeasure) -> float:
     agree within GRID_MATCH_TOL, else i itself; the defect is the maximum
     over i and slices t of the distance from x[i, t] to 1 - x[j, t].
     """
+    x = np.asarray(x, dtype=float)
     if x.shape[0] != measure.count:
         raise ValueError(f"x has {x.shape[0]} particles, the measure {measure.count}")
     _check_paths(x, measure)

@@ -169,6 +169,7 @@ def saddle_value(
     trajectories.
     """
     a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
     basis, n = problem.basis, problem.num_steps
     _check_shape("coefficient path", a, (basis.size, n))
     _check_shape("trajectories", x, (measure.count, n + 1, measure.dimension))
@@ -198,6 +199,7 @@ def action(x: np.ndarray, a: np.ndarray, problem: MFGProblem) -> np.ndarray:
     1..N (:func:`~mfgspectral.basis.eval_all`); an ``a`` of another shape
     raises ValueError.
     """
+    x = np.asarray(x, dtype=float)
     q, n, d = x.shape[0], problem.num_steps, problem.dimension
     _check_shape("coefficient path", a, (problem.basis.size, n))
     diffs = x[:, 1:] - x[:, :-1]
@@ -218,6 +220,7 @@ def action_gradient(
     :class:`~mfgspectral.basis.SliceTables` at x[:, 1:] (built when not given),
     which reject an ``a`` of a shape other than (size, N).
     """
+    x = np.asarray(x, dtype=float)
     dt = problem.dt
     inner = x[:, 1:, :]  # slices 1..N
     if tables is None:

@@ -103,6 +103,17 @@ def test_invalid_index_raises():
         BasisSet(dimension=2, truncation=6, indices=((1, 1), (1, 7)))
 
 
+@pytest.mark.parametrize(
+    "dimension, indices, bad",
+    [(1, (True, 2), "True"), (2, ((1, 2), (1, True)), r"\(1, True\)")],
+    ids=["1d", "2d"],
+)
+def test_bool_index_raises(dimension, indices, bad):
+    # a bool is no index, as it is no count (True would stand for 1)
+    with pytest.raises(ValueError, match=f"^invalid basis index {bad}$"):
+        BasisSet(dimension=dimension, truncation=2, indices=indices)
+
+
 def test_point_shape_checked():
     with pytest.raises(ValueError):
         eval_all(basis_1d(3), [[0.1, 0.2]])  # a 2d point in 1d

@@ -11,6 +11,7 @@ tests read ``bench/`` and change nothing there.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,20 @@ def test_workload_setup_runs(workloads, name):
     workload = workloads.WORKLOADS[name](0)
     assert workload.setup() > 0.0
     assert workload.dimension in (1, 2) and workload.bins >= 2
+
+
+def test_dense_workload_setup_memory(workloads):
+    # the quadrature's kernel calls dominate lib-2d-dense set-up: 4.6 MiB
+    # with one call per 2^16-pair block, 2.2 MiB with calls on 2^14 pairs
+    workload = workloads.WORKLOADS["lib-2d-dense"](0)
+    workload.setup()  # first-call allocations are not the quadrature's
+    tracemalloc.start()
+    try:
+        workload.setup()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_traced_names_resolve(layers):

@@ -2,7 +2,8 @@
 raises a ValueError naming the argument, where numpy would broadcast or
 reshape it into a wrong answer. Every exact-shape message comes from
 ``mfgspectral.basis._check_shape``: ``"{name} must have shape {shape}, got
-{array.shape}"``, with the shape the caller passed."""
+{array.shape}"``, with the shape the caller passed. Paths given as nested
+lists are read as the array they spell."""
 
 import re
 
@@ -11,9 +12,20 @@ import pytest
 
 from mfgspectral.basis import SliceTables, basis_2d, eval_all, grad_all
 from mfgspectral.kernel import GaussianKernelSpec, gaussian_spectral
-from mfgspectral.pdhg import step_a, step_x
-from mfgspectral.postprocess import density_histogram, symmetry_defect
-from mfgspectral.problem import MFGProblem, action, action_gradient, discretize_measure
+from mfgspectral.pdhg import fixed_point_residual, step_a, step_x
+from mfgspectral.postprocess import (
+    density_histogram,
+    straightness_metric,
+    symmetry_defect,
+)
+from mfgspectral.problem import (
+    MFGProblem,
+    action,
+    action_gradient,
+    discretize_measure,
+    moment_vector,
+    saddle_value,
+)
 
 N = 3
 KERNEL = gaussian_spectral(GaussianKernelSpec(0.2, 0.5), 4)  # size 4
@@ -103,3 +115,27 @@ def test_point_error_names_the_shape_passed(table):
     # the message showed (1, 3), the array after a 1d input was made one point
     _raises("points must have shape (n, 2), got (3,)",
             lambda: table(basis_2d(3), [0.1, 0.2, 0.3]))
+
+
+# paths that move off the grid after slice 0, and a coefficient path
+MOVED = PATHS + np.random.default_rng(0).uniform(-0.2, 0.2, PATHS.shape)
+MOVED[:, 0] = MEASURE.points
+A = np.random.default_rng(1).normal(size=(4, N))
+
+ON_PATHS = {
+    "saddle_value": lambda x: saddle_value(A, x, PROBLEM, MEASURE),
+    "action": lambda x: action(x, A, PROBLEM),
+    "action_gradient": lambda x: action_gradient(x, A, PROBLEM),
+    "density_histogram": lambda x: density_histogram(x, MEASURE, N, 4).values,
+    "symmetry_defect": lambda x: symmetry_defect(x, MEASURE),
+    "straightness_metric": straightness_metric,
+    "moment_vector": lambda x: moment_vector(x, MEASURE, KERNEL.basis),
+    "fixed_point_residual": lambda x: fixed_point_residual(A, x, KERNEL, MEASURE),
+}
+
+
+@pytest.mark.parametrize("name", ON_PATHS)
+def test_nested_list_paths_give_the_array_result(name):
+    # every function on paths reads a nested list as the array it spells
+    call = ON_PATHS[name]
+    np.testing.assert_equal(call(MOVED.tolist()), call(MOVED))
