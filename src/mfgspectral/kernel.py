@@ -18,14 +18,14 @@ is below exp(-50) ~ 2e-22 of the peak, far under half an ulp.
 
 The quadrature (:func:`fourier_coefficients`) takes one path in both
 dimensions: it evaluates the kernel on the tensor grid in row blocks of
-at most 2^14 point pairs, gathered into blocks of at most 2^16 pairs for
-the product with the basis values, so the kernel's temporaries stay in
-cache and memory does not grow with the square of the grid, and it
-rejects kernel values of the wrong shape or that are not finite. The
-blocks it hands the kernel are read-only views of one coordinate-major
-grid, (g^d, d) in shape but (d, g^d) in memory, so in 2d the kernel's
-differences and per-coordinate slices run along contiguous rows of g^2
-values.
+at most 2^14 point pairs (or one grid row when a row holds more), each
+block one kernel call and one product with the basis values, so the
+kernel's temporaries stay in cache and memory does not grow with the
+square of the grid, and it rejects kernel values of the wrong shape or
+that are not finite. The blocks it hands the kernel are read-only views
+of one coordinate-major grid, (g^d, d) in shape but (d, g^d) in memory,
+so in 2d the kernel's differences and per-coordinate slices run along
+contiguous rows of g^2 values.
 """
 
 from __future__ import annotations
@@ -230,16 +230,11 @@ def _gauss_axis(spec: GaussianKernelSpec, t: np.ndarray) -> np.ndarray:
     return total if total.ndim else total[()]
 
 
-# Point pairs per block of the K Phi product. At g = 40 in 2d, 2^14 and
-# 2^15 pairs change the last bits of 769 of the 784 coefficients at r = 8
-# and 2^17 is slower, so the product keeps 2^16 until a change that moves
-# K anyway. The kernel is called on sub-blocks of at most _CALL_PAIRS
-# pairs, written into one block buffer: kernel values are elementwise, so
-# K stays bit for bit, while each of the kernel's temporaries takes 128 KB
-# instead of 512 KB: one lib-2d-dense build peaks at 2.2 MiB of traced
-# allocations instead of 4.6 MiB, in the same time within 1% (2-CPU host).
-_BLOCK_PAIRS = 1 << 16
-_CALL_PAIRS = 1 << 14
+# Point pairs per block: each block of grid rows is one kernel call and
+# one product with the basis values, so each of the kernel's temporaries
+# takes 128 KB: one lib-2d-dense build peaks at 1.7 MiB of traced
+# allocations, in the same time as 2^16-pair blocks (2-CPU host).
+_BLOCK_PAIRS = 1 << 14
 
 
 def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray:
@@ -257,8 +252,8 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
     grid, coordinate-major in 2d (the coordinate axis has the largest
     stride); a kernel that needs C order or wants to write into them
     calls ``np.ascontiguousarray`` or ``.copy()``. A call holds at most
-    2^14 pairs, or one grid row when a row holds more, and the values go
-    into one buffer of at most 2^16 pairs (or one row), so they take
+    2^14 pairs, or one grid row when a row holds more, and its values are
+    multiplied by the basis values before the next call, so they take
     O(block) memory rather than O(g^(2d)).
     """
     num_points = _check_int("num_points", num_points)
@@ -277,20 +272,14 @@ def fourier_coefficients(kernel, basis: BasisSet, num_points: int) -> np.ndarray
         pts = pts[:, 0]
     n = pts.shape[0]
     rows = max(1, _BLOCK_PAIRS // n)
-    call_rows = max(1, _CALL_PAIRS // n)
-    kvals = np.empty((min(rows, n), n))  # one block's values, reused
     kphi = np.empty_like(phi)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = kvals[: stop - start]
-        for lo in range(start, stop, call_rows):
-            hi = min(lo + call_rows, stop)
-            values = np.asarray(kernel(pts[lo:hi, None], pts[None]), dtype=float)
-            _check_shape("kernel values", values, (hi - lo, n))
-            block[lo - start : hi - start] = values
-        if not np.all(np.isfinite(block)):
+        block = slice(start, min(start + rows, n))
+        values = np.asarray(kernel(pts[block, None], pts[None]), dtype=float)
+        _check_shape("kernel values", values, (block.stop - start, n))
+        if not np.all(np.isfinite(values)):
             raise ValueError("kernel values must be finite")
-        np.matmul(block, phi, out=kphi[start:stop])
+        np.matmul(values, phi, out=kphi[block])
     return phi.T @ kphi / n**2
 
 

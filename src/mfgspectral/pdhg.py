@@ -253,6 +253,7 @@ def step_x(
     it equal to that of ``x``. An ``out`` that may share memory with ``x``
     raises ValueError.
     """
+    x = np.asarray(x, dtype=float)
     if prox is None:
         prox = prox_x_operator(
             problem.num_steps, problem.dt, omega / measure.count,

@@ -152,6 +152,7 @@ def _write_csv(path, header: str, columns: list, values: np.ndarray) -> None:
 
 def write_trajectories_csv(path, x: np.ndarray) -> None:
     """Time-major rows of unwrapped coordinates; particle ids are 1-based."""
+    x = np.asarray(x, dtype=float)
     q, n_plus_1, d = x.shape
     t = (np.arange(n_plus_1) / (n_plus_1 - 1)).tolist()
     header = "t,particle," + ",".join(f"x{j + 1}" for j in range(d))

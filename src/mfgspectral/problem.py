@@ -200,6 +200,7 @@ def action(x: np.ndarray, a: np.ndarray, problem: MFGProblem) -> np.ndarray:
     raises ValueError.
     """
     x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
     q, n, d = x.shape[0], problem.num_steps, problem.dimension
     _check_shape("coefficient path", a, (problem.basis.size, n))
     diffs = x[:, 1:] - x[:, :-1]
@@ -221,6 +222,7 @@ def action_gradient(
     which reject an ``a`` of a shape other than (size, N).
     """
     x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
     dt = problem.dt
     inner = x[:, 1:, :]  # slices 1..N
     if tables is None:

@@ -3,7 +3,7 @@ raises a ValueError naming the argument, where numpy would broadcast or
 reshape it into a wrong answer. Every exact-shape message comes from
 ``mfgspectral.basis._check_shape``: ``"{name} must have shape {shape}, got
 {array.shape}"``, with the shape the caller passed. Paths given as nested
-lists are read as the array they spell."""
+lists are read as the array they spell, and so are coefficient paths."""
 
 import re
 
@@ -17,6 +17,7 @@ from mfgspectral.postprocess import (
     density_histogram,
     straightness_metric,
     symmetry_defect,
+    write_trajectories_csv,
 )
 from mfgspectral.problem import (
     MFGProblem,
@@ -131,6 +132,7 @@ ON_PATHS = {
     "straightness_metric": straightness_metric,
     "moment_vector": lambda x: moment_vector(x, MEASURE, KERNEL.basis),
     "fixed_point_residual": lambda x: fixed_point_residual(A, x, KERNEL, MEASURE),
+    "step_x": lambda x: step_x(x, A, PROBLEM, MEASURE, 1.0),
 }
 
 
@@ -139,3 +141,26 @@ def test_nested_list_paths_give_the_array_result(name):
     # every function on paths reads a nested list as the array it spells
     call = ON_PATHS[name]
     np.testing.assert_equal(call(MOVED.tolist()), call(MOVED))
+
+
+def test_nested_list_paths_give_the_array_csv(tmp_path):
+    write_trajectories_csv(tmp_path / "list.csv", MOVED.tolist())
+    write_trajectories_csv(tmp_path / "array.csv", MOVED)
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+
+
+ON_COEFFICIENTS = {
+    "saddle_value": lambda a: saddle_value(a, MOVED, PROBLEM, MEASURE),
+    "action": lambda a: action(MOVED, a, PROBLEM),
+    "action_gradient": lambda a: action_gradient(MOVED, a, PROBLEM),
+    "step_x": lambda a: step_x(MOVED, a, PROBLEM, MEASURE, 1.0),
+    "fixed_point_residual": lambda a: fixed_point_residual(a, MOVED, KERNEL, MEASURE),
+}
+
+
+@pytest.mark.parametrize("name", ON_COEFFICIENTS)
+def test_nested_list_coefficients_give_the_array_result(name):
+    # action raised AttributeError, and action_gradient and step_x TypeError,
+    # on a coefficient path given as a nested list
+    call = ON_COEFFICIENTS[name]
+    np.testing.assert_equal(call(A.tolist()), call(A))
