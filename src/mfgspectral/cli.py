@@ -149,7 +149,7 @@ def _preset(dimension, sigma, mu, omega, momentum):
     }
 
 
-# (omega, momentum) as tools/pick_steps.py picks and checks them
+# (omega, momentum) as a retired grid search picked them (see the README)
 PRESETS = {
     "paper-1d-a": _preset(1, 0.2, 0.5, 20.0, 0.7),
     "paper-1d-b": _preset(1, 0.2, 1.5, 10.0, 0.7),

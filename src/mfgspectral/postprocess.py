@@ -83,18 +83,24 @@ def _check_paths(x: np.ndarray, measure: DiscreteMeasure) -> None:
     _check_shape("x", x, (measure.count, slices, measure.dimension))
 
 
+def _slice_times(x: np.ndarray) -> np.ndarray:
+    # times 0, 1/n, ..., 1 of (Q, n + 1, d) paths, n >= 1, or ValueError
+    if x.ndim != 3 or x.shape[1] < 2:
+        raise ValueError(
+            f"x must be (Q, slices, d) paths with at least 1 time step, got {x.shape}"
+        )
+    return np.arange(x.shape[1]) / (x.shape[1] - 1)
+
+
 def straightness_metric(x: np.ndarray):
     """Chord deviation per particle and its maximum.
 
     For each particle the chord runs from its first to its last position;
-    the metric is the largest Euclidean gap to that chord over time, so
-    exactly 0 for one time step.
+    the metric is the largest Euclidean gap to that chord over time: 0 for
+    one time step, ValueError for paths x not (Q, slices, d) or without one.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[1] - 1
-    if n < 1:
-        raise ValueError("straightness needs at least 1 time step")
-    s = np.arange(n + 1) / n
+    s = _slice_times(x)
     chord = (1.0 - s)[None, :, None] * x[:, :1, :] + s[None, :, None] * x[:, -1:, :]
     gaps = np.sqrt(np.sum((x - chord) ** 2, axis=2))
     per_particle = gaps.max(axis=1)
@@ -153,8 +159,8 @@ def _write_csv(path, header: str, columns: list, values: np.ndarray) -> None:
 def write_trajectories_csv(path, x: np.ndarray) -> None:
     """Time-major rows of unwrapped coordinates; particle ids are 1-based."""
     x = np.asarray(x, dtype=float)
-    q, n_plus_1, d = x.shape
-    t = (np.arange(n_plus_1) / (n_plus_1 - 1)).tolist()
+    t = _slice_times(x).tolist()
+    q, _, d = x.shape
     header = "t,particle," + ",".join(f"x{j + 1}" for j in range(d))
     _write_csv(path, header, [t, range(1, q + 1)], x.transpose(1, 0, 2))
 

@@ -5,6 +5,7 @@ reshape it into a wrong answer. Every exact-shape message comes from
 {array.shape}"``, with the shape the caller passed. Paths given as nested
 lists are read as the array they spell, and so are coefficient paths."""
 
+import os
 import re
 
 import numpy as np
@@ -109,6 +110,22 @@ def test_paths_must_match_the_measure_dimension(call, dimension):
     _raises(f"x must have shape {expect}, got {x.shape}", lambda: call(x, m))
     flat = x[..., 0]  # (Q, 2) positions without a coordinate axis
     _raises(f"x must have shape {expect}, got {flat.shape}", lambda: call(flat, m))
+
+
+ON_TIME_STEPS = {
+    "straightness_metric": straightness_metric,
+    "write_trajectories_csv": lambda x: write_trajectories_csv(os.devnull, x),
+}
+
+
+@pytest.mark.parametrize("name", ON_TIME_STEPS)
+@pytest.mark.parametrize("shape", [(3, 4), (3, 1, 1)], ids=["no-axis-d", "one-slice"])
+def test_paths_need_three_axes_and_a_time_step(name, shape):
+    # (Q, slices) positions raised IndexError in straightness_metric and an
+    # unpacking error in write_trajectories_csv; one slice has no times 0
+    # and 1, and the CSV's time column was 0 / 0 = nan
+    message = f"x must be (Q, slices, d) paths with at least 1 time step, got {shape}"
+    _raises(message, lambda: ON_TIME_STEPS[name](np.zeros(shape)))
 
 
 @pytest.mark.parametrize("table", [eval_all, grad_all])
